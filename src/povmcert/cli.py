@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import os
 import sys
 import time
@@ -54,8 +53,6 @@ from .robustness import visibility_curve, visibility_curve_to_csv
 from .sampling import RngStream
 from .witness import WITNESS_BUILDERS, build_witness
 
-log = logging.getLogger(__name__)
-
 FAMILIES = sorted(WITNESS_BUILDERS)
 KINDS = ("projective", "three-outcome", "quantum")
 
@@ -63,20 +60,6 @@ KINDS = ("projective", "three-outcome", "quantum")
 DEFAULT_SAMPLES = {"sic": 300_000, "trine": 3_000, "sym-trine": 3_000}
 
 BUILTIN_EXPERIMENTS = {"sic": sic_experiment, "trine": trine_experiment}
-
-
-def _apply_thread_limit(threads: int | None) -> None:
-    # advisory: caps BLAS pools when threadpoolctl is available; the
-    # toolkit itself is single-process vectorized numpy either way
-    if threads is None:
-        return
-    os.environ.setdefault("OMP_NUM_THREADS", str(threads))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        log.debug("threadpoolctl not installed; --threads is only recorded")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -220,6 +203,7 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
     samples_path = out / f"{stem}.samples.csv"
     envelope_path = out / f"{stem}.envelope.json"
     _write(samples_path, samples_to_csv(points))
+    envelope = dataclasses.replace(envelope, witness=args.witness, k=args.k)
     _write(envelope_path, envelope.to_json() + "\n")
     _emit_manifest(samples_path, "fidelity-curve", args, [samples_path, envelope_path], t0)
     print(str(samples_path))
@@ -265,6 +249,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
     records = counts_from_csv(Path(args.counts).read_text())
     table = ingest_counts(records)
 
+    envelope = None
+    if args.envelope is not None:
+        envelope = EnvelopeCurve.from_json(Path(args.envelope).read_text())
+        if (envelope.witness, envelope.k) != (args.witness, args.k):
+            raise ValueError(
+                f"envelope {args.envelope} was sampled for witness={envelope.witness!r}, "
+                f"k={envelope.k!r}; this run is witness={args.witness!r}, k={args.k!r}"
+            )
+
     if args.bounds is not None:
         bounds = _load_bounds_file(args.bounds)
     else:
@@ -272,10 +265,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         bounds = [projective_bound(spec, config), seesaw_maximize(spec, config)]
         if spec.scenario.povm_outcomes == 4:
             bounds.insert(1, three_outcome_max(spec, config))
-
-    envelope = None
-    if args.envelope is not None:
-        envelope = EnvelopeCurve.from_json(Path(args.envelope).read_text())
 
     syst = args.syst_err
     if args.syst_runs:
@@ -322,7 +311,6 @@ def _add_common(p: argparse.ArgumentParser, format_default: str = "json") -> Non
     # action objects, so one subparser's set_defaults would leak to all
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out-dir", default=None, help="output directory (default: . or POVMCERT_OUT_DIR)")
-    p.add_argument("--threads", type=int, default=None, help="advisory BLAS thread cap")
     p.add_argument("--format", choices=("json", "csv"), default=format_default, help="stdout/file format where both make sense")
     p.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
 
@@ -361,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True, choices=FAMILIES)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--bounds", default=None, help="reuse a bounds JSON artifact instead of recomputing")
-    p.add_argument("--envelope", default=None, help="envelope JSON for the fidelity estimate")
+    p.add_argument("--envelope", default=None, help="envelope JSON from fidelity-curve with the same witness and k")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--syst-err", type=float, default=0.0, help="systematic error to subtract")
     group.add_argument("--syst-runs", type=int, default=0, help="estimate systematics by Monte Carlo with this many runs")
@@ -390,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_limit(args.threads)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -64,7 +64,7 @@ SIC_PLATE_ANGLES = (
 # and for the trine preps (QWP at zero: linear polarization only)
 TRINE_PLATE_ANGLES = ((0.0, 0.0), (30.0, 0.0), (-30.0, 0.0))
 
-_MC_CHUNK = 200_000
+_MC_CHUNK = 16_384
 
 
 def _retarder(theta_deg: float, phase: float) -> Array:
@@ -422,14 +422,16 @@ def monte_carlo_systematic(
     angles = cfg.plate_angles  # (X, 2)
     X = angles.shape[0]
     Y = len(cfg.binaries)
-    draws = stream.generator().normal(0.0, 1.0, size=(runs, X, Y + 1, 2))
-    perturbed = angles[None, :, None, :] + sigma * draws
+    # draws are taken chunk by chunk from one generator: the normal
+    # stream does not depend on how it is split, so memory stays bounded
+    # by the chunk and the values do not depend on _MC_CHUNK
+    gen = stream.generator()
     values = np.empty(runs)
     for lo in range(0, runs, _MC_CHUNK):
         hi = min(lo + _MC_CHUNK, runs)
-        blochs = _blochs_from_angles(
-            perturbed[lo:hi, :, :, 0], perturbed[lo:hi, :, :, 1]
-        )
+        draws = gen.normal(0.0, 1.0, size=(hi - lo, X, Y + 1, 2))
+        perturbed = angles[None, :, None, :] + sigma * draws
+        blochs = _blochs_from_angles(perturbed[..., 0], perturbed[..., 1])
         values[lo:hi] = _noiseless_values(blochs, cfg, spec)
     return float(np.std(values, ddof=1))
 

@@ -233,11 +233,15 @@ class EnvelopeCurve:
 
     Bins are anchored to multiples of the bin width, so curves from
     different runs with the same width share bin edges and can be
-    merged by taking per-bin minima.
+    merged by taking per-bin minima.  `witness` and `k` record the
+    witness the curve was sampled for; the `certify` command refuses a
+    curve whose stamp is missing or differs from its run.
     """
 
     bin_width: float
     bins: tuple[EnvelopeBin, ...]
+    witness: str | None = None
+    k: float | None = None
 
     def lookup(self, witness_value: float) -> EnvelopeBin | None:
         """The bin containing a witness value, or None outside the curve."""
@@ -261,8 +265,10 @@ class EnvelopeCurve:
         return floor
 
     def to_json(self) -> str:
+        stamp = {"witness": self.witness, "k": self.k}
         return json.dumps(
             {
+                **{key: v for key, v in stamp.items() if v is not None},
                 "bin_width": self.bin_width,
                 "bins": [
                     {
@@ -284,7 +290,10 @@ class EnvelopeCurve:
             EnvelopeBin(float(b["a_lo"]), float(b["a_hi"]), float(b["min_f"]), int(b["count"]))
             for b in d["bins"]
         )
-        return cls(float(d["bin_width"]), bins)
+        k = d.get("k")
+        return cls(
+            float(d["bin_width"]), bins, d.get("witness"), None if k is None else float(k)
+        )
 
 
 def envelope_from_points(points: list[SamplePoint], bin_width: float) -> EnvelopeCurve:

@@ -8,12 +8,17 @@ form.  With coupling D_{xy} = (c_{xy0} - c_{xy1})/2 the witness reads
 so for fixed everything else the best observable axis is
 n_y = unit(sum_x D_{xy} m_x), the best preparation is
 m_x = unit(sum_y D_{xy} n_y - k w_x p_x), and the POVM step minimizes
-the penalty sum_x w_x (1 + p_x . m_x) over valid POVMs.  The POVM
-minimum is searched over the extremal parameterization (unit directions
-with weights solved from completeness) by a warm-started batched
-Nelder-Mead plus closed-form probes: the anti-aligned extremal POVM and
-every projective two-outcome assignment.  The current POVM always stays
-in the candidate set, so the see-saw value never decreases.
+the penalty sum_x w_x (1 + p_x . m_x) over valid POVMs.  That step is
+exact too: over POVMs supported on the outcomes S the minimum is
+1 - R_S, where R_S is the radius of the smallest ball enclosing the
+preparation Bloch vectors {m_x : x in S}.  The optimal weights are the
+centre's barycentric coordinates and each effect points from its m_x
+towards the centre (the SDP dual of state exclusion, Bandyopadhyay et
+al., PRA 89, 022336 (2014); the qubit geometry of Bae, NJP 15, 073037
+(2013)).  With at most four points the ball is found by enumerating
+pairs, triangle circumcircles and the tetrahedron's circumsphere.  A
+row whose ball is not lower keeps its current POVM, so the see-saw
+value never decreases.
 
 Every quantity of a batch of restarts advances in lock step through
 numpy array ops; a "row" below is one restart (or one restart of one
@@ -31,27 +36,20 @@ from itertools import combinations
 
 import numpy as np
 
-from ._numerics import bracketed_scan_max, nelder_mead_batch
+from ._numerics import bracketed_scan_max
 from .qubit import Povm
-from .sampling import (
-    RngStream,
-    random_extremal_povms,
-    random_unit_vectors,
-    solve_weights_directions,
-    solve_weights_inplane,
-)
+from .sampling import RngStream, random_extremal_povms, random_unit_vectors
 from .witness import Strategy, WitnessSpec
 
 Array = np.ndarray
 
 SQ2 = np.sqrt(2.0)
 
-# penalty objective barrier for infeasible extremal parameters; feasible
-# penalties live in [0, 2], so anything above 10 is a rejection marker
-_BARRIER = 1e2
-_NM_ITERS_SEESAW = 60
-_NM_ITERS_STANDALONE = 300
-_NM_STEP = 0.15
+# Gram systems whose determinant falls below this share of the product of
+# their diagonal are treated as degenerate (coincident or coplanar points)
+_DEGENERATE = 1e-12
+# slack for roundoff in the weight sign and ball enclosure tests
+_BALL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,50 +106,6 @@ def _normalize_rows(v: Array, fallback: Array) -> Array:
     return np.where(ok, v / safe, fallback)
 
 
-def _spherical_dirs(angles: Array) -> Array:
-    """(..., 2) polar/azimuth pairs -> (..., 3) unit vectors."""
-    th, ph = angles[..., 0], angles[..., 1]
-    st = np.sin(th)
-    return np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
-
-
-def _spherical_angles(dirs: Array) -> Array:
-    th = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
-    ph = np.arctan2(dirs[..., 1], dirs[..., 0])
-    return np.stack([th, ph], axis=-1)
-
-
-def _frame_from_normal(u: Array) -> tuple[Array, Array]:
-    """Deterministic in-plane orthonormal frame for unit normals (B, 3)."""
-    B = u.shape[0]
-    a = np.where(
-        (np.abs(u[:, 0]) < 0.9)[:, None],
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-    )
-    e1 = a - np.sum(a * u, axis=1, keepdims=True) * u
-    e1 = _normalize_rows(e1, np.array([1.0, 0.0, 0.0]))
-    e2 = np.cross(u, e1)
-    return e1, e2
-
-
-def _plane_normal(dirs: Array) -> Array:
-    """Unit normal of the span of (B, 3, 3) nearly-coplanar direction triples."""
-    u = np.cross(dirs[:, 0], dirs[:, 1])
-    alt = np.cross(dirs[:, 0], dirs[:, 2])
-    small = np.linalg.norm(u, axis=1) < 1e-9
-    u[small] = alt[small]
-    still = np.linalg.norm(u, axis=1) < 1e-9
-    if still.any():
-        # all three directions colinear; any perpendicular will do
-        base = dirs[still, 0]
-        alt2 = np.cross(base, np.array([1.0, 0.0, 0.0]))
-        bad = np.linalg.norm(alt2, axis=1) < 1e-9
-        alt2[bad] = np.cross(base[bad], np.array([0.0, 0.0, 1.0]))
-        u[still] = alt2
-    return _normalize_rows(u, np.array([0.0, 0.0, 1.0]))
-
-
 # ---------------------------------------------------------------------------
 # see-saw core
 # ---------------------------------------------------------------------------
@@ -197,170 +151,80 @@ def _projective_povm_step(
     return PW, PN
 
 
-def _three_dirs_from_params(params: Array) -> Array:
-    """(B, 5) plane angles + 3 in-plane angles -> (B, 3, 3) coplanar dirs."""
-    u = _spherical_dirs(params[:, :2])
-    e1, e2 = _frame_from_normal(u)
-    al = params[:, 2:5]
-    return np.cos(al)[..., None] * e1[:, None, :] + np.sin(al)[..., None] * e2[:, None, :]
+def _ball_candidates(M_S: Array) -> tuple[Array, Array, Array]:
+    """Equidistant centres of every 2..T-point subset of (B, T, 3) blocks.
 
-
-def _three_params_from_dirs(dirs: Array) -> Array:
-    u = _plane_normal(dirs)
-    e1, e2 = _frame_from_normal(u)
-    al = np.arctan2(
-        np.einsum("bti,bi->bt", dirs, e2), np.einsum("bti,bi->bt", dirs, e1)
+    For points p_1..p_t with q_i = p_i - p_1 and Gram matrix G of the
+    q_i, the centre c = p_1 + sum_i mu_i q_i equidistant from all of them
+    solves 2 G mu = diag(G); its barycentric weights are
+    (1 - sum mu, mu).  Returns centres (B, C, 3), squared radii (B, C)
+    and weights (B, C, T) placed on the block's points; a candidate that
+    is degenerate, needs a negative weight or leaves a point of the block
+    outside its ball gets radius inf.
+    """
+    B, T, _ = M_S.shape
+    centres, radii2, weights = [], [], []
+    for t in range(2, T + 1):
+        idx = np.array(list(combinations(range(T), t)))  # (C, t)
+        C = len(idx)
+        P = M_S[:, idx]  # (B, C, t, 3)
+        Q = P[:, :, 1:] - P[:, :, :1]
+        G = Q @ Q.swapaxes(-1, -2)
+        diag = np.diagonal(G, axis1=-2, axis2=-1)
+        ok = np.linalg.det(G) > _DEGENERATE * np.prod(diag, axis=-1)
+        G = np.where(ok[..., None, None], G, np.eye(t - 1))
+        mu = np.linalg.solve(2.0 * G, diag[..., None])[..., 0]
+        lam = np.concatenate([1.0 - mu.sum(axis=-1, keepdims=True), mu], axis=-1)
+        c = P[:, :, 0] + np.einsum("bcj,bcji->bci", mu, Q)
+        r2 = np.sum((c - P[:, :, 0]) ** 2, axis=-1)
+        d2 = np.sum((M_S[:, None] - c[:, :, None]) ** 2, axis=-1)  # (B, C, T)
+        ok &= np.all(lam >= -_BALL_TOL, axis=-1)
+        ok &= np.all(d2 <= r2[..., None] + _BALL_TOL, axis=-1)
+        w = np.zeros((B, C, T))
+        w[:, np.arange(C)[:, None], idx] = np.clip(lam, 0.0, None)
+        centres.append(c)
+        radii2.append(np.where(ok, r2, np.inf))
+        weights.append(w)
+    return (
+        np.concatenate(centres, axis=1),
+        np.concatenate(radii2, axis=1),
+        np.concatenate(weights, axis=1),
     )
-    return np.concatenate([_spherical_angles(u), al], axis=1)
 
 
-def _three_weights(dirs: Array) -> tuple[Array, Array]:
-    """Completeness weights for coplanar triples, via their own plane frame."""
-    u = _plane_normal(dirs)
-    e1, e2 = _frame_from_normal(u)
-    cos_a = np.einsum("bti,bi->bt", dirs, e1)
-    sin_a = np.einsum("bti,bi->bt", dirs, e2)
-    return solve_weights_inplane(cos_a, sin_a)
-
-
-def _extremal_objective(T: int, M_S_ext: Array):
-    """Penalty objective over extremal parameters for `nelder_mead_batch`."""
-
-    def objective(params: Array, idx: Array) -> Array:
-        m = M_S_ext[idx]
-        if T == 3:
-            dirs = _three_dirs_from_params(params)
-            w, ok = solve_weights_inplane(
-                np.cos(params[:, 2:5]), np.sin(params[:, 2:5])
-            )
-        else:
-            dirs = _spherical_dirs(params.reshape(-1, 4, 2))
-            w, ok = solve_weights_directions(dirs)
-        pen = np.einsum("bt,bt->b", w, 1.0 + np.einsum("bti,bti->bt", dirs, m))
-        neg = np.clip(-w, 0.0, None).sum(axis=1)
-        bad = ~ok | (neg > 1e-12)
-        return np.where(bad, _BARRIER + neg, pen)
-
-    return objective
-
-
-def _extremal_candidates_from_params(T: int, params: Array) -> tuple[Array, Array, Array]:
-    """Rebuild (dirs, weights, feasible) from NM-refined parameters."""
-    if T == 3:
-        dirs = _three_dirs_from_params(params)
-        w, ok = solve_weights_inplane(np.cos(params[:, 2:5]), np.sin(params[:, 2:5]))
-    else:
-        dirs = _spherical_dirs(params.reshape(-1, 4, 2))
-        w, ok = solve_weights_directions(dirs)
-    ok = ok & np.all(w > -1e-12, axis=1)
-    return dirs, np.clip(w, 0.0, None), ok
-
-
-def _anti_aligned_block(M_S: Array) -> tuple[Array, Array, Array]:
-    """Anti-aligned extremal candidate for (B, T, 3) preparation blocks."""
-    T = M_S.shape[1]
-    if T == 4:
-        dirs = -_normalize_rows(M_S, np.array([0.0, 0.0, 1.0]))
-        w, ok = solve_weights_directions(dirs)
-    else:
-        # project preparations onto their best-fit plane, flip, renormalize
-        _, _, vh = np.linalg.svd(M_S)
-        e1, e2 = vh[:, 0, :], vh[:, 1, :]
-        c1 = np.einsum("bti,bi->bt", M_S, e1)
-        c2 = np.einsum("bti,bi->bt", M_S, e2)
-        proj = -(c1[..., None] * e1[:, None, :] + c2[..., None] * e2[:, None, :])
-        nrm = np.linalg.norm(proj, axis=2)
-        okn = np.all(nrm > 1e-12, axis=1)
-        dirs = proj / np.where(nrm > 1e-12, nrm, 1.0)[..., None]
-        w, ok = _three_weights(dirs)
-        ok &= okn
-    ok = ok & np.all(w > -1e-12, axis=1)
-    return dirs, np.clip(w, 0.0, None), ok
-
-
-def _extremal_povm_step(
-    M: Array,
-    subset: Array,
-    PW: Array,
-    PN: Array,
-    nm_iters: int,
-    extra_starts: Array | None = None,
+def _enclosing_ball_step(
+    M: Array, subset: Array, PW: Array, PN: Array
 ) -> tuple[Array, Array]:
-    """Penalty-minimizing POVM step over extremal POVMs on `subset` outcomes.
+    """Exact penalty-minimizing POVM step on the `subset` outcomes.
 
-    subset is (B, T) with T in {3, 4}: the outcomes allowed a nonzero
-    weight (others are forced to zero).  Candidates per row: the current
-    POVM, the anti-aligned extremal probe, every projective pair inside
-    the subset, and a Nelder-Mead refinement warm-started from the
-    current parameters (plus optional extra starting parameters).  The
-    best feasible candidate wins, so the step never increases the
-    penalty.
+    subset is (B, T): the outcomes allowed a nonzero weight (others are
+    forced to zero).  Over POVMs supported on S the minimum of
+    sum_x w_x (1 + n_x . m_x) is 1 - R_S, with R_S the radius of the
+    smallest ball enclosing {m_x : x in S}; the weights are the centre's
+    barycentric coordinates and each effect points from m_x to the
+    centre.  Rows where that is not lower than the current penalty (for
+    instance coincident preparations, where every candidate is
+    degenerate) keep their POVM, so the step never increases the penalty.
     """
     B, O = PW.shape
-    T = subset.shape[1]
     rows = np.arange(B)
     M_S = np.take_along_axis(M, subset[:, :, None], axis=1)
-    PW_S = np.take_along_axis(PW, subset, axis=1)
     PN_S = np.take_along_axis(PN, subset[:, :, None], axis=1)
-
-    cand_dirs = [PN_S]
-    cand_w = [PW_S]
-    cand_pen = [_penalty_of(PW_S, PN_S, M_S)]
-
-    a_dirs, a_w, a_ok = _anti_aligned_block(M_S)
-    pen = np.where(a_ok, _penalty_of(a_w, a_dirs, M_S), np.inf)
-    cand_dirs.append(a_dirs)
-    cand_w.append(a_w)
-    cand_pen.append(pen)
-
-    for a, b in combinations(range(T), 2):
-        d = M_S[:, a] - M_S[:, b]
-        n = _normalize_rows(-d, PN_S[:, a])
-        dirs = PN_S.copy()
-        dirs[:, a] = n
-        dirs[:, b] = -n
-        w = np.zeros((B, T))
-        w[:, a] = 0.5
-        w[:, b] = 0.5
-        cand_dirs.append(dirs)
-        cand_w.append(w)
-        cand_pen.append(1.0 - 0.5 * np.linalg.norm(d, axis=1))
-
-    if nm_iters > 0:
-        if T == 3:
-            warm = _three_params_from_dirs(PN_S)
-        else:
-            warm = _spherical_angles(PN_S).reshape(B, 8)
-        starts = [warm]
-        if extra_starts is not None:
-            starts.append(extra_starts)
-        x0 = np.concatenate(starts, axis=0)
-        idx_map = np.tile(rows, len(starts))
-        objective = _extremal_objective(T, M_S)
-
-        def remapped(p: Array, i: Array) -> Array:
-            return objective(p, idx_map[i])
-
-        xb, _ = nelder_mead_batch(remapped, x0, step=_NM_STEP, iters=nm_iters, ftol=1e-13)
-        dirs, w, ok = _extremal_candidates_from_params(T, xb)
-        for s in range(len(starts)):
-            sl = slice(s * B, (s + 1) * B)
-            d_s, w_s, ok_s = dirs[sl], w[sl], ok[sl]
-            pen = np.where(ok_s, _penalty_of(w_s, d_s, M_S), np.inf)
-            cand_dirs.append(d_s)
-            cand_w.append(w_s)
-            cand_pen.append(pen)
-
-    pens = np.stack(cand_pen)  # (C, B)
-    pick = np.argmin(pens, axis=0)
-    dirs = np.stack(cand_dirs)[pick, rows]  # (B, T, 3)
-    w = np.stack(cand_w)[pick, rows]  # (B, T)
+    centres, radii2, weights = _ball_candidates(M_S)
+    pick = np.argmin(radii2, axis=1)
+    w = weights[rows, pick]
+    dirs = _normalize_rows(centres[rows, pick][:, None, :] - M_S, PN_S)
+    current = _penalty_of(np.take_along_axis(PW, subset, axis=1), PN_S, M_S)
+    better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < current)
 
     PW_new = np.zeros((B, O))
     np.put_along_axis(PW_new, subset, w, axis=1)
     PN_new = PN.copy()
     np.put_along_axis(PN_new, subset[:, :, None], dirs, axis=1)
-    return PW_new, PN_new
+    return (
+        np.where(better[:, None], PW_new, PW),
+        np.where(better[:, None, None], PN_new, PN),
+    )
 
 
 def _run_seesaw(
@@ -392,7 +256,7 @@ def _run_seesaw(
             if povm_mode == "projective":
                 PW, PN = _projective_povm_step(M, pair[0], pair[1], O, PN)
             else:
-                PW, PN = _extremal_povm_step(M, subset, PW, PN, _NM_ITERS_SEESAW)
+                PW, PN = _enclosing_ball_step(M, subset, PW, PN)
         new_vals = _values(C0, D, k, M, N, PW, PN)
         delta = new_vals - vals
         vals = new_vals
@@ -702,60 +566,6 @@ def penalty_value(prep_blochs: Array, povm: Povm) -> float:
     return float(
         np.sum(povm.weights * (1.0 + np.einsum("oi,oi->o", povm.blochs, m[:O])))
     )
-
-
-def anti_aligned_povm(prep_blochs: Array, outcomes: int) -> Povm:
-    """Extremal POVM with directions opposing the given preparations.
-
-    For three outcomes the preparations are first projected onto their
-    best-fit plane.  Raises when the resulting weights are infeasible
-    (preparations too lopsided for an anti-aligned extremal POVM).
-    """
-    m = np.asarray(prep_blochs, dtype=float)[None, :outcomes, :]
-    dirs, w, ok = _anti_aligned_block(m)
-    if not ok[0] or np.any(w[0] <= 0):
-        raise ValueError("anti-aligned extremal POVM infeasible for these preparations")
-    return Povm.from_arrays(w[0], dirs[0])
-
-
-def optimal_penalty_povm(
-    prep_blochs: Array, outcomes: int, config: OptimizerConfig | None = None
-) -> Povm:
-    """POVM minimizing sum_x Tr(rho_x E_x) over O-outcome POVMs.
-
-    Multistart Nelder-Mead over the extremal parameterization, plus the
-    anti-aligned and projective-pair probes; the reported POVM is at
-    least as good as every probe and random start in the run.
-    """
-    config = config or OptimizerConfig()
-    if outcomes not in (3, 4):
-        raise ValueError("penalty POVM search supports 3 or 4 outcomes")
-    m = np.asarray(prep_blochs, dtype=float)
-    if m.ndim != 2 or m.shape[0] < outcomes:
-        raise ValueError("need (X, 3) preparations with X >= outcomes")
-    rng = config.stream(4).generator()
-    B = max(config.restarts, 2)
-    M = np.tile(m[None, :, :], (B, 1, 1))
-    sample = random_extremal_povms(outcomes, B, rng)
-    subset = np.tile(np.arange(outcomes), (B, 1))
-    a_dirs, _, a_ok = _anti_aligned_block(m[None, :outcomes, :])
-    extra = None
-    if a_ok[0]:
-        if outcomes == 3:
-            p = _three_params_from_dirs(a_dirs)
-        else:
-            p = _spherical_angles(a_dirs).reshape(1, 8)
-        extra = np.tile(p, (B, 1))
-    PW, PN = _extremal_povm_step(
-        M, subset, sample.weights, sample.blochs, _NM_ITERS_STANDALONE, extra_starts=extra
-    )
-    pens = _penalty_of(
-        np.take_along_axis(PW, subset, axis=1),
-        np.take_along_axis(PN, subset[:, :, None], axis=1),
-        M[:, :outcomes, :],
-    )
-    best = int(np.argmin(pens))
-    return Povm.from_arrays(np.clip(PW[best], 0.0, None), PN[best])
 
 
 # ---------------------------------------------------------------------------

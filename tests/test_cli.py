@@ -4,8 +4,10 @@ Everything runs in-process through main() so exit codes and streams are
 checked directly; one subprocess test covers the `python3 -m` path.
 """
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,14 +203,27 @@ def test_seeded_runs_are_byte_identical(tmp_path, capsys):
     assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_bounds_reruns_byte_identical_across_threads(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective",
-        "--restarts", 8, "--out", "b.json", "--out-dir", a)
-    run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective",
-        "--restarts", 8, "--out", "b.json", "--out-dir", b, "--threads", 1)
-    capsys.readouterr()
-    assert (a / "b.json").read_bytes() == (b / "b.json").read_bytes()
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_bounds_reruns_byte_identical_across_threads(tmp_path):
+    # BLAS pools size themselves when numpy loads, so the thread count
+    # must be set in the environment of a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **{var: threads for var in BLAS_THREAD_VARS})
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "povmcert.cli", "bounds", "--witness", "trine", "--k", "1",
+             "--kinds", "projective,quantum", "--restarts", "8", "--out", "b.json",
+             "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "b.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_fidelity_curve_reruns_byte_identical(tmp_path, capsys):
@@ -240,6 +255,7 @@ def test_fidelity_curve_artifacts(tmp_path, capsys):
     assert len(rows) == 151
     curve = EnvelopeCurve.from_json(envelope.read_text())
     assert sum(b.count for b in curve.bins) == 150
+    assert (curve.witness, curve.k) == ("sic", 0.2)
     manifest = json.loads((tmp_path / "fc.samples.csv.manifest.json").read_text())
     assert manifest["outputs"] == ["fc.samples.csv", "fc.envelope.json"]
 
@@ -357,7 +373,10 @@ def test_certify_failed_certification_still_exits_zero(trine_counts, tmp_path, c
 
 def test_certify_envelope_gives_fidelity_floor(sic_counts, tmp_path, capsys):
     curve = EnvelopeCurve(
-        bin_width=10.0, bins=(EnvelopeBin(a_lo=0.0, a_hi=10.0, min_f=0.93, count=5),)
+        bin_width=10.0,
+        bins=(EnvelopeBin(a_lo=0.0, a_hi=10.0, min_f=0.93, count=5),),
+        witness="sic",
+        k=0.2,
     )
     path = tmp_path / "env.json"
     path.write_text(curve.to_json())
@@ -366,6 +385,30 @@ def test_certify_envelope_gives_fidelity_floor(sic_counts, tmp_path, capsys):
     assert rc == 0
     report = read_json(capsys)
     assert report["fidelity_estimate"]["min_fidelity"] == 0.93
+
+
+def test_certify_rejects_envelope_for_another_k(sic_counts, tmp_path, capsys):
+    rc = run("fidelity-curve", "--witness", "sic", "--k", 0.5, "--samples", 20,
+             "--witness-restarts", 2, "--rotation-restarts", 1,
+             "--out-dir", tmp_path, "--out", "k05")
+    assert rc == 0
+    capsys.readouterr()
+    rc = run("certify", "--counts", sic_counts, "--witness", "sic", "--k", 0.2,
+             "--restarts", 8, "--envelope", tmp_path / "k05.envelope.json")
+    assert rc == 2
+    assert "k=0.5" in capsys.readouterr().err
+
+
+def test_certify_rejects_unstamped_envelope(sic_counts, tmp_path, capsys):
+    curve = EnvelopeCurve(
+        bin_width=10.0, bins=(EnvelopeBin(a_lo=0.0, a_hi=10.0, min_f=0.93, count=5),)
+    )
+    path = tmp_path / "env.json"
+    path.write_text(curve.to_json())
+    rc = run("certify", "--counts", sic_counts, "--witness", "sic", "--k", 0.2,
+             "--restarts", 8, "--envelope", path)
+    assert rc == 2
+    assert "witness=None" in capsys.readouterr().err
 
 
 def test_certify_syst_runs_uses_builtin_config(trine_counts, capsys):

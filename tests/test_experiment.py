@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmcert import experiment
 from povmcert.experiment import (
     LAB_VISIBILITIES,
     SIC_PLATE_ANGLES,
@@ -300,6 +301,15 @@ def test_systematic_error_is_deterministic_and_scales_with_fwhm():
     assert monte_carlo_systematic(doubled, spec, 5_000, RngStream(62)) == pytest.approx(
         2 * a, rel=0.05
     )
+
+
+@pytest.mark.parametrize(
+    "cfg, spec", [(sic_experiment(), sic_witness(0.2)), (trine_experiment(), trine_witness(1.0))]
+)
+def test_systematic_error_does_not_depend_on_chunk_size(cfg, spec, monkeypatch):
+    whole = monte_carlo_systematic(cfg, spec, 5_000, RngStream(64))
+    monkeypatch.setattr(experiment, "_MC_CHUNK", 1_000)
+    assert monte_carlo_systematic(cfg, spec, 5_000, RngStream(64)) == whole
 
 
 def test_zero_motor_spread_means_zero_systematic():

@@ -1,4 +1,5 @@
 """Rotation-channel fidelity, target relabelings, and sampled envelopes."""
+import dataclasses
 import json
 
 import numpy as np
@@ -254,6 +255,9 @@ def test_envelope_json_round_trip():
     # the serialized form is plain JSON with named fields
     d = json.loads(env.to_json())
     assert set(d) == {"bin_width", "bins"}
+    stamped = dataclasses.replace(env, witness="sic", k=0.2)
+    assert EnvelopeCurve.from_json(stamped.to_json()) == stamped
+    assert set(json.loads(stamped.to_json())) == {"witness", "k", "bin_width", "bins"}
     assert set(d["bins"][0]) == {"a_lo", "a_hi", "min_f", "count"}
 
 

@@ -1,6 +1,6 @@
 """Optimizer tests.
 
-The heavy numerics (see-saw, penalty POVM search) run with small restart
+The heavy numerics (the see-saw) run with small restart
 counts here; the acceptance suite exercises the full-budget settings.
 Oracle values used below were frozen from independent routes: scipy
 Nelder-Mead on reduced objectives, explicit 2x2 matrix Born-rule
@@ -15,11 +15,10 @@ from povmcert._numerics import bracketed_scan_max
 from povmcert.optimize import (
     BoundResult,
     OptimizerConfig,
-    anti_aligned_povm,
+    _enclosing_ball_step,
     maximize_given_povm,
     maximize_given_povm_batch,
     optimal_binary_observable,
-    optimal_penalty_povm,
     optimal_preparation,
     penalty_value,
     projective_bound,
@@ -30,7 +29,7 @@ from povmcert.optimize import (
     three_outcome_max,
 )
 from povmcert.qubit import Povm, classify_extremal, validate_povm
-from povmcert.sampling import RngStream, random_extremal_povm
+from povmcert.sampling import RngStream, random_extremal_povm, random_extremal_povms
 from povmcert.witness import (
     IDEAL_STRATEGIES,
     SIC_QUANTUM_MAX,
@@ -348,60 +347,98 @@ def test_non_hermitian_rejected():
 
 
 # ---------------------------------------------------------------------------
-# penalty POVM search
+# closed-form penalty POVM step
 # ---------------------------------------------------------------------------
 
 
-def test_anti_aligned_povm_tetrahedron():
-    p = anti_aligned_povm(TETRAHEDRON, 4)
+def ball_step(preps, current: Povm, outcomes=None):
+    """One closed-form POVM step for a single row; returns the new POVM."""
+    m = np.asarray(preps, dtype=float)[None]
+    S = np.arange(len(m[0]) if outcomes is None else outcomes)
+    PW, PN = _enclosing_ball_step(
+        m, S[None], current.weights[None].copy(), current.blochs[None].copy()
+    )
+    return Povm.from_arrays(PW[0], PN[0])
+
+
+def test_ball_step_tetrahedron_is_anti_aligned():
+    p = ball_step(TETRAHEDRON, random_extremal_povm(4, RngStream(1)))
     assert validate_povm(p).ok
-    assert np.allclose(p.blochs, -np.asarray(TETRAHEDRON), atol=1e-12)
     assert penalty_value(TETRAHEDRON, p) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(p.blochs, -TETRAHEDRON, atol=1e-12)
+    assert np.allclose(p.weights, 0.25, atol=1e-12)
 
 
-def test_anti_aligned_povm_trine():
-    p = anti_aligned_povm(TRINE, 3)
+def test_ball_step_trine_reaches_zero():
+    p = ball_step(TRINE, random_extremal_povm(3, RngStream(2)))
     assert validate_povm(p).ok
     assert penalty_value(TRINE, p) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_anti_aligned_povm_infeasible():
-    # all preparations in one hemisphere: anti-aligned weights go negative
-    m = np.array([[0, 0, 1], [0.1, 0, 0.99], [0, 0.1, 0.99], [0.1, 0.1, 0.98]])
-    m = m / np.linalg.norm(m, axis=1, keepdims=True)
-    with pytest.raises(ValueError):
-        anti_aligned_povm(m, 4)
-
-
-def test_optimal_penalty_povm_symmetric_preps():
-    # for tetrahedral preparations the anti-aligned extremal POVM kills
-    # the penalty entirely, so the search must find (near) zero
-    p = optimal_penalty_povm(TETRAHEDRON, 4, OptimizerConfig(restarts=8, seed=1))
+def test_ball_step_three_tetrahedron_vertices():
+    # the circumradius of a tetrahedron face is sqrt(8/9)
+    current = Povm.from_arrays(
+        [0.5, 0.5, 0.0, 0.0], [[0, 0, 1], [0, 0, -1], [0, 0, 1], [0, 0, 1]]
+    )
+    p = ball_step(TETRAHEDRON, current, outcomes=3)
     assert validate_povm(p).ok
-    assert penalty_value(TETRAHEDRON, p) == pytest.approx(0.0, abs=1e-9)
-    p3 = optimal_penalty_povm(TRINE, 3, OptimizerConfig(restarts=8, seed=1))
-    assert penalty_value(TRINE, p3) == pytest.approx(0.0, abs=1e-9)
+    assert p.weights[3] == 0.0
+    assert np.allclose(p.weights[:3], 1.0 / 3.0, atol=1e-12)
+    assert penalty_value(TETRAHEDRON, p) == pytest.approx(1.0 - np.sqrt(8.0 / 9.0), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "preps",
+    [
+        [[0, 0, 1], [0, 0, -1]],
+        [[0, 0, 1], [0, 0, -1], [0.6, 0.0, 0.8]],
+    ],
+)
+def test_ball_step_antipodal_points_reach_zero(preps):
+    current = random_extremal_povm(3, RngStream(3))
+    if len(preps) == 2:
+        current = Povm.from_arrays([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]])
+    p = ball_step(preps, current)
+    assert validate_povm(p).ok
+    assert penalty_value(preps, p) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ball_step_coincident_points_keep_current_povm():
+    # no ball exists; the first current effect opposes the points, so a
+    # step that trusted a degenerate candidate would report less than 1
+    m = np.tile([0.0, 0.6, 0.8], (3, 1))
+    current = Povm.from_arrays(np.full(3, 1.0 / 3.0), TRINE)
+    p = ball_step(m, current)
+    assert penalty_value(m, p) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(p.weights, current.weights)
+    assert np.array_equal(p.blochs, current.blochs)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 4]))
-def test_optimal_penalty_povm_beats_random_probes(seed, outcomes):
+def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
     rng = RngStream(seed, 9).generator()
-    m = rng.normal(size=(outcomes, 3))
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
-    best = optimal_penalty_povm(m, outcomes, OptimizerConfig(restarts=6, seed=seed))
-    assert validate_povm(best).ok
-    val = penalty_value(m, best)
-    for _ in range(50):
-        probe = random_extremal_povm(outcomes, rng)
-        assert val <= penalty_value(m, probe) + 1e-9
-
-
-def test_optimal_penalty_povm_input_checks():
-    with pytest.raises(ValueError):
-        optimal_penalty_povm(TETRAHEDRON, 5)
-    with pytest.raises(ValueError):
-        optimal_penalty_povm(TRINE, 4)
+    rows = 16
+    m = rng.normal(size=(rows, outcomes, 3))
+    m /= np.linalg.norm(m, axis=2, keepdims=True)
+    current = random_extremal_povms(outcomes, rows, rng)
+    PW, PN = _enclosing_ball_step(
+        m, np.tile(np.arange(outcomes), (rows, 1)), current.weights.copy(), current.blochs.copy()
+    )
+    probes = random_extremal_povms(outcomes, 200, rng)
+    for r in range(rows):
+        w, n = PW[r], PN[r]
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(w @ n, 0.0, atol=1e-9)
+        assert np.allclose(np.linalg.norm(n[w > 0], axis=1), 1.0, atol=1e-12)
+        assert validate_povm(Povm.from_arrays(w, n)).ok
+        val = penalty_value(m[r], Povm.from_arrays(w, n))
+        assert val <= penalty_value(m[r], current.povm(r)) + 1e-12
+        probe_vals = np.einsum(
+            "po,po->p", probes.weights, 1.0 + np.einsum("poi,oi->po", probes.blochs, m[r])
+        )
+        assert val <= probe_vals.min() + 1e-12
 
 
 # ---------------------------------------------------------------------------
