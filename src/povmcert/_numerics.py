@@ -1,17 +1,9 @@
-"""Small derivative-free numerics shared by the optimizers.
+"""Global 1-D maximization for the closed-form projective bounds.
 
-Two tools live here.  `bracketed_scan_max` is plain golden-section
-search made global by bracketing local maxima on a coarse grid first;
-the closed-form projective bounds are smooth but can be bimodal in their
-1-D reduction, so a single golden run is not safe.  `nelder_mead_batch`
-is the textbook simplex method running on a whole batch of independent
-low-dimensional problems at once: the objective receives an (M, n) array
-of points together with an (M,) array naming the problem each point
-belongs to, and returns (M,) values, so one python-level iteration
-advances every problem in the batch.  Candidate points (reflection,
-expansion, both contractions) are evaluated unconditionally for all
-rows, which costs a few extra objective calls but keeps everything
-vectorized.
+`bracketed_scan_max` is plain golden-section search made global by
+bracketing local maxima on a coarse grid first; the closed-form
+projective bounds are smooth but can be bimodal in their 1-D reduction,
+so a single golden run is not safe.
 """
 from __future__ import annotations
 
@@ -66,93 +58,3 @@ def bracketed_scan_max(
         if fx > best_f:
             best_x, best_f = x, fx
     return best_x, best_f
-
-
-def nelder_mead_batch(
-    f,
-    x0: Array,
-    *,
-    step: float = 0.25,
-    iters: int = 200,
-    ftol: float = 0.0,
-) -> tuple[Array, Array]:
-    """Minimize a batch of problems with the Nelder-Mead simplex method.
-
-    Parameters
-    ----------
-    f : callable f(points, rows) where points is (M, n) and rows is an
-        (M,) int array naming the problem in [0, B) each point belongs
-        to; returns (M,) values.
-    x0 : (B, n) array of starting points, one problem per row.
-    step : initial simplex edge added along each coordinate.
-    iters : maximum iterations (each advances all B problems).
-    ftol : stop early once every problem's simplex value spread falls
-        below this (0 disables the check).
-
-    Returns the per-problem best point (B, n) and value (B,).
-    """
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        raise ValueError("x0 must have shape (B, n)")
-    B, n = x0.shape
-    rows = np.arange(B)
-    simplex = np.repeat(x0[:, None, :], n + 1, axis=1)
-    diag = np.arange(n)
-    simplex[:, 1 + diag, diag] += step
-    vals = np.asarray(
-        f(simplex.reshape(-1, n), np.repeat(rows, n + 1)), dtype=float
-    ).reshape(B, n + 1)
-
-    for _ in range(iters):
-        order = np.argsort(vals, axis=1)
-        simplex = np.take_along_axis(simplex, order[:, :, None], axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        if ftol > 0 and np.all(vals[:, -1] - vals[:, 0] < ftol):
-            break
-
-        centroid = simplex[:, :-1, :].mean(axis=1)
-        worst = simplex[:, -1, :]
-        xr = centroid + alpha * (centroid - worst)
-        xe = centroid + gamma * (xr - centroid)
-        xoc = centroid + rho * (xr - centroid)
-        xic = centroid - rho * (centroid - worst)
-        cand = np.stack([xr, xe, xoc, xic], axis=1)  # (B, 4, n)
-        fr, fe, foc, fic = (
-            np.asarray(f(cand.reshape(-1, n), np.repeat(rows, 4)), dtype=float)
-            .reshape(B, 4)
-            .T
-        )
-
-        f_best, f_secw, f_worst = vals[:, 0], vals[:, -2], vals[:, -1]
-        m_expand = fr < f_best
-        m_reflect = ~m_expand & (fr < f_secw)
-        m_out = (fr >= f_secw) & (fr < f_worst)
-        m_in = fr >= f_worst
-        use_e = m_expand & (fe < fr)
-        use_r = m_reflect | (m_expand & ~(fe < fr))
-        ok_oc = m_out & (foc <= fr)
-        ok_ic = m_in & (fic < f_worst)
-        shrink = (m_out & ~ok_oc) | (m_in & ~ok_ic)
-
-        new_point = worst.copy()
-        new_val = f_worst.copy()
-        for mask, xp, fp in ((use_r, xr, fr), (use_e, xe, fe), (ok_oc, xoc, foc), (ok_ic, xic, fic)):
-            new_point[mask] = xp[mask]
-            new_val[mask] = fp[mask]
-        keep = ~shrink
-        simplex[keep, -1, :] = new_point[keep]
-        vals[keep, -1] = new_val[keep]
-
-        if shrink.any():
-            sidx = np.nonzero(shrink)[0]
-            sub = simplex[sidx]
-            sub[:, 1:, :] = sub[:, :1, :] + sigma * (sub[:, 1:, :] - sub[:, :1, :])
-            subvals = np.asarray(
-                f(sub[:, 1:, :].reshape(-1, n), np.repeat(sidx, n)), dtype=float
-            ).reshape(len(sidx), n)
-            simplex[sidx] = sub
-            vals[sidx, 1:] = subvals
-
-    best = np.argmin(vals, axis=1)
-    return simplex[rows, best], vals[rows, best]

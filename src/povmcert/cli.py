@@ -196,7 +196,6 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
         stream=RngStream(args.seed),
         config=_optimizer_config(args),
         witness_restarts=args.witness_restarts,
-        rotation_restarts=args.rotation_restarts,
     )
     stem = args.out or f"fidelity-{args.witness}-k{args.k:g}"
     out = _out_dir(args)
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="POVM samples (default: figure scale per family)")
     p.add_argument("--bin-width", type=float, default=0.002)
     p.add_argument("--witness-restarts", type=int, default=8)
-    p.add_argument("--rotation-restarts", type=int, default=4)
     p.add_argument("--out", default=None, help="artifact stem (default fidelity-<witness>-k<k>)")
     p.set_defaults(func=cmd_fidelity_curve)
 

@@ -7,11 +7,12 @@ weighted average fidelity over extraction channels,
 
 with L relaxed to a unitary: on Bloch vectors, a rotation R.  Writing
 E_i = w_i (1 + n_i . sigma) and the target directions v_i, this reduces
-to F = 1/2 + (1/2) Tr(R K) with K = sum_i w_i n_i v_i^T, maximized over
-R by a multistart simplex search on rotation vectors (the identity
-start makes F(target, target) exactly 1).  Restricting the channel to
-rotations biases F downward relative to general unital channels; values
-reported here are lower bounds.
+to F = 1/2 + (1/2) Tr(R K) with K = sum_i w_i n_i v_i^T.  The maximum over
+proper rotations R is Wahba's problem, solved exactly from the SVD
+K = U S V^T (Kabsch 1976; Markley 1988): with d = sign(det U det V),
+F = 1/2 + (s1 + s2 + d s3)/2 at R = V diag(1, 1, d) U^T.  The rotation
+step is exact; F is still a lower bound on the unital-channel optimum,
+because the channel is restricted to rotations.
 
 A witness only pins the target down up to a rotation and possibly a
 relabeling of outcomes, so targets carry their relabeling classes:
@@ -30,15 +31,12 @@ import csv
 import io
 import json
 import logging
-import warnings
 from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from ._numerics import nelder_mead_batch
 from .optimize import OptimizerConfig, maximize_given_povm_batch
 from .qubit import Povm, classify_extremal, validate_povm
 from .sampling import RngStream, random_extremal_povms
@@ -51,15 +49,13 @@ Array = np.ndarray
 # rotation-equivalence threshold for grouping target relabelings
 RELABEL_TOL = 1e-9
 
-_NM_ITERS_ROTATION = 200
-_NM_STEP_ROTATION = 0.5
-
 
 def _rotation_classes(weights: Array, blochs: Array) -> tuple[tuple[int, ...], ...]:
     """Outcome permutations of a target, grouped up to rotations.
 
     Two permutations land in the same class when some rotation maps one
-    permuted Bloch configuration onto the other (weights must agree
+    permuted Bloch configuration onto the other, that is when the Kabsch
+    fidelity between them exceeds 1 - RELABEL_TOL (weights must agree
     pairwise too).  Returns one representative per class, identity
     first.
     """
@@ -71,19 +67,12 @@ def _rotation_classes(weights: Array, blochs: Array) -> tuple[tuple[int, ...], .
         if not np.allclose(weights[p], weights, atol=RELABEL_TOL):
             continue
         config = blochs[p]
-        matched = False
-        for known in rep_configs:
-            with warnings.catch_warnings():
-                # planar configs make the optimal rotation non-unique;
-                # only the residual matters here
-                warnings.simplefilter("ignore", UserWarning)
-                _, rssd = Rotation.align_vectors(config, known)
-            if rssd < np.sqrt(RELABEL_TOL):
-                matched = True
-                break
-        if not matched:
-            reps.append(perm)
-            rep_configs.append(config)
+        if rep_configs:
+            K = np.einsum("o,oi,coj->cij", weights, config, np.array(rep_configs))
+            if np.any(_kabsch(K)[0] > 1.0 - RELABEL_TOL):
+                continue
+        reps.append(perm)
+        rep_configs.append(config)
     reps.sort(key=lambda t: t != tuple(range(O)))
     return tuple(reps)
 
@@ -134,55 +123,30 @@ def _alignment_matrices(
     return np.einsum("so,soi,coj->scij", weights, blochs, v)
 
 
-def _fidelities_from_k(
-    K: Array, restarts: int, rng, iters: int = _NM_ITERS_ROTATION
-) -> tuple[Array, Array]:
-    """Max of 1/2 + Tr(R K)/2 over rotations for each K in a batch.
+def _kabsch(K: Array) -> tuple[Array, Array]:
+    """Max of 1/2 + Tr(R K)/2 over proper rotations R for each K in a batch.
 
-    Starts: the identity rotation plus `restarts` random rotation
-    vectors per matrix.  Returns (best F, best rotation vector) per K.
+    K = U S V^T and d = sign(det U det V) give the maximum
+    1/2 + (s1 + s2 + d s3)/2 at R = V diag(1, 1, d) U^T.  Returns the
+    fidelities (B,) and the rotations (B, 3, 3).
     """
-    from .sampling import random_rotation_vectors
-
-    B = K.shape[0]
-    starts = [np.zeros((B, 3))]
-    if restarts > 0:
-        starts.append(random_rotation_vectors(rng, B * restarts).reshape(B * restarts, 3))
-    x0 = np.concatenate(starts, axis=0)
-    idx_map = np.concatenate([np.arange(B)] + [np.tile(np.arange(B), restarts)] * (restarts > 0))
-
-    def objective(rotvecs: Array, rows: Array) -> Array:
-        R = Rotation.from_rotvec(rotvecs).as_matrix()
-        tr = np.einsum("mij,mji->m", R, K[idx_map[rows]])
-        return -(0.5 + 0.5 * tr)
-
-    xb, fb = nelder_mead_batch(
-        objective, x0, step=_NM_STEP_ROTATION, iters=iters, ftol=1e-14
-    )
-    f = -fb
-    best = np.full(B, -np.inf)
-    best_vec = np.zeros((B, 3))
-    for s in range(len(x0) // B):
-        sl = slice(s * B, (s + 1) * B)
-        better = f[sl] > best
-        best = np.where(better, f[sl], best)
-        best_vec[better] = xb[sl][better]
-    return best, best_vec
+    U, s, Vt = np.linalg.svd(K)
+    d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    f = 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2])
+    D = np.ones_like(s)
+    D[:, 2] = d
+    R = (Vt.swapaxes(-1, -2) * D[:, None, :]) @ U.swapaxes(-1, -2)
+    return f, R
 
 
 def povm_fidelity(
-    e: Povm,
-    target: TargetPovm,
-    relabeling: tuple[int, ...] | None = None,
-    restarts: int = 16,
-    seed: int = 0,
+    e: Povm, target: TargetPovm, relabeling: tuple[int, ...] | None = None
 ) -> FidelityResult:
     """Best rotation-channel fidelity of `e` to the target, fixed pairing.
 
     Outcome i of `e` is scored against target outcome `relabeling[i]`
     (identity when omitted).  A lower bound on the unital-channel
-    optimum; the identity rotation is always among the starts, so a
-    candidate equal to the target scores exactly 1.
+    optimum; the returned rotation is proper and attains the fidelity.
     """
     if e.outcomes != target.outcomes:
         raise ValueError("candidate and target must have the same outcome count")
@@ -190,14 +154,11 @@ def povm_fidelity(
     K = _alignment_matrices(
         e.weights[None, :], e.blochs[None, :, :], target, perm[None, :]
     ).reshape(1, 3, 3)
-    rng = RngStream(seed, 3).generator()
-    f, vec = _fidelities_from_k(K, restarts, rng)
-    return FidelityResult(float(f[0]), Rotation.from_rotvec(vec[0]).as_matrix())
+    f, R = _kabsch(K)
+    return FidelityResult(float(f[0]), R[0])
 
 
-def best_fidelity_over_relabelings(
-    e: Povm, target: TargetPovm, restarts: int = 16, seed: int = 0
-) -> float:
+def best_fidelity_over_relabelings(e: Povm, target: TargetPovm) -> float:
     """Max of povm_fidelity over the target's relabeling classes."""
     if e.outcomes != target.outcomes:
         raise ValueError("candidate and target must have the same outcome count")
@@ -205,9 +166,7 @@ def best_fidelity_over_relabelings(
     K = _alignment_matrices(
         e.weights[None, :], e.blochs[None, :, :], target, perms
     ).reshape(len(perms), 3, 3)
-    rng = RngStream(seed, 3).generator()
-    f, _ = _fidelities_from_k(K, restarts, rng)
-    return float(f.max())
+    return float(_kabsch(K)[0].max())
 
 
 @dataclass(frozen=True)
@@ -242,13 +201,6 @@ class EnvelopeCurve:
     bins: tuple[EnvelopeBin, ...]
     witness: str | None = None
     k: float | None = None
-
-    def lookup(self, witness_value: float) -> EnvelopeBin | None:
-        """The bin containing a witness value, or None outside the curve."""
-        for b in self.bins:
-            if b.a_lo <= witness_value < b.a_hi:
-                return b
-        return None
 
     def floor_at(self, witness_value: float) -> float | None:
         """Smallest sampled fidelity at or above a witness value.
@@ -323,16 +275,6 @@ def samples_to_csv(points: list[SamplePoint]) -> str:
     return out.getvalue()
 
 
-def samples_from_csv(text: str) -> list[SamplePoint]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["sample_id", "A", "F"]:
-        raise ValueError("expected header sample_id,A,F")
-    return [
-        SamplePoint(witness_value=float(a), fidelity=float(f), povm_id=int(sid))
-        for sid, a, f in rows[1:]
-    ]
-
-
 def sample_fidelity_curve(
     spec: WitnessSpec,
     target: TargetPovm,
@@ -341,14 +283,13 @@ def sample_fidelity_curve(
     stream: RngStream | None = None,
     config: OptimizerConfig | None = None,
     witness_restarts: int = 8,
-    rotation_restarts: int = 4,
 ) -> tuple[list[SamplePoint], EnvelopeCurve]:
     """Scatter random extremal POVMs into (witness value, fidelity) points.
 
     Per sample: the best witness value with that POVM held fixed (via
     the see-saw over preparations and observables) and the best
-    fidelity over rotations and target relabelings.  Both searches run
-    vectorized across the whole batch.  Deterministic for a fixed
+    fidelity over rotations and target relabelings (closed form).  Both
+    run vectorized across the whole batch.  Deterministic for a fixed
     stream, sample count, and config.
     """
     if n_samples < 1:
@@ -366,11 +307,7 @@ def sample_fidelity_curve(
     C = len(target.relabel_classes)
     perms = np.array(target.relabel_classes)
     K = _alignment_matrices(sample.weights, sample.blochs, target, perms)  # (S, C, 3, 3)
-    f_flat, _ = _fidelities_from_k(
-        K.reshape(n_samples * C, 3, 3),
-        rotation_restarts,
-        stream.derived(1).generator(),
-    )
+    f_flat, _ = _kabsch(K.reshape(n_samples * C, 3, 3))
     fids = f_flat.reshape(n_samples, C).max(axis=1)
 
     points: list[SamplePoint] = []

@@ -37,7 +37,6 @@ from itertools import combinations
 import numpy as np
 
 from ._numerics import bracketed_scan_max
-from .qubit import Povm
 from .sampling import RngStream, random_extremal_povms, random_unit_vectors
 from .witness import Strategy, WitnessSpec
 
@@ -374,16 +373,6 @@ def maximize_given_povm_batch(
     return state["values"].reshape(S, restarts).max(axis=1)
 
 
-def maximize_given_povm(
-    spec: WitnessSpec, povm: Povm, config: OptimizerConfig | None = None, restarts: int = 8
-) -> float:
-    """Best witness value reachable with the POVM held fixed."""
-    vals = maximize_given_povm_batch(
-        spec, povm.weights[None, :], povm.blochs[None, :, :], config, restarts
-    )
-    return float(vals[0])
-
-
 def projective_bound_numeric(
     spec: WitnessSpec,
     config: OptimizerConfig | None = None,
@@ -510,61 +499,6 @@ def three_outcome_max(
             "zero_assignment_values": per_zero,
             "seed": config.seed,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-shot optimal responses
-# ---------------------------------------------------------------------------
-
-
-def _bloch_part(matrix: Array) -> Array:
-    from .qubit import HERMITICITY_TOL, PAULIS
-
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    return np.real(np.einsum("ijk,kj->i", PAULIS, m)) / 2.0
-
-
-_LEX_SMALLEST_AXIS = np.array([-1.0, 0.0, 0.0])
-
-
-def optimal_binary_observable(w_matrix: Array):
-    """Observable maximizing Tr(W M_0) - Tr(W M_1) for Hermitian W.
-
-    The optimum aligns with W's Bloch part; a degenerate W (no Bloch
-    part) ties, broken deterministically by the lexicographically
-    smallest axis.
-    """
-    from .qubit import Observable
-
-    beta = _bloch_part(w_matrix)
-    n = np.linalg.norm(beta)
-    axis = _LEX_SMALLEST_AXIS if n < 1e-12 else beta / n
-    return Observable(axis)
-
-
-def optimal_preparation(l_matrix: Array):
-    """Pure state maximizing Tr(rho L) for Hermitian L; ties break as above."""
-    from .qubit import QubitState
-
-    beta = _bloch_part(l_matrix)
-    n = np.linalg.norm(beta)
-    axis = _LEX_SMALLEST_AXIS if n < 1e-12 else beta / n
-    return QubitState(axis)
-
-
-def penalty_value(prep_blochs: Array, povm: Povm) -> float:
-    """sum_x Tr(rho_x E_x) for the first O preparations."""
-    m = np.asarray(prep_blochs, dtype=float)
-    O = povm.outcomes
-    if m.shape[0] < O:
-        raise ValueError("need at least one preparation per POVM outcome")
-    return float(
-        np.sum(povm.weights * (1.0 + np.einsum("oi,oi->o", povm.blochs, m[:O])))
     )
 
 

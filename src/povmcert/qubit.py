@@ -35,7 +35,6 @@ IDENTITY2 = np.eye(2, dtype=complex)
 NORM_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 COPLANAR_TOL = 1e-7
-HERMITICITY_TOL = 1e-9
 UNIT_TOL = 1e-6
 ZERO_WEIGHT = 1e-12
 
@@ -53,15 +52,6 @@ def _freeze(obj, name: str, v: Array) -> None:
     v = v.copy()
     v.flags.writeable = False
     object.__setattr__(obj, name, v)
-
-
-def unit(v: Array) -> Array:
-    """Normalize a vector; rejects (near-)zero input."""
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < 1e-15:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
 
 
 @dataclass(frozen=True)
@@ -186,36 +176,6 @@ def density_from_bloch(r) -> Array:
     if np.linalg.norm(r) > 1.0 + NORM_TOL:
         raise ValueError("Bloch vector longer than 1")
     return 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", r, PAULIS))
-
-
-def bloch_from_density(m) -> Array:
-    """Inverse of `density_from_bloch`; rejects non-Hermitian or traceless input."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("density matrix must be 2x2")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > 1e-9:
-        raise ValueError("matrix trace must be 1")
-    return np.real(np.einsum("ijk,kj->i", PAULIS, m))
-
-
-def hermitian_eigensystem(m) -> tuple[Array, Array]:
-    """Eigenvalues (descending) and matching column eigenvectors of a 2x2 Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
-
-
-def depolarize(state: QubitState, visibility: float) -> QubitState:
-    """Shrink the Bloch vector by a visibility in [0, 1]."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return QubitState(visibility * state.bloch)
 
 
 def validate_povm(povm: Povm, *, completeness_tol: float = COMPLETENESS_TOL) -> PovmValidation:

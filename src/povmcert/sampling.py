@@ -1,4 +1,4 @@
-"""Seeded random generation of strategies, extremal POVMs, and rotations.
+"""Seeded random generation of strategies and extremal POVMs.
 
 Everything here draws from a numpy Generator.  `RngStream` is the seed
 carrier used across the package: a (seed, index) pair that maps to a
@@ -65,10 +65,6 @@ def random_unit_vectors(rng, shape) -> Array:
         v[bad] = rng.normal(size=(int(bad.sum()), 3))
         n = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / n
-
-
-def random_unit_vector(rng) -> Array:
-    return random_unit_vectors(rng, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -176,25 +172,3 @@ def random_extremal_povms(outcomes: int, count: int, rng) -> ExtremalSample:
 
 def random_extremal_povm(outcomes: int, rng) -> Povm:
     return random_extremal_povms(outcomes, 1, rng).povm(0)
-
-
-def random_rotation_vectors(rng, count: int) -> Array:
-    """Haar-uniform rotations as (count, 3) axis-angle vectors.
-
-    Axis is uniform on the sphere and the angle in [0, pi] carries the
-    Haar density proportional to sin^2(angle/2).
-    """
-    rng = _rng(rng)
-    return Rotation.random(count, random_state=rng).as_rotvec()
-
-
-def random_rotation_vector(rng) -> Array:
-    return random_rotation_vectors(rng, 1)[0]
-
-
-def rotation_matrices(rotvecs) -> Array:
-    """Rotation matrices for (..., 3) axis-angle vectors."""
-    rv = np.asarray(rotvecs, dtype=float)
-    single = rv.ndim == 1
-    mats = Rotation.from_rotvec(np.atleast_2d(rv)).as_matrix()
-    return mats[0] if single else mats

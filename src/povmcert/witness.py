@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import Observable, Povm, QubitState, unit
+from .qubit import Observable, Povm, QubitState
 
 Array = np.ndarray
 
@@ -104,9 +104,6 @@ class WitnessSpec:
     def offset(self) -> float:
         """Base value on maximally mixed preparations."""
         return float(self.coeffs.sum()) / 2.0
-
-    def with_k(self, k: float) -> "WitnessSpec":
-        return WitnessSpec(self.name, self.scenario, self.coeffs, float(k), self.quantum_max)
 
     def to_dict(self) -> dict:
         cells = []

@@ -137,7 +137,7 @@ def test_criterion_4_critical_visibility():
 
 def test_criterion_5_fidelity_anchors():
     for target in (sic_target(), trine_target()):
-        self_fid = povm_fidelity(target.povm, target, restarts=8).fidelity
+        self_fid = povm_fidelity(target.povm, target).fidelity
         assert self_fid == pytest.approx(1.0, abs=1e-9)
 
     # any projective pair is rotation-equivalent, so one padded pair
@@ -146,7 +146,7 @@ def test_criterion_5_fidelity_anchors():
         np.array([0.5, 0.5, 0.0]),
         np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
     )
-    best = best_fidelity_over_relabelings(pair, trine_target(), restarts=16)
+    best = best_fidelity_over_relabelings(pair, trine_target())
     anchor = (2.0 + np.sqrt(3.0)) / 4.0
     assert best == pytest.approx(anchor, abs=1e-4)
     note(f"self-fidelities 1.0; projective-vs-trine {best:.6f} (target {anchor:.6f})")

@@ -230,7 +230,7 @@ def test_fidelity_curve_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         rc = run("fidelity-curve", "--witness", "trine", "--k", 1, "--samples", 60,
-                 "--seed", 5, "--witness-restarts", 4, "--rotation-restarts", 2,
+                 "--seed", 5, "--witness-restarts", 4,
                  "--out-dir", out)
         assert rc == 0
     capsys.readouterr()
@@ -243,7 +243,7 @@ def test_fidelity_curve_reruns_byte_identical(tmp_path, capsys):
 
 def test_fidelity_curve_artifacts(tmp_path, capsys):
     rc = run("fidelity-curve", "--witness", "sic", "--k", 0.2, "--samples", 150,
-             "--witness-restarts", 4, "--rotation-restarts", 2,
+             "--witness-restarts", 4,
              "--out-dir", tmp_path, "--out", "fc")
     assert rc == 0
     printed = capsys.readouterr().out.splitlines()
@@ -389,7 +389,7 @@ def test_certify_envelope_gives_fidelity_floor(sic_counts, tmp_path, capsys):
 
 def test_certify_rejects_envelope_for_another_k(sic_counts, tmp_path, capsys):
     rc = run("fidelity-curve", "--witness", "sic", "--k", 0.5, "--samples", 20,
-             "--witness-restarts", 2, "--rotation-restarts", 1,
+             "--witness-restarts", 2,
              "--out-dir", tmp_path, "--out", "k05")
     assert rc == 0
     capsys.readouterr()

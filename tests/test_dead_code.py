@@ -1,0 +1,56 @@
+"""Every public library name has a caller outside the tests.
+
+A public module-level function or class under src/povmcert must be
+exported in `povmcert.__all__`, be referenced somewhere in src/ or
+scripts/ outside its own definition, or be a `[project.scripts]` entry
+point.  A function that only the tests call is dead library code: the
+test that needs it keeps its own copy as a local reference.
+"""
+import ast
+import re
+from pathlib import Path
+
+import povmcert
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "povmcert"
+
+
+def _entry_points() -> set[str]:
+    """Function names of the `[project.scripts]` table in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return set(re.findall(r':(\w+)"', section.group(1))) if section else set()
+
+
+def _references(paths) -> list[tuple[Path, str, int]]:
+    """(file, name, line) for every name loaded or attribute read in `paths`."""
+    refs = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.attr, node.lineno))
+    return refs
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    refs = _references(modules + sorted((ROOT / "scripts").glob("*.py")))
+    allowed = set(povmcert.__all__) | _entry_points()
+    unused = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in allowed:
+                continue
+            used = any(
+                name == node.name
+                and not (ref_path == path and node.lineno <= line <= node.end_lineno)
+                for ref_path, name, line in refs
+            )
+            if not used:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, "public names only the tests call: " + ", ".join(unused)

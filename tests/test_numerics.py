@@ -1,9 +1,8 @@
-"""Golden-section search and the batched simplex minimizer."""
+"""Golden-section search and its bracketed global variant."""
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
-from povmcert._numerics import bracketed_scan_max, golden_section_max, nelder_mead_batch
+from povmcert._numerics import bracketed_scan_max, golden_section_max
 
 
 def test_golden_section_quadratic():
@@ -28,37 +27,3 @@ def test_bracketed_scan_endpoint_maximum():
     x, fx = bracketed_scan_max(lambda x: -x, -1, 1)
     assert x == pytest.approx(-1.0, abs=1e-9)
 
-
-def test_nelder_mead_batch_of_quadratics(rng):
-    center = np.array([0.3, -1.2, 2.0])
-    g = lambda x: np.sum((x - center) ** 2, axis=1)
-    x0 = rng.normal(size=(40, 3))
-    xb, fb = nelder_mead_batch(lambda x, idx: g(x), x0, step=0.5, iters=300)
-    assert np.all(fb < 1e-8)
-    assert np.max(np.abs(xb - center)) < 1e-4
-
-
-def test_nelder_mead_batch_matches_scipy_on_rosenbrock(rng):
-    def rosen(x):
-        return 100 * (x[..., 1] - x[..., 0] ** 2) ** 2 + (1 - x[..., 0]) ** 2
-
-    x0 = rng.uniform(-1, 1, size=(8, 2))
-    xb, fb = nelder_mead_batch(lambda x, idx: rosen(x), x0, step=0.3, iters=600)
-    for start, ours, fours in zip(x0, xb, fb):
-        ref = minimize(rosen, start, method="Nelder-Mead",
-                       options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-12})
-        assert fours <= ref.fun + 1e-6
-    assert np.max(np.abs(xb - 1.0)) < 1e-3
-
-
-def test_nelder_mead_routes_per_problem_data(rng):
-    # each problem has its own center; the objective reads it via idx
-    centers = rng.normal(size=(25, 4))
-    f = lambda x, idx: np.sum((x - centers[idx]) ** 2, axis=1)
-    xb, fb = nelder_mead_batch(f, np.zeros((25, 4)), step=0.7, iters=400)
-    assert np.max(np.abs(xb - centers)) < 1e-4
-
-
-def test_nelder_mead_handles_batch_of_one():
-    xb, fb = nelder_mead_batch(lambda x, idx: np.sum(x**2, axis=1), np.array([[1.0, 1.0]]), iters=300)
-    assert fb[0] < 1e-9

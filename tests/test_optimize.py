@@ -15,12 +15,10 @@ from povmcert._numerics import bracketed_scan_max
 from povmcert.optimize import (
     BoundResult,
     OptimizerConfig,
+    _binary_step,
     _enclosing_ball_step,
-    maximize_given_povm,
+    _prep_step,
     maximize_given_povm_batch,
-    optimal_binary_observable,
-    optimal_preparation,
-    penalty_value,
     projective_bound,
     projective_bound_numeric,
     projective_bound_sic,
@@ -28,8 +26,21 @@ from povmcert.optimize import (
     seesaw_maximize,
     three_outcome_max,
 )
-from povmcert.qubit import Povm, classify_extremal, validate_povm
-from povmcert.sampling import RngStream, random_extremal_povm, random_extremal_povms
+from povmcert.qubit import (
+    IDENTITY2,
+    PAULIS,
+    Observable,
+    Povm,
+    QubitState,
+    classify_extremal,
+    validate_povm,
+)
+from povmcert.sampling import (
+    RngStream,
+    random_extremal_povm,
+    random_extremal_povms,
+    random_unit_vectors,
+)
 from povmcert.witness import (
     IDEAL_STRATEGIES,
     SIC_QUANTUM_MAX,
@@ -264,8 +275,12 @@ def test_maximize_given_ideal_povm_reaches_maximum():
     for name in ("sic", "trine"):
         spec = build_witness(name, k=0.5)
         strat = IDEAL_STRATEGIES[name]()
-        v = maximize_given_povm(spec, strat.povm, OptimizerConfig(seed=2), restarts=6)
-        assert v == pytest.approx(QUANTUM_MAXIMA[name], abs=1e-7)
+        p = strat.povm
+        v = maximize_given_povm_batch(
+            spec, p.weights[None], p.blochs[None], OptimizerConfig(seed=2), restarts=6
+        )
+        assert v.shape == (1,)
+        assert v[0] == pytest.approx(QUANTUM_MAXIMA[name], abs=1e-7)
 
 
 def test_maximize_given_povm_batch_matches_single():
@@ -276,8 +291,10 @@ def test_maximize_given_povm_batch_matches_single():
     n = np.stack([p.blochs for p in povms])
     batch = maximize_given_povm_batch(spec, w, n, OptimizerConfig(seed=5), restarts=6)
     for i, p in enumerate(povms):
-        single = maximize_given_povm(spec, p, OptimizerConfig(seed=5), restarts=6)
-        assert batch[i] == pytest.approx(single, abs=1e-7)
+        single = maximize_given_povm_batch(
+            spec, p.weights[None], p.blochs[None], OptimizerConfig(seed=5), restarts=6
+        )
+        assert batch[i] == pytest.approx(single[0], abs=1e-7)
     # no fixed povm can beat the unrestricted quantum maximum
     assert batch.max() <= SIC_QUANTUM_MAX + 1e-9
 
@@ -285,12 +302,12 @@ def test_maximize_given_povm_batch_matches_single():
 def test_maximize_given_povm_checks_outcomes():
     spec = build_witness("sic", k=0.2)
     trine_povm = IDEAL_STRATEGIES["trine"]().povm
-    with pytest.raises(ValueError):
-        maximize_given_povm(spec, trine_povm)
+    with pytest.raises(ValueError, match="outcome"):
+        maximize_given_povm_batch(spec, trine_povm.weights[None], trine_povm.blochs[None])
 
 
 # ---------------------------------------------------------------------------
-# single-shot optimal responses
+# exact observable and preparation steps
 # ---------------------------------------------------------------------------
 
 
@@ -304,51 +321,63 @@ def _grid_axes(steps: int = 60) -> np.ndarray:
 
 
 def test_optimal_binary_observable_beats_grid():
+    # observable y maximizes Tr(W_y (M_0 - M_1)) with W_y = sum_x D_xy rho_x;
+    # the see-saw's observable step must beat every axis of a dense grid
     rng = np.random.default_rng(8)
-    axes = _grid_axes()
+    grid = np.einsum("ai,ijk->ajk", _grid_axes(), PAULIS)  # M_0 - M_1 per axis
     for _ in range(5):
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        w = h + h.conj().T
-        obs = optimal_binary_observable(w)
-        score = np.real(np.trace(w @ (obs.effect(0) - obs.effect(1))))
-        from povmcert.qubit import Observable
-
-        grid_best = max(
-            np.real(np.trace(w @ (Observable(a).effect(0) - Observable(a).effect(1))))
-            for a in axes
-        )
-        assert score >= grid_best - 1e-3
+        D = rng.normal(size=(4, 3))
+        M = random_unit_vectors(rng, (1, 4))
+        N = _binary_step(D, M, random_unit_vectors(rng, (1, 3)))
+        for y in range(3):
+            W = sum(D[x, y] * QubitState(M[0, x]).matrix() for x in range(4))
+            obs = Observable(N[0, y])
+            got = np.real(np.trace(W @ (obs.effect(0) - obs.effect(1))))
+            assert got >= np.real(np.einsum("jk,akj->a", W, grid)).max() - 1e-12
 
 
 def test_optimal_preparation_beats_grid():
+    # preparation x maximizes Tr(rho L_x) with
+    # L_x = sum_y D_xy n_y . sigma - k E_x; the see-saw's preparation step
+    # must beat every pure state of a dense grid
     rng = np.random.default_rng(9)
-    axes = _grid_axes()
+    grid = 0.5 * (IDENTITY2 + np.einsum("ai,ijk->ajk", _grid_axes(), PAULIS))  # pure states
+    k = 0.3
     for _ in range(5):
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        l = h + h.conj().T
-        prep = optimal_preparation(l)
-        score = np.real(np.trace(l @ prep.matrix()))
-        from povmcert.qubit import QubitState
-
-        grid_best = max(np.real(np.trace(l @ QubitState(a).matrix())) for a in axes)
-        assert score >= grid_best - 1e-3
+        D = rng.normal(size=(4, 3))
+        N = random_unit_vectors(rng, (1, 3))
+        povm = random_extremal_povm(4, rng)
+        M = _prep_step(
+            D, N, k, povm.weights[None], povm.blochs[None], random_unit_vectors(rng, (1, 4))
+        )
+        for x in range(4):
+            L = sum(D[x, y] * Observable(N[0, y]).matrix() for y in range(3))
+            L = L - k * povm.elements[x].matrix()
+            got = np.real(np.trace(QubitState(M[0, x]).matrix() @ L))
+            assert got >= np.real(np.einsum("ajk,kj->a", grid, L)).max() - 1e-12
 
 
 def test_degenerate_matrices_break_ties_deterministically():
-    obs = optimal_binary_observable(np.eye(2))
-    prep = optimal_preparation(np.eye(2))
-    assert np.allclose(obs.axis, [-1.0, 0.0, 0.0])
-    assert np.allclose(prep.bloch, [-1.0, 0.0, 0.0])
-
-
-def test_non_hermitian_rejected():
-    with pytest.raises(ValueError):
-        optimal_binary_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a zero field has no best axis: both steps keep the current one
+    D = np.zeros((4, 3))
+    M = random_unit_vectors(RngStream(4), (2, 4))
+    N = random_unit_vectors(RngStream(5), (2, 3))
+    assert np.array_equal(_binary_step(D, M, N), N)
+    PW = np.full((2, 4), 0.25)
+    PN = np.zeros((2, 4, 3))
+    assert np.array_equal(_prep_step(D, N, 0.0, PW, PN, M), M)
 
 
 # ---------------------------------------------------------------------------
 # closed-form penalty POVM step
 # ---------------------------------------------------------------------------
+
+
+def penalty_value(prep_blochs, povm: Povm) -> float:
+    """Reference penalty sum_x Tr(rho_x E_x) over the first O preparations."""
+    m = np.asarray(prep_blochs, dtype=float)
+    O = povm.outcomes
+    return float(np.sum(povm.weights * (1.0 + np.einsum("oi,oi->o", povm.blochs, m[:O]))))
 
 
 def ball_step(preps, current: Povm, outcomes=None):

@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 
 from povmcert.qubit import (
     IDENTITY2,
+    PAULIS,
     Observable,
     Povm,
     PovmElement,
     QubitState,
-    bloch_from_density,
     classify_extremal,
     density_from_bloch,
-    depolarize,
-    hermitian_eigensystem,
-    unit,
     validate_povm,
 )
 
@@ -46,7 +43,10 @@ def test_density_rejects_long_vector():
 
 @given(ball_vec)
 def test_bloch_density_round_trip(r):
-    assert np.allclose(bloch_from_density(density_from_bloch(r)), r, atol=1e-12)
+    # the Bloch vector is the vector of Pauli expectations Tr(rho sigma_i)
+    rho = density_from_bloch(r)
+    back = np.real(np.einsum("ijk,kj->i", PAULIS, rho))
+    assert np.allclose(back, r, atol=1e-12)
 
 
 @given(ball_vec)
@@ -57,50 +57,19 @@ def test_density_is_psd_unit_trace(r):
     assert abs(np.trace(rho).real - 1) < 1e-12
 
 
-def test_bloch_from_density_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        bloch_from_density(np.array([[1, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_eigensystem_orders_and_reconstructs():
-    m = np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -0.5]])
-    vals, vecs = hermitian_eigensystem(m)
-    assert vals[0] >= vals[1]
-    recon = vecs @ np.diag(vals) @ vecs.conj().T
-    assert np.max(np.abs(recon - m)) < 1e-10
-
-
-def test_hermitian_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_observable_projectors_sum_to_identity():
     ob = Observable(np.array([0.0, 1.0, 0.0]))
     assert np.allclose(ob.effect(0) + ob.effect(1), IDENTITY2)
     # outcome 0 carries the +1 eigenspace
-    vals, vecs = hermitian_eigensystem(ob.matrix())
-    top = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    vals, vecs = np.linalg.eigh(ob.matrix())  # ascending
+    assert np.allclose(vals, [-1.0, 1.0])
+    top = np.outer(vecs[:, 1], vecs[:, 1].conj())
     assert np.allclose(ob.effect(0), top, atol=1e-12)
 
 
 def test_observable_requires_unit_axis():
     with pytest.raises(ValueError):
         Observable(np.array([0.0, 0.0, 0.5]))
-
-
-def test_depolarize_scales_and_validates():
-    s = QubitState(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(depolarize(s, 0.25).bloch, [0, 0, 0.25])
-    with pytest.raises(ValueError):
-        depolarize(s, 1.5)
-    with pytest.raises(ValueError):
-        depolarize(s, -0.1)
-
-
-def test_unit_rejects_zero():
-    with pytest.raises(ValueError):
-        unit(np.zeros(3))
 
 
 def tetra_povm() -> Povm:

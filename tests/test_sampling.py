@@ -1,4 +1,4 @@
-"""Seeded sampling: unit vectors, extremal POVMs, Haar rotations."""
+"""Seeded sampling: unit vectors and extremal POVMs."""
 import numpy as np
 import pytest
 
@@ -7,9 +7,7 @@ from povmcert.sampling import (
     RngStream,
     random_extremal_povm,
     random_extremal_povms,
-    random_rotation_vectors,
     random_unit_vectors,
-    rotation_matrices,
 )
 
 
@@ -78,30 +76,3 @@ def test_extremal_sampling_rejects_bad_outcome_count():
         random_extremal_povms(2, 10, RngStream(0))
     with pytest.raises(ValueError):
         random_extremal_povms(5, 10, RngStream(0))
-
-
-def test_rotation_vectors_are_haar():
-    rv = random_rotation_vectors(RngStream(6), 100_000)
-    angles = np.linalg.norm(rv, axis=1)
-    assert angles.max() <= np.pi + 1e-12
-    # Haar angle density: mean angle = pi/2 + 2/pi
-    assert angles.mean() == pytest.approx(np.pi / 2 + 2 / np.pi, abs=5e-3)
-    # mean rotation matrix vanishes under Haar
-    mats = rotation_matrices(rv)
-    assert np.max(np.abs(mats.mean(axis=0))) < 0.01
-
-
-def test_rotation_matrices_are_rotations():
-    rv = random_rotation_vectors(RngStream(7), 64)
-    mats = rotation_matrices(rv)
-    eye = np.eye(3)
-    for m in mats:
-        assert np.allclose(m @ m.T, eye, atol=1e-12)
-        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(rotation_matrices(np.zeros(3)), eye)
-    # rotations preserve inner products
-    v = random_unit_vectors(RngStream(8), 64)
-    w = random_unit_vectors(RngStream(9), 64)
-    dots = np.einsum("bi,bi->b", v, w)
-    rdots = np.einsum("bi,bi->b", np.einsum("bij,bj->bi", mats, v), np.einsum("bij,bj->bi", mats, w))
-    assert np.allclose(dots, rdots, atol=1e-12)
