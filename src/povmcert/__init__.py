@@ -23,7 +23,6 @@ from .experiment import (
     counts_to_csv,
     expected_probabilities,
     ingest_counts,
-    jones_preparation,
     monte_carlo_systematic,
     sic_experiment,
     simulate_counts,
@@ -110,7 +109,6 @@ __all__ = [
     "evaluate_witness",
     "expected_probabilities",
     "ingest_counts",
-    "jones_preparation",
     "monte_carlo_systematic",
     "most_robust_point",
     "povm_fidelity",

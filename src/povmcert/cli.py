@@ -195,7 +195,6 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
         bin_width=args.bin_width,
         stream=RngStream(args.seed),
         config=_optimizer_config(args),
-        witness_restarts=args.witness_restarts,
     )
     stem = args.out or f"fidelity-{args.witness}-k{args.k:g}"
     out = _out_dir(args)
@@ -337,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--samples", type=int, default=None, help="POVM samples (default: figure scale per family)")
     p.add_argument("--bin-width", type=float, default=0.002)
-    p.add_argument("--witness-restarts", type=int, default=8)
     p.add_argument("--out", default=None, help="artifact stem (default fidelity-<witness>-k<k>)")
-    p.set_defaults(func=cmd_fidelity_curve)
+    p.set_defaults(func=cmd_fidelity_curve, restarts=8)
 
     p = sub.add_parser("certify", help="evaluate a counts file and issue verdicts")
     _add_common(p)

@@ -1,22 +1,25 @@
 """Photonic-experiment layer: wave plates, counts, and certification reports.
 
-Preparations are polarization states built by Jones calculus: |H> through
-a quarter-wave plate, then a half-wave plate, each a rotated retarder.
-On the Bloch sphere (x = diagonal, y = circular, z = H/V) the QWP sets
-the latitude sin(2q) and the HWP reflects the in-plane angle, landing at
+Preparations are polarization states: |H> through a quarter-wave plate,
+then a half-wave plate.  On the Bloch sphere (x = diagonal, y =
+circular, z = H/V) the QWP sets the latitude sin(2q) and the HWP
+reflects the in-plane angle, landing at the closed form
 
     (cos2q sin(4h - 2q), sin2q, cos2q cos(4h - 2q)),
 
 which the published plate settings exploit to reach the tetrahedron and
-the trine.  The sign of the retarder phase is fixed so those settings
-give the right-handed tetrahedron; the mirrored convention reproduces
-the same table with y negated and is wrong here.
+the trine.  It is the right-handed convention: those settings give the
+right-handed tetrahedron, while the mirrored one reproduces the same
+table with y negated and is wrong here.
 
 The noise model depolarizes preparations per measurement setting: each
 binary setting carries the interference visibility of its nearest Pauli
 basis, the POVM setting the mean of the three.  Measurements themselves
 stay ideal; plate imperfections on the measurement side are not
 separable from those visibilities without a full interferometer model.
+This noise and the plate jitter of the systematics both give the state
+each preparation delivers during each setting, the per-setting format
+that the witness module's evaluator and table builder take.
 
 Counts are independent Poisson draws.  Statistical errors propagate
 sqrt(N) through the count ratios; the systematic error is the spread of
@@ -29,7 +32,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,11 +39,9 @@ import numpy as np
 
 from .fidelity import EnvelopeCurve
 from .optimize import BoundResult
-from .qubit import Observable, Povm, QubitState
+from .qubit import Observable, Povm
 from .sampling import RngStream
-from .witness import ProbabilityTable, WitnessSpec, evaluate_witness
-
-log = logging.getLogger(__name__)
+from .witness import ProbabilityTable, WitnessSpec, bloch_values, evaluate_witness, probability_table
 
 Array = np.ndarray
 
@@ -67,36 +67,11 @@ TRINE_PLATE_ANGLES = ((0.0, 0.0), (30.0, 0.0), (-30.0, 0.0))
 _MC_CHUNK = 16_384
 
 
-def _retarder(theta_deg: float, phase: float) -> Array:
-    """Jones matrix of a retarder: fast axis at theta, +phase on the slow axis."""
-    t = np.deg2rad(theta_deg)
-    c, s = np.cos(t), np.sin(t)
-    rot = np.array([[c, -s], [s, c]])
-    return rot @ np.diag([1.0, np.exp(1j * phase)]) @ rot.T
-
-
-def jones_preparation(hwp_deg: float, qwp_deg: float) -> QubitState:
-    """State prepared from |H> by QWP(qwp) then HWP(hwp)."""
-    if not (np.isfinite(hwp_deg) and np.isfinite(qwp_deg)):
-        raise ValueError("wave-plate angles must be finite")
-    psi = _retarder(hwp_deg, np.pi) @ _retarder(qwp_deg, np.pi / 2) @ np.array([1.0, 0.0])
-    a, b = psi
-    bloch = np.array(
-        [
-            2.0 * (a * np.conj(b)).real,
-            2.0 * (np.conj(a) * b).imag,
-            abs(a) ** 2 - abs(b) ** 2,
-        ]
-    )
-    return QubitState(bloch)
-
-
 def _blochs_from_angles(hwp_deg: Array, qwp_deg: Array) -> Array:
-    """Closed-form Bloch vectors for plate-angle arrays; appends axis 3.
+    """Bloch vectors of |H> through QWP(qwp) then HWP(hwp); appends axis 3.
 
-    Trigonometric shortcut for the same composition jones_preparation
-    builds from matrices (QWP sets latitude, HWP reflects in-plane);
-    used where many perturbed angle sets are evaluated at once.
+    The closed form of the module docstring, for angle arrays of any
+    shape (many perturbed angle sets are evaluated at once).
     """
     h = np.deg2rad(hwp_deg)
     q = np.deg2rad(qwp_deg)
@@ -168,9 +143,8 @@ class ExperimentConfig:
 
     @property
     def prep_blochs(self) -> Array:
-        return np.array(
-            [jones_preparation(h, q).bloch for h, q in self.preparations]
-        )
+        angles = self.plate_angles
+        return _blochs_from_angles(angles[:, 0], angles[:, 1])
 
     @property
     def plate_angles(self) -> Array:
@@ -257,38 +231,33 @@ def trine_experiment(
     )
 
 
-def _setting_visibilities(cfg: ExperimentConfig) -> Array:
-    return np.array([cfg.visibilities.for_axis(o.axis) for o in cfg.binaries])
-
-
-def expected_probabilities(
-    cfg: ExperimentConfig, perfect_visibility: bool = False
-) -> ProbabilityTable:
+def expected_probabilities(cfg: ExperimentConfig) -> ProbabilityTable:
     """Exact outcome distributions of the modeled setup (no shot noise)."""
-    M = cfg.prep_blochs
+    vis = np.array(
+        [cfg.visibilities.for_axis(o.axis) for o in cfg.binaries]
+        + [cfg.visibilities.povm_setting()]
+    )
     N = np.array([o.axis for o in cfg.binaries])
-    vis = np.ones(len(cfg.binaries)) if perfect_visibility else _setting_visibilities(cfg)
-    v_povm = 1.0 if perfect_visibility else cfg.visibilities.povm_setting()
-    corr = (M @ N.T) * vis[None, :]
-    binary = np.stack([(1 + corr) / 2, (1 - corr) / 2], axis=2)
-    povm = cfg.povm.weights[None, :] * (1.0 + v_povm * (M @ cfg.povm.blochs.T))
-    return ProbabilityTable(binary, povm)
+    M = cfg.prep_blochs[:, None] * vis[:, None]
+    return probability_table(M, N, cfg.povm.weights, cfg.povm.blochs)
+
+
+def _check_scenario(cfg: ExperimentConfig, spec: WitnessSpec) -> None:
+    sc = spec.scenario
+    expected = (sc.preparations, sc.binary_settings, sc.povm_outcomes)
+    if cfg.scenario_shape() != expected:
+        raise ValueError(
+            f"config shape {cfg.scenario_shape()} does not match witness scenario {expected}"
+        )
 
 
 def simulate_counts(
     cfg: ExperimentConfig, spec: WitnessSpec, stream: RngStream
 ) -> list[CountsRecord]:
     """Poisson counts for every cell, mean budget times probability."""
-    shape = cfg.scenario_shape()
-    expected = (
-        spec.scenario.preparations,
-        spec.scenario.binary_settings,
-        spec.scenario.povm_outcomes,
-    )
-    if shape != expected:
-        raise ValueError(f"config shape {shape} does not match witness scenario {expected}")
+    _check_scenario(cfg, spec)
     table = expected_probabilities(cfg)
-    X, Y, O = shape
+    X, Y, O = cfg.scenario_shape()
     means = np.concatenate(
         [cfg.photon_budget * table.binary.ravel(), cfg.photon_budget * table.povm.ravel()]
     )
@@ -375,24 +344,6 @@ def ingest_counts(records: Iterable[CountsRecord]) -> ProbabilityTable:
     return ProbabilityTable(p_bin, p_povm, err_bin, err_povm)
 
 
-def _noiseless_values(prep_blochs: Array, cfg: ExperimentConfig, spec: WitnessSpec) -> Array:
-    """Witness values for per-setting preparation batches, perfect visibility.
-
-    prep_blochs has shape (runs, X, Y + 1, 3): the state preparation x
-    actually delivers during the measurement of binary setting y (or,
-    in the last slot, the POVM setting).
-    """
-    N = np.array([o.axis for o in cfg.binaries])
-    Y = len(cfg.binaries)
-    D = spec.bloch_coeffs
-    corr = np.einsum("rxyi,yi->rxy", prep_blochs[:, :, :Y, :], N)
-    base = spec.offset + np.einsum("rxy,xy->r", corr, D)
-    O = cfg.povm.outcomes
-    overlap = np.einsum("roi,oi->ro", prep_blochs[:, :O, Y, :], cfg.povm.blochs)
-    penalty = np.einsum("o,ro->r", cfg.povm.weights, 1.0 + overlap)
-    return base - spec.k * penalty
-
-
 def monte_carlo_systematic(
     cfg: ExperimentConfig, spec: WitnessSpec, runs: int, stream: RngStream
 ) -> float:
@@ -410,18 +361,12 @@ def monte_carlo_systematic(
     """
     if runs < 100:
         raise ValueError("need at least 100 Monte Carlo runs")
-    shape = cfg.scenario_shape()
-    expected = (
-        spec.scenario.preparations,
-        spec.scenario.binary_settings,
-        spec.scenario.povm_outcomes,
-    )
-    if shape != expected:
-        raise ValueError(f"config shape {shape} does not match witness scenario {expected}")
+    _check_scenario(cfg, spec)
     sigma = cfg.motor_fwhm_deg / _FWHM_TO_SIGMA
     angles = cfg.plate_angles  # (X, 2)
     X = angles.shape[0]
-    Y = len(cfg.binaries)
+    N = np.array([o.axis for o in cfg.binaries])
+    Y = len(N)
     # draws are taken chunk by chunk from one generator: the normal
     # stream does not depend on how it is split, so memory stays bounded
     # by the chunk and the values do not depend on _MC_CHUNK
@@ -432,7 +377,7 @@ def monte_carlo_systematic(
         draws = gen.normal(0.0, 1.0, size=(hi - lo, X, Y + 1, 2))
         perturbed = angles[None, :, None, :] + sigma * draws
         blochs = _blochs_from_angles(perturbed[..., 0], perturbed[..., 1])
-        values[lo:hi] = _noiseless_values(blochs, cfg, spec)
+        values[lo:hi] = bloch_values(spec, blochs, N, cfg.povm.weights, cfg.povm.blochs)
     return float(np.std(values, ddof=1))
 
 

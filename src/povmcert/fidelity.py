@@ -282,12 +282,12 @@ def sample_fidelity_curve(
     bin_width: float = 0.002,
     stream: RngStream | None = None,
     config: OptimizerConfig | None = None,
-    witness_restarts: int = 8,
 ) -> tuple[list[SamplePoint], EnvelopeCurve]:
     """Scatter random extremal POVMs into (witness value, fidelity) points.
 
     Per sample: the best witness value with that POVM held fixed (via
-    the see-saw over preparations and observables) and the best
+    the see-saw over preparations and observables, `config.restarts`
+    starts per sample, 8 without a config) and the best
     fidelity over rotations and target relabelings (closed form).  Both
     run vectorized across the whole batch.  Deterministic for a fixed
     stream, sample count, and config.
@@ -297,11 +297,11 @@ def sample_fidelity_curve(
     if target.outcomes != spec.scenario.povm_outcomes:
         raise ValueError("target outcome count does not match the witness scenario")
     stream = stream or RngStream(0)
-    config = config or OptimizerConfig()
+    config = config or OptimizerConfig(restarts=8)
 
     sample = random_extremal_povms(target.outcomes, n_samples, stream.derived(0).generator())
     values = maximize_given_povm_batch(
-        spec, sample.weights, sample.blochs, config, restarts=witness_restarts
+        spec, sample.weights, sample.blochs, config, restarts=config.restarts
     )
 
     C = len(target.relabel_classes)

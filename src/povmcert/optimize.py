@@ -22,15 +22,18 @@ value never decreases.
 
 Every quantity of a batch of restarts advances in lock step through
 numpy array ops; a "row" below is one restart (or one restart of one
-outcome assignment).  All see-saw results are heuristic lower bounds on
-the true maximum and are labeled as such; the two closed-form projective
-bounds (the four-outcome family and the symmetric three-outcome family)
-are certified, reducing the projective maximum to a one-dimensional
-concave-free maximization on [-1, 1] handled by bracketed golden
-section.
+outcome assignment).  Values come from `witness.bloch_values`, the
+evaluator the experiment layer shares, and `_multistart` sets up the
+random starts of all three bound searches.  All see-saw results are
+heuristic lower bounds on the true maximum and are labeled as such;
+the two closed-form projective bounds (the four-outcome family and the
+symmetric three-outcome family) are certified, reducing the projective
+maximum to a one-dimensional concave-free maximization on [-1, 1]
+handled by bracketed golden section.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -38,7 +41,9 @@ import numpy as np
 
 from ._numerics import bracketed_scan_max
 from .sampling import RngStream, random_extremal_povms, random_unit_vectors
-from .witness import Strategy, WitnessSpec
+from .witness import Strategy, WitnessSpec, bloch_values
+
+log = logging.getLogger(__name__)
 
 Array = np.ndarray
 
@@ -108,13 +113,6 @@ def _normalize_rows(v: Array, fallback: Array) -> Array:
 # ---------------------------------------------------------------------------
 # see-saw core
 # ---------------------------------------------------------------------------
-
-
-def _values(C0: float, D: Array, k: float, M: Array, N: Array, PW: Array, PN: Array) -> Array:
-    base = np.einsum("xy,bxi,byi->b", D, M, N)
-    O = PW.shape[1]
-    pen = np.einsum("bo,bo->b", PW, 1.0 + np.einsum("boi,boi->bo", PN, M[:, :O, :]))
-    return C0 + base - k * pen
 
 
 def _penalty_of(PW: Array, PN: Array, M_S: Array) -> Array:
@@ -233,17 +231,19 @@ def _run_seesaw(
     PW: Array,
     PN: Array,
     config: OptimizerConfig,
-    povm_mode: str,
     subset: Array | None = None,
-    pair: tuple[Array, Array] | None = None,
     record: bool = False,
 ) -> dict:
-    """Alternate exact steps until every row's value stalls below tol."""
+    """Alternate exact steps until every row's value stalls below tol.
+
+    subset (B, T) holds the outcomes each row's POVM may use and picks
+    the POVM step: None keeps the POVMs fixed, T = 2 takes the
+    projective step, T >= 3 the enclosing ball.
+    """
     D = spec.bloch_coeffs
     k = spec.k
-    C0 = spec.offset
     O = spec.scenario.povm_outcomes
-    vals = _values(C0, D, k, M, N, PW, PN)
+    vals = bloch_values(spec, M[:, :, None], N, PW, PN)
     trace = [vals.copy()] if record else None
     iterations = 0
     converged = False
@@ -251,12 +251,12 @@ def _run_seesaw(
         iterations = it + 1
         N = _binary_step(D, M, N)
         M = _prep_step(D, N, k, PW, PN, M)
-        if k > 0 and povm_mode != "fixed":
-            if povm_mode == "projective":
-                PW, PN = _projective_povm_step(M, pair[0], pair[1], O, PN)
+        if k > 0 and subset is not None:
+            if subset.shape[1] == 2:
+                PW, PN = _projective_povm_step(M, subset[:, 0], subset[:, 1], O, PN)
             else:
                 PW, PN = _enclosing_ball_step(M, subset, PW, PN)
-        new_vals = _values(C0, D, k, M, N, PW, PN)
+        new_vals = bloch_values(spec, M[:, :, None], N, PW, PN)
         delta = new_vals - vals
         vals = new_vals
         if record:
@@ -276,21 +276,45 @@ def _run_seesaw(
     }
 
 
-def _strategy_from_row(state: dict, row: int) -> Strategy:
-    w = np.clip(state["PW"][row], 0.0, None)
-    return Strategy.from_arrays(
-        state["M"][row], state["N"][row], w, state["PN"][row]
-    )
+def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict) -> BoundResult:
+    """The best row of a see-saw batch as a heuristic bound with its strategy."""
+    best = int(np.argmax(state["values"]))
+    w = np.clip(state["PW"][best], 0.0, None)
+    argmax = Strategy.from_arrays(state["M"][best], state["N"][best], w, state["PN"][best])
+    return BoundResult(kind, float(state["values"][best]), spec.k, True, argmax, diagnostics)
 
 
-def _random_init(spec: WitnessSpec, B: int, rng) -> tuple[Array, Array, Array, Array]:
-    X = spec.scenario.preparations
-    Y = spec.scenario.binary_settings
+def _multistart(
+    spec: WitnessSpec, config: OptimizerConfig, stream: int, groups: Array, record: bool = False
+) -> tuple[dict, Array]:
+    """See-saw from `config.restarts` random starts per outcome group.
+
+    groups (G, T) lists the outcomes each group's POVMs may use.  Draws,
+    in this order from `config.stream(stream)`: preparations,
+    observables, then one random axis per row (T = 2, a projective
+    pair) or random extremal T-outcome POVMs, placed on the group's
+    outcomes.  Returns the final state and its values as (G, restarts).
+    """
+    R = config.restarts
+    G, T = groups.shape
+    B = G * R
+    rng = config.stream(stream).generator()
     O = spec.scenario.povm_outcomes
-    M = random_unit_vectors(rng, (B, X))
-    N = random_unit_vectors(rng, (B, Y))
-    sample = random_extremal_povms(O, B, rng)
-    return M, N, sample.weights, sample.blochs
+    M = random_unit_vectors(rng, (B, spec.scenario.preparations))
+    N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
+    if T == 2:
+        axis = random_unit_vectors(rng, B)
+        weights, blochs = np.full((B, 2), 0.5), np.stack([axis, -axis], axis=1)
+    else:
+        sample = random_extremal_povms(T, B, rng)
+        weights, blochs = sample.weights, sample.blochs
+    subset = np.repeat(groups, R, axis=0)
+    PW = np.zeros((B, O))
+    PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
+    np.put_along_axis(PW, subset, weights, axis=1)
+    np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
+    state = _run_seesaw(spec, M, N, PW, PN, config, subset, record)
+    return state, state["values"].reshape(G, R)
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +336,20 @@ def seesaw_maximize(
     never decreases).
     """
     config = config or OptimizerConfig()
-    rng = config.stream(0).generator()
-    B = config.restarts
-    M, N, PW, PN = _random_init(spec, B, rng)
-    O = spec.scenario.povm_outcomes
-    subset = np.tile(np.arange(O), (B, 1))
-    state = _run_seesaw(
-        spec, M, N, PW, PN, config, "extremal", subset=subset, record=record_trace
-    )
+    groups = np.arange(spec.scenario.povm_outcomes)[None, :]
+    state, _ = _multistart(spec, config, 0, groups, record_trace)
     vals = state["values"]
-    best = int(np.argmax(vals))
     diagnostics = {
         "witness": spec.name,
-        "restarts": B,
+        "restarts": config.restarts,
         "iterations": state["iterations"],
         "converged": bool(state["converged"]),
         "value_spread": float(vals.max() - vals.min()),
         "seed": config.seed,
     }
     if record_trace:
-        diagnostics["value_trace"] = [
-            [float(v) for v in step] for step in state["trace"]
-        ]
-    return BoundResult(
-        kind="quantum-seesaw",
-        value=float(vals[best]),
-        k=spec.k,
-        heuristic=True,
-        argmax=_strategy_from_row(state, best),
-        diagnostics=diagnostics,
-    )
+        diagnostics["value_trace"] = [step.tolist() for step in state["trace"]]
+    return _seesaw_result("quantum-seesaw", spec, state, diagnostics)
 
 
 def maximize_given_povm_batch(
@@ -355,7 +363,8 @@ def maximize_given_povm_batch(
 
     weights (S, O) and blochs (S, O, 3); returns (S,) values.  Runs the
     see-saw over preparations and observables only, `restarts` times per
-    sample, vectorized across the whole batch.
+    sample, vectorized across the whole batch.  A batch that stops at
+    `config.max_iters` without converging is reported by a warning.
     """
     config = config or OptimizerConfig()
     S, O = weights.shape
@@ -363,13 +372,17 @@ def maximize_given_povm_batch(
         raise ValueError("POVM outcome count does not match the witness scenario")
     rng = config.stream(1).generator()
     B = S * restarts
-    X = spec.scenario.preparations
-    Y = spec.scenario.binary_settings
-    M = random_unit_vectors(rng, (B, X))
-    N = random_unit_vectors(rng, (B, Y))
+    M = random_unit_vectors(rng, (B, spec.scenario.preparations))
+    N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
     PW = np.repeat(weights, restarts, axis=0)
     PN = np.repeat(blochs, restarts, axis=0)
-    state = _run_seesaw(spec, M, N, PW, PN, config, "fixed")
+    state = _run_seesaw(spec, M, N, PW, PN, config)
+    if not state["converged"]:
+        log.warning(
+            "fixed-POVM see-saw stopped unconverged after %d iterations on %d rows",
+            state["iterations"],
+            B,
+        )
     return state["values"].reshape(S, restarts).max(axis=1)
 
 
@@ -408,33 +421,11 @@ def projective_bound_numeric(
         if not (0 <= a < b < O):
             raise ValueError("assignment must be two distinct outcomes of the scenario")
         pairs = [(a, b)]
-    R = config.restarts
-    B = R * len(pairs)
-    rng = config.stream(2).generator()
-    X = spec.scenario.preparations
-    Y = spec.scenario.binary_settings
-    M = random_unit_vectors(rng, (B, X))
-    N = random_unit_vectors(rng, (B, Y))
-    ii = np.repeat([a for a, _ in pairs], R)
-    jj = np.repeat([b for _, b in pairs], R)
-    axis = random_unit_vectors(rng, B)
-    PW = np.zeros((B, O))
-    PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
-    rows = np.arange(B)
-    PW[rows, ii] = 0.5
-    PW[rows, jj] = 0.5
-    PN[rows, ii] = axis
-    PN[rows, jj] = -axis
-    state = _run_seesaw(spec, M, N, PW, PN, config, "projective", pair=(ii, jj))
-    vals = state["values"]
-    best = int(np.argmax(vals))
-    per_pair = {
-        f"{a},{b}": float(vals[(idx * R) : (idx + 1) * R].max())
-        for idx, (a, b) in enumerate(pairs)
-    }
+    state, grouped = _multistart(spec, config, 2, np.array(pairs))
+    per_pair = {f"{a},{b}": float(v) for (a, b), v in zip(pairs, grouped.max(axis=1))}
     diagnostics = {
         "witness": spec.name,
-        "restarts_per_pair": R,
+        "restarts_per_pair": config.restarts,
         "iterations": state["iterations"],
         "converged": bool(state["converged"]),
         "pair_values": per_pair,
@@ -442,14 +433,7 @@ def projective_bound_numeric(
     }
     if assignment is not None:
         diagnostics["assignment"] = list(pairs[0])
-    return BoundResult(
-        kind="projective-numeric",
-        value=float(vals[best]),
-        k=spec.k,
-        heuristic=True,
-        argmax=_strategy_from_row(state, best),
-        diagnostics=diagnostics,
-    )
+    return _seesaw_result("projective-numeric", spec, state, diagnostics)
 
 
 def three_outcome_max(
@@ -462,44 +446,20 @@ def three_outcome_max(
     four-outcome measurement.
     """
     config = config or OptimizerConfig()
-    O = spec.scenario.povm_outcomes
-    if O != 4:
+    if spec.scenario.povm_outcomes != 4:
         raise ValueError("three-outcome restriction applies to four-outcome scenarios")
-    R = config.restarts
-    B = 4 * R
-    rng = config.stream(3).generator()
-    X = spec.scenario.preparations
-    Y = spec.scenario.binary_settings
-    M = random_unit_vectors(rng, (B, X))
-    N = random_unit_vectors(rng, (B, Y))
     trios = np.array([sorted(set(range(4)) - {z}) for z in range(4)])
-    subset = np.repeat(trios, R, axis=0)  # (B, 3)
-    sample = random_extremal_povms(3, B, rng)
-    PW = np.zeros((B, 4))
-    PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, 4, 1))
-    np.put_along_axis(PW, subset, sample.weights, axis=1)
-    np.put_along_axis(PN, subset[:, :, None], sample.blochs, axis=1)
-    state = _run_seesaw(spec, M, N, PW, PN, config, "extremal", subset=subset)
-    vals = state["values"]
-    best = int(np.argmax(vals))
-    per_zero = {
-        str(z): float(vals[(z * R) : (z + 1) * R].max()) for z in range(4)
+    state, grouped = _multistart(spec, config, 3, trios)
+    per_zero = {str(z): float(v) for z, v in enumerate(grouped.max(axis=1))}
+    diagnostics = {
+        "witness": spec.name,
+        "restarts_per_assignment": config.restarts,
+        "iterations": state["iterations"],
+        "converged": bool(state["converged"]),
+        "zero_assignment_values": per_zero,
+        "seed": config.seed,
     }
-    return BoundResult(
-        kind="three-outcome-numeric",
-        value=float(vals[best]),
-        k=spec.k,
-        heuristic=True,
-        argmax=_strategy_from_row(state, best),
-        diagnostics={
-            "witness": spec.name,
-            "restarts_per_assignment": R,
-            "iterations": state["iterations"],
-            "converged": bool(state["converged"]),
-            "zero_assignment_values": per_zero,
-            "seed": config.seed,
-        },
-    )
+    return _seesaw_result("three-outcome-numeric", spec, state, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ with m_x the preparation Bloch vectors and n_y the observable axes.
 `offset` is also the base value on maximally mixed preparations, which
 the robustness module uses as the classical baseline.
 
+Preparations come as one array M of shape (..., X, S, 3): the state
+preparation x delivers during each setting.  S = 1 is one state for
+every setting; S = Y + 1 is one state per binary setting followed by
+the one seen by the POVM setting (per-setting depolarization and
+re-positioned wave plates both take this form).  `bloch_values` is the
+one batched witness evaluator on that format, and `probability_table`
+the one Born-table builder.
+
 Three families ship as builders: a four-outcome witness maximized by a
 tetrahedral (symmetric informationally complete) POVM, and two
 three-outcome witnesses maximized by a trine POVM.  Their coefficient
@@ -31,6 +39,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -95,12 +104,15 @@ class WitnessSpec:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    @property
+    # cached: the see-saw evaluates every iteration through these
+    @cached_property
     def bloch_coeffs(self) -> Array:
         """D_{xy} = (c_{xy0} - c_{xy1}) / 2, the Bloch-form coupling matrix."""
-        return (self.coeffs[:, :, 0] - self.coeffs[:, :, 1]) / 2.0
+        D = (self.coeffs[:, :, 0] - self.coeffs[:, :, 1]) / 2.0
+        D.flags.writeable = False
+        return D
 
-    @property
+    @cached_property
     def offset(self) -> float:
         """Base value on maximally mixed preparations."""
         return float(self.coeffs.sum()) / 2.0
@@ -290,16 +302,33 @@ class WitnessValue(NamedTuple):
     stderr: float | None
 
 
-def probability_table(
-    preparations, binaries, povm: Povm
-) -> ProbabilityTable:
-    """Exact Born-rule table for a qubit strategy, computed in Bloch form."""
-    M = np.array([s.bloch for s in preparations])
-    N = np.array([o.axis for o in binaries])
-    corr = M @ N.T  # (X, Y)
+def probability_table(M: Array, N: Array, weights: Array, blochs: Array) -> ProbabilityTable:
+    """Exact Born-rule table, in Bloch form, for per-setting preparations.
+
+    M (X, S, 3) as in the module docstring, observable axes N (Y, 3)
+    and a POVM's weights (O,) and Bloch vectors (O, 3).
+    """
+    Y = N.shape[0]
+    corr = np.einsum("xyi,yi->xy", M[:, :Y, :], N)
     binary = np.stack([(1 + corr) / 2, (1 - corr) / 2], axis=2)
-    pov = povm.weights[None, :] * (1.0 + M @ povm.blochs.T)
+    pov = weights[None, :] * (1.0 + M[:, -1, :] @ blochs.T)
     return ProbabilityTable(binary, pov)
+
+
+def bloch_values(spec: WitnessSpec, M: Array, N: Array, weights: Array, blochs: Array) -> Array:
+    """Witness values of a batch of qubit strategies in Bloch form.
+
+    offset + sum_{xy} D_{xy} m_{xy} . n_y - k sum_x w_x (1 + p_x . m_x),
+    with m_{xy} the state preparation x delivers during setting y.
+    M (..., X, S, 3), N (..., Y, 3), weights (..., O), blochs (..., O, 3);
+    the leading axes broadcast and are the shape of the result.
+    """
+    Y = spec.scenario.binary_settings
+    O = spec.scenario.povm_outcomes
+    base = np.einsum("...xyi,xy,...yi->...", M[..., :Y, :], spec.bloch_coeffs, N)
+    overlap = np.einsum("...oi,...oi->...o", blochs, M[..., :O, -1, :])
+    pen = np.einsum("...o,...o->...", weights, 1.0 + overlap)
+    return spec.offset + base - spec.k * pen
 
 
 def evaluate_witness(spec: WitnessSpec, table: ProbabilityTable) -> WitnessValue:
@@ -418,5 +447,7 @@ IDEAL_STRATEGIES = {
 
 def strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
     """Witness value of an explicit strategy (exact Born probabilities)."""
-    table = probability_table(strategy.preparations, strategy.binaries, strategy.povm)
+    table = probability_table(
+        strategy.prep_blochs[:, None], strategy.binary_axes, strategy.povm.weights, strategy.povm.blochs
+    )
     return evaluate_witness(spec, table).value

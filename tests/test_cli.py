@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface.
 
 Everything runs in-process through main() so exit codes and streams are
-checked directly; one subprocess test covers the `python3 -m` path.
+checked directly; subprocess tests cover the `python3 -m` paths.
 """
 import json
 import os
@@ -138,6 +138,16 @@ def test_module_invocation_subprocess():
     assert "povmcert" in proc.stdout
 
 
+def test_package_invocation_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "povmcert", "--version"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "povmcert" in proc.stdout
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -230,7 +240,7 @@ def test_fidelity_curve_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         rc = run("fidelity-curve", "--witness", "trine", "--k", 1, "--samples", 60,
-                 "--seed", 5, "--witness-restarts", 4,
+                 "--seed", 5, "--restarts", 4,
                  "--out-dir", out)
         assert rc == 0
     capsys.readouterr()
@@ -241,9 +251,21 @@ def test_fidelity_curve_reruns_byte_identical(tmp_path, capsys):
 # ------------------------------------------------------------ fidelity-curve
 
 
+def test_fidelity_curve_restarts_reach_the_witness_search(tmp_path, capsys):
+    samples = []
+    for restarts in (1, 8):
+        out = tmp_path / f"r{restarts}"
+        rc = run("fidelity-curve", "--witness", "trine", "--k", 1, "--samples", 30,
+                 "--seed", 5, "--restarts", restarts, "--out-dir", out)
+        assert rc == 0
+        samples.append((out / "fidelity-trine-k1.samples.csv").read_bytes())
+    capsys.readouterr()
+    assert samples[0] != samples[1]
+
+
 def test_fidelity_curve_artifacts(tmp_path, capsys):
     rc = run("fidelity-curve", "--witness", "sic", "--k", 0.2, "--samples", 150,
-             "--witness-restarts", 4,
+             "--restarts", 4,
              "--out-dir", tmp_path, "--out", "fc")
     assert rc == 0
     printed = capsys.readouterr().out.splitlines()
@@ -389,7 +411,7 @@ def test_certify_envelope_gives_fidelity_floor(sic_counts, tmp_path, capsys):
 
 def test_certify_rejects_envelope_for_another_k(sic_counts, tmp_path, capsys):
     rc = run("fidelity-curve", "--witness", "sic", "--k", 0.5, "--samples", 20,
-             "--witness-restarts", 2,
+             "--restarts", 2,
              "--out-dir", tmp_path, "--out", "k05")
     assert rc == 0
     capsys.readouterr()

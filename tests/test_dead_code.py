@@ -1,10 +1,12 @@
-"""Every public library name has a caller outside the tests.
+"""Every library name has a caller outside the tests.
 
 A public module-level function or class under src/povmcert must be
 exported in `povmcert.__all__`, be referenced somewhere in src/ or
 scripts/ outside its own definition, or be a `[project.scripts]` entry
 point.  A function that only the tests call is dead library code: the
-test that needs it keeps its own copy as a local reference.
+test that needs it keeps its own copy as a local reference.  A private
+(underscore) module-level helper must be referenced in src/ or
+scripts/ outside its own definition.
 """
 import ast
 import re
@@ -35,16 +37,15 @@ def _references(paths) -> list[tuple[Path, str, int]]:
     return refs
 
 
-def test_every_public_name_has_a_caller_outside_tests():
+def _uncalled(skip) -> list[str]:
+    """Module-level functions and classes, other than `skip(name)` ones,
+    that nothing in src/ or scripts/ references outside their definition."""
     modules = sorted(PACKAGE.glob("*.py"))
     refs = _references(modules + sorted((ROOT / "scripts").glob("*.py")))
-    allowed = set(povmcert.__all__) | _entry_points()
     unused = []
     for path in modules:
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or node.name in allowed:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or skip(node.name):
                 continue
             used = any(
                 name == node.name
@@ -53,4 +54,15 @@ def test_every_public_name_has_a_caller_outside_tests():
             )
             if not used:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    allowed = set(povmcert.__all__) | _entry_points()
+    unused = _uncalled(lambda name: name.startswith("_") or name in allowed)
     assert not unused, "public names only the tests call: " + ", ".join(unused)
+
+
+def test_every_private_helper_has_a_caller():
+    unused = _uncalled(lambda name: not name.startswith("_"))
+    assert not unused, "private helpers nothing calls: " + ", ".join(unused)

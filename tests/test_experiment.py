@@ -1,4 +1,4 @@
-"""Jones preparations, count simulation and ingestion, MC systematics, certify."""
+"""Wave-plate preparations, count simulation and ingestion, MC systematics, certify."""
 import dataclasses
 import json
 
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from povmcert import experiment
 from povmcert.experiment import (
     LAB_VISIBILITIES,
-    SIC_PLATE_ANGLES,
-    TRINE_PLATE_ANGLES,
     CountsRecord,
     ExperimentConfig,
     Visibilities,
@@ -22,7 +20,6 @@ from povmcert.experiment import (
     counts_to_csv,
     expected_probabilities,
     ingest_counts,
-    jones_preparation,
     monte_carlo_systematic,
     sic_experiment,
     simulate_counts,
@@ -49,45 +46,63 @@ def bound(kind, value, k, heuristic=False):
 # ------------------------------------------------------------ wave plates
 
 
+def retarder(theta_deg, phase):
+    """Jones matrix of a retarder: fast axis at theta, +phase on the slow axis."""
+    t = np.deg2rad(theta_deg)
+    c, s = np.cos(t), np.sin(t)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([1.0, np.exp(1j * phase)]) @ rot.T
+
+
+def jones_bloch(hwp_deg, qwp_deg):
+    """Oracle: Bloch vector of |H> through QWP(qwp) then HWP(hwp), by Jones matrices."""
+    a, b = retarder(hwp_deg, np.pi) @ retarder(qwp_deg, np.pi / 2) @ np.array([1.0, 0.0])
+    return np.array(
+        [2.0 * (a * np.conj(b)).real, 2.0 * (np.conj(a) * b).imag, abs(a) ** 2 - abs(b) ** 2]
+    )
+
+
+def plate_blochs(cfg):
+    """A config's preparation vectors and the Jones oracle's for its plate table."""
+    return cfg.prep_blochs, np.array([jones_bloch(h, q) for h, q in cfg.preparations])
+
+
 def test_plain_horizontal_preparation():
-    assert np.allclose(jones_preparation(0.0, 0.0).bloch, [0.0, 0.0, 1.0], atol=1e-12)
+    cfg = dataclasses.replace(sic_experiment(), preparations=((0.0, 0.0),))
+    for bloch in plate_blochs(cfg):
+        assert np.allclose(bloch[0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_published_sic_angles_hit_the_tetrahedron():
-    for (h, q), target in zip(SIC_PLATE_ANGLES, TETRAHEDRON):
-        assert np.abs(jones_preparation(h, q).bloch - target).max() < 2e-3
+    for V in plate_blochs(sic_experiment()):
+        assert np.abs(V - TETRAHEDRON).max() < 2e-3
 
 
 def test_published_trine_angles_hit_the_reversed_trine():
     targets = np.array([[0, 0, 1], [SQ3 / 2, 0, -0.5], [-SQ3 / 2, 0, -0.5]])
-    for (h, q), target in zip(TRINE_PLATE_ANGLES, targets):
-        assert np.abs(jones_preparation(h, q).bloch - target).max() < 1e-12
+    for V in plate_blochs(trine_experiment()):
+        assert np.abs(V - targets).max() < 1e-12
 
 
 def test_sic_plate_gram_is_tetrahedral():
-    V = np.array([jones_preparation(h, q).bloch for h, q in SIC_PLATE_ANGLES])
-    off = (V @ V.T)[~np.eye(4, dtype=bool)]
-    assert np.abs(off + 1.0 / 3.0).max() < 5e-3
+    for V in plate_blochs(sic_experiment()):
+        off = (V @ V.T)[~np.eye(4, dtype=bool)]
+        assert np.abs(off + 1.0 / 3.0).max() < 5e-3
 
 
 def test_trine_plate_gram_is_trine():
-    V = np.array([jones_preparation(h, q).bloch for h, q in TRINE_PLATE_ANGLES])
-    off = (V @ V.T)[~np.eye(3, dtype=bool)]
-    assert np.abs(off + 0.5).max() < 5e-3
+    for V in plate_blochs(trine_experiment()):
+        off = (V @ V.T)[~np.eye(3, dtype=bool)]
+        assert np.abs(off + 0.5).max() < 5e-3
 
 
 @settings(max_examples=40, deadline=None)
 @given(h=st.floats(-360, 360), q=st.floats(-360, 360))
 def test_jones_states_are_pure_and_match_trig_route(h, q):
-    bloch = jones_preparation(h, q).bloch
+    bloch = jones_bloch(h, q)
     assert abs(np.linalg.norm(bloch) - 1.0) < 1e-9
-    # matrix route vs the batched trigonometric shortcut
+    # matrix route vs the batched trigonometric closed form
     assert np.abs(bloch - _blochs_from_angles(np.array(h), np.array(q))).max() < 1e-9
-
-
-def test_jones_rejects_nonfinite_angles():
-    with pytest.raises(ValueError, match="finite"):
-        jones_preparation(np.nan, 0.0)
 
 
 # ----------------------------------------------------------- experiments
@@ -104,10 +119,25 @@ def test_experiment_configs_match_their_witness_scenarios():
 )
 def test_perfect_visibility_reaches_the_quantum_value(cfg_fn, spec_fn, k):
     spec = spec_fn(k)
-    table = expected_probabilities(cfg_fn(), perfect_visibility=True)
+    table = expected_probabilities(dataclasses.replace(cfg_fn(), visibilities=Visibilities()))
     value = evaluate_witness(spec, table).value
     # plate-angle rounding in the published table costs only O(eps^2)
     assert value == pytest.approx(spec.quantum_max, abs=1e-4)
+
+
+def test_expected_probabilities_scale_by_setting_visibility():
+    # each binary correlation shrinks by its setting's visibility, the
+    # POVM overlap by the mean of the three
+    vis = Visibilities(z=0.9, x=0.8, y=0.7)
+    for cfg in (sic_experiment(visibilities=vis), trine_experiment(visibilities=vis)):
+        table = expected_probabilities(cfg)
+        M = cfg.prep_blochs
+        for y, ob in enumerate(cfg.binaries):
+            corr = vis.for_axis(ob.axis) * (M @ ob.axis)
+            assert np.allclose(table.binary[:, y, 0], (1 + corr) / 2, atol=1e-15)
+            assert np.allclose(table.binary[:, y, 1], (1 - corr) / 2, atol=1e-15)
+        overlap = (0.9 + 0.8 + 0.7) / 3 * (M @ cfg.povm.blochs.T)
+        assert np.allclose(table.povm, cfg.povm.weights * (1 + overlap), atol=1e-15)
 
 
 def test_lab_visibilities_give_published_windows():

@@ -280,7 +280,6 @@ def small_sic_curve():
         n_samples=48,
         stream=RngStream(31),
         config=OptimizerConfig(restarts=4, max_iters=200, seed=1),
-        witness_restarts=4,
     )
     return spec, pts, env
 
@@ -315,7 +314,6 @@ def test_curve_is_deterministic(small_sic_curve):
         n_samples=48,
         stream=RngStream(31),
         config=OptimizerConfig(restarts=4, max_iters=200, seed=1),
-        witness_restarts=4,
     )
     assert again == pts
 
@@ -339,7 +337,6 @@ def test_trine_curve_smoke():
         bin_width=0.01,
         stream=RngStream(33),
         config=OptimizerConfig(restarts=4, max_iters=200, seed=2),
-        witness_restarts=4,
     )
     assert len(pts) == 24
     for p in pts:

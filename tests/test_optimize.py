@@ -299,6 +299,23 @@ def test_maximize_given_povm_batch_matches_single():
     assert batch.max() <= SIC_QUANTUM_MAX + 1e-9
 
 
+def test_maximize_given_povm_batch_reports_unconverged_stop(caplog):
+    spec = build_witness("sic", k=0.2)
+    povms = random_extremal_povms(4, 3, RngStream(22).generator())
+    config = OptimizerConfig(max_iters=2, seed=5)
+    with caplog.at_level("WARNING", logger="povmcert.optimize"):
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=2)
+    records = [r for r in caplog.records if r.name == "povmcert.optimize"]
+    assert len(records) == 1
+    assert records[0].levelname == "WARNING"
+    assert "unconverged after 2 iterations on 6 rows" in records[0].getMessage()
+    caplog.clear()
+    config = OptimizerConfig(seed=5)
+    with caplog.at_level("WARNING", logger="povmcert.optimize"):
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=2)
+    assert not [r for r in caplog.records if r.name == "povmcert.optimize"]
+
+
 def test_maximize_given_povm_checks_outcomes():
     spec = build_witness("sic", k=0.2)
     trine_povm = IDEAL_STRATEGIES["trine"]().povm

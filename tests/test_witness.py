@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from povmcert.qubit import Observable, Povm, QubitState
+from povmcert.sampling import random_extremal_povms
 from povmcert.witness import (
     IDEAL_STRATEGIES,
     TETRAHEDRON,
@@ -13,6 +14,7 @@ from povmcert.witness import (
     Scenario,
     Strategy,
     WitnessSpec,
+    bloch_values,
     build_witness,
     evaluate_witness,
     probability_table,
@@ -97,29 +99,57 @@ def test_ideal_povms_are_anti_aligned():
         assert np.allclose(total, 0, atol=1e-12)
 
 
+def unit_rows(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def test_probability_table_matches_matrix_born_rule(rng):
-    # Bloch-form fast path vs literal trace formulas
-    preps = [QubitState(v / np.linalg.norm(v)) for v in rng.normal(size=(4, 3))]
-    axes = [Observable(v / np.linalg.norm(v)) for v in rng.normal(size=(2, 3))]
+    # Bloch-form fast path vs literal trace formulas, for shared and for
+    # per-setting preparations (setting y, the POVM last, sees M[x, y])
+    axes = [Observable(v) for v in unit_rows(rng, (2,))]
+    N = np.array([o.axis for o in axes])
     povm = Povm.from_arrays(np.full(4, 0.25), TETRAHEDRON)
-    t = probability_table(preps, axes, povm)
-    for x, s in enumerate(preps):
-        rho = s.matrix()
-        for y, ob in enumerate(axes):
-            for b in (0, 1):
-                p = np.trace(rho @ ob.effect(b)).real
-                assert t.binary[x, y, b] == pytest.approx(p, abs=1e-12)
-        for b, eff in enumerate(povm.matrices()):
-            assert t.povm[x, b] == pytest.approx(np.trace(rho @ eff).real, abs=1e-12)
+    for S in (1, 3):
+        M = unit_rows(rng, (4, S)) * rng.uniform(0.5, 1, (4, 1, 1))
+        t = probability_table(M, N, povm.weights, povm.blochs)
+        for x in range(4):
+            for y, ob in enumerate(axes):
+                rho = QubitState(M[x, min(y, S - 1)]).matrix()
+                for b in (0, 1):
+                    p = np.trace(rho @ ob.effect(b)).real
+                    assert t.binary[x, y, b] == pytest.approx(p, abs=1e-12)
+            rho = QubitState(M[x, -1]).matrix()
+            for b, eff in enumerate(povm.matrices()):
+                assert t.povm[x, b] == pytest.approx(np.trace(rho @ eff).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sic", "trine", "sym-trine"])
+@pytest.mark.parametrize("per_setting", [False, True])
+def test_bloch_values_match_table_evaluation(rng, name, per_setting):
+    # the batched evaluator against the Born table plus the linear functional
+    sc = build_witness(name, 0.0).scenario
+    X, Y, O = sc.preparations, sc.binary_settings, sc.povm_outcomes
+    B = 5
+    M = unit_rows(rng, (B, X, Y + 1 if per_setting else 1)) * rng.uniform(0, 1, (B, X, 1, 1))
+    N = unit_rows(rng, (B, Y))
+    povms = random_extremal_povms(O, B, rng)
+    W, P = povms.weights, povms.blochs
+    for k in (0.0, 0.2, 1.0, 4.5):
+        spec = build_witness(name, k)
+        values = bloch_values(spec, M, N, W, P)
+        assert values.shape == (B,)
+        for b in range(B):
+            table = probability_table(M[b], N[b], W[b], P[b])
+            assert values[b] == pytest.approx(evaluate_witness(spec, table).value, abs=1e-12)
 
 
 def test_witness_linearity_in_table(rng):
     w = sic_witness(0.37)
     tables = []
     for _ in range(2):
-        preps = [QubitState(v / np.linalg.norm(v)) for v in rng.normal(size=(4, 3))]
-        axes = [Observable(v / np.linalg.norm(v)) for v in rng.normal(size=(3, 3))]
-        tables.append(probability_table(preps, axes, Povm.from_arrays(np.full(4, 0.25), TETRAHEDRON)))
+        M, N = unit_rows(rng, (4, 1)), unit_rows(rng, (3,))
+        tables.append(probability_table(M, N, np.full(4, 0.25), TETRAHEDRON))
     lam = 0.3
     mix = ProbabilityTable(
         lam * tables[0].binary + (1 - lam) * tables[1].binary,
@@ -171,7 +201,9 @@ def test_table_validation():
 
 def test_table_csv_round_trip():
     strat = IDEAL_STRATEGIES["sic"]()
-    t = probability_table(strat.preparations, strat.binaries, strat.povm)
+    t = probability_table(
+        strat.prep_blochs[:, None], strat.binary_axes, strat.povm.weights, strat.povm.blochs
+    )
     t2 = ProbabilityTable.from_csv(t.to_csv())
     assert np.allclose(t2.binary, t.binary, atol=1e-15)
     assert np.allclose(t2.povm, t.povm, atol=1e-15)
