@@ -3,11 +3,11 @@
 The flat namespace below is the public API; the modules it pulls from
 are importable on their own when finer-grained access is wanted:
 
-- qubit: Bloch-parameterized states, observables, POVMs, extremality
+- qubit: array-backed POVMs and state/axis checks, extremality
 - witness: scenarios, witness coefficient tables, the three families
 - sampling: seeded RNG streams and uniform extremal-POVM sampling
 - optimize: see-saw maxima and projective / three-outcome bounds
-- fidelity: rotation-optimized fidelity to a target, sampled envelopes
+- fidelity: sampled envelopes of the rotation fidelity to a target
 - robustness: critical depolarizing visibility of each bound
 - experiment: waveplate model, counts, systematics, certification
 - cli: the `povmcert` command
@@ -30,11 +30,8 @@ from .experiment import (
 )
 from .fidelity import (
     EnvelopeCurve,
-    FidelityResult,
     TargetPovm,
-    best_fidelity_over_relabelings,
     envelope_from_points,
-    povm_fidelity,
     sample_fidelity_curve,
     sic_target,
     trine_target,
@@ -49,20 +46,9 @@ from .optimize import (
     seesaw_maximize,
     three_outcome_max,
 )
-from .qubit import (
-    Observable,
-    Povm,
-    QubitState,
-    classify_extremal,
-    validate_povm,
-)
-from .robustness import (
-    critical_visibility,
-    depolarize_preparations,
-    most_robust_point,
-    visibility_curve,
-)
-from .sampling import RngStream, random_extremal_povm, random_extremal_povms
+from .qubit import Povm, classify_extremal, validate_povm
+from .robustness import critical_visibility, most_robust_point, visibility_curve
+from .sampling import RngStream, random_extremal_povms
 from .witness import (
     ProbabilityTable,
     Scenario,
@@ -83,13 +69,10 @@ __all__ = [
     "BoundResult",
     "EnvelopeCurve",
     "ExperimentConfig",
-    "FidelityResult",
     "LAB_VISIBILITIES",
-    "Observable",
     "OptimizerConfig",
     "Povm",
     "ProbabilityTable",
-    "QubitState",
     "RngStream",
     "Scenario",
     "Strategy",
@@ -97,27 +80,23 @@ __all__ = [
     "Visibilities",
     "WitnessReport",
     "WitnessSpec",
-    "best_fidelity_over_relabelings",
     "build_witness",
     "certify",
     "classify_extremal",
     "counts_from_csv",
     "counts_to_csv",
     "critical_visibility",
-    "depolarize_preparations",
     "envelope_from_points",
     "evaluate_witness",
     "expected_probabilities",
     "ingest_counts",
     "monte_carlo_systematic",
     "most_robust_point",
-    "povm_fidelity",
     "probability_table",
     "projective_bound",
     "projective_bound_numeric",
     "projective_bound_sic",
     "projective_bound_sym_trine",
-    "random_extremal_povm",
     "random_extremal_povms",
     "sample_fidelity_curve",
     "seesaw_maximize",

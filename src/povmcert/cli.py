@@ -209,9 +209,15 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bounds_file(path: str) -> list[BoundResult]:
+def _load_bounds_file(path: str, witness: str, k: float) -> list[BoundResult]:
+    """Bounds from a `bounds --out` JSON, which must be stamped with this run's witness and k."""
     data = json.loads(Path(path).read_text())
-    entries = data["bounds"] if isinstance(data, dict) else data
+    stamp = (data.get("witness"), data.get("k")) if isinstance(data, dict) else (None, None)
+    if stamp != (witness, k):
+        raise ValueError(
+            f"bounds {path} were computed for witness={stamp[0]!r}, k={stamp[1]!r}; "
+            f"this run is witness={witness!r}, k={k!r}"
+        )
     return [
         BoundResult(
             kind=d["kind"],
@@ -221,7 +227,7 @@ def _load_bounds_file(path: str) -> list[BoundResult]:
             argmax=d.get("argmax"),
             diagnostics=d.get("diagnostics", {}),
         )
-        for d in entries
+        for d in data["bounds"]
     ]
 
 
@@ -257,7 +263,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             )
 
     if args.bounds is not None:
-        bounds = _load_bounds_file(args.bounds)
+        bounds = _load_bounds_file(args.bounds, args.witness, args.k)
     else:
         config = _optimizer_config(args)
         bounds = [projective_bound(spec, config), seesaw_maximize(spec, config)]

@@ -39,7 +39,7 @@ import numpy as np
 
 from .fidelity import EnvelopeCurve
 from .optimize import BoundResult
-from .qubit import Observable, Povm
+from .qubit import Povm, observable_axes
 from .sampling import RngStream
 from .witness import ProbabilityTable, WitnessSpec, bloch_values, evaluate_witness, probability_table
 
@@ -119,13 +119,13 @@ class CountsRecord(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Plate angles, visibilities, ideal measurements, and budgets."""
 
     preparations: tuple[tuple[float, float], ...]  # (hwp_deg, qwp_deg) per x
     visibilities: Visibilities
-    binaries: tuple[Observable, ...]
+    binaries: Array  # (Y, 3) unit observable axes, read-only
     povm: Povm
     photon_budget: float
     motor_fwhm_deg: float = 0.02
@@ -140,6 +140,7 @@ class ExperimentConfig:
             raise ValueError("photon budget must be positive")
         if not (np.isfinite(self.motor_fwhm_deg) and self.motor_fwhm_deg >= 0):
             raise ValueError("motor FWHM must be >= 0")
+        object.__setattr__(self, "binaries", observable_axes(self.binaries))
 
     @property
     def prep_blochs(self) -> Array:
@@ -162,7 +163,7 @@ class ExperimentConfig:
             "visibilities": self.visibilities.to_dict(),
             "budget": int(budget) if float(budget).is_integer() else float(budget),
             "motor_fwhm_deg": float(self.motor_fwhm_deg),
-            "binaries": [[float(c) for c in o.axis] for o in self.binaries],
+            "binaries": [[float(c) for c in n] for n in self.binaries],
             "povm": self.povm.to_dict(),
         }
 
@@ -179,9 +180,7 @@ class ExperimentConfig:
             visibilities=Visibilities(
                 z=float(vis["z"]), x=float(vis["x"]), y=float(vis["y"])
             ),
-            binaries=tuple(
-                Observable(np.asarray(a, dtype=float)) for a in data["binaries"]
-            ),
+            binaries=data["binaries"],
             povm=Povm.from_dict(data["povm"]),
             photon_budget=float(data["budget"]),
             motor_fwhm_deg=float(data.get("motor_fwhm_deg", 0.02)),
@@ -201,8 +200,8 @@ def sic_experiment(
     return ExperimentConfig(
         preparations=SIC_PLATE_ANGLES,
         visibilities=visibilities,
-        binaries=tuple(Observable(e) for e in np.eye(3)),
-        povm=Povm.from_arrays(np.full(4, 0.25), -TETRAHEDRON),
+        binaries=np.eye(3),
+        povm=Povm(np.full(4, 0.25), -TETRAHEDRON),
         photon_budget=budget,
     )
 
@@ -222,11 +221,8 @@ def trine_experiment(
     return ExperimentConfig(
         preparations=TRINE_PLATE_ANGLES,
         visibilities=visibilities,
-        binaries=(
-            Observable(np.array([sq3 / 2, 0.0, 0.5])),
-            Observable(np.array([-0.5, 0.0, sq3 / 2])),
-        ),
-        povm=Povm.from_arrays(np.full(3, 1.0 / 3.0), TRINE.copy()),
+        binaries=np.array([[sq3 / 2, 0.0, 0.5], [-0.5, 0.0, sq3 / 2]]),
+        povm=Povm(np.full(3, 1.0 / 3.0), TRINE),
         photon_budget=budget,
     )
 
@@ -234,12 +230,11 @@ def trine_experiment(
 def expected_probabilities(cfg: ExperimentConfig) -> ProbabilityTable:
     """Exact outcome distributions of the modeled setup (no shot noise)."""
     vis = np.array(
-        [cfg.visibilities.for_axis(o.axis) for o in cfg.binaries]
+        [cfg.visibilities.for_axis(n) for n in cfg.binaries]
         + [cfg.visibilities.povm_setting()]
     )
-    N = np.array([o.axis for o in cfg.binaries])
     M = cfg.prep_blochs[:, None] * vis[:, None]
-    return probability_table(M, N, cfg.povm.weights, cfg.povm.blochs)
+    return probability_table(M, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
 
 
 def _check_scenario(cfg: ExperimentConfig, spec: WitnessSpec) -> None:
@@ -365,7 +360,7 @@ def monte_carlo_systematic(
     sigma = cfg.motor_fwhm_deg / _FWHM_TO_SIGMA
     angles = cfg.plate_angles  # (X, 2)
     X = angles.shape[0]
-    N = np.array([o.axis for o in cfg.binaries])
+    N = cfg.binaries
     Y = len(N)
     # draws are taken chunk by chunk from one generator: the normal
     # stream does not depend on how it is split, so memory stays bounded
@@ -395,11 +390,6 @@ class WitnessReport:
     verdicts: dict[str, bool]
     fidelity_estimate: float | None = None
     fidelity_basis: str = field(default="heuristic, sampling-based", repr=False)
-
-    @property
-    def margin_value(self) -> float:
-        """Value minus both error bars; what the verdicts compare."""
-        return self.value - self.stat_err - self.syst_err
 
     def to_dict(self) -> dict:
         return {

@@ -33,7 +33,6 @@ import json
 import logging
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -102,17 +101,12 @@ class TargetPovm:
 
 def sic_target() -> TargetPovm:
     """Four-outcome tetrahedral target, weights 1/4."""
-    return TargetPovm.from_povm(Povm.from_arrays(np.full(4, 0.25), TETRAHEDRON))
+    return TargetPovm.from_povm(Povm(np.full(4, 0.25), TETRAHEDRON))
 
 
 def trine_target() -> TargetPovm:
     """Three-outcome planar trine target, weights 1/3."""
-    return TargetPovm.from_povm(Povm.from_arrays(np.full(3, 1.0 / 3.0), TRINE))
-
-
-class FidelityResult(NamedTuple):
-    fidelity: float
-    rotation: Array  # (3, 3), applied to the candidate's Bloch vectors
+    return TargetPovm.from_povm(Povm(np.full(3, 1.0 / 3.0), TRINE))
 
 
 def _alignment_matrices(
@@ -137,36 +131,6 @@ def _kabsch(K: Array) -> tuple[Array, Array]:
     D[:, 2] = d
     R = (Vt.swapaxes(-1, -2) * D[:, None, :]) @ U.swapaxes(-1, -2)
     return f, R
-
-
-def povm_fidelity(
-    e: Povm, target: TargetPovm, relabeling: tuple[int, ...] | None = None
-) -> FidelityResult:
-    """Best rotation-channel fidelity of `e` to the target, fixed pairing.
-
-    Outcome i of `e` is scored against target outcome `relabeling[i]`
-    (identity when omitted).  A lower bound on the unital-channel
-    optimum; the returned rotation is proper and attains the fidelity.
-    """
-    if e.outcomes != target.outcomes:
-        raise ValueError("candidate and target must have the same outcome count")
-    perm = np.arange(target.outcomes) if relabeling is None else np.array(relabeling)
-    K = _alignment_matrices(
-        e.weights[None, :], e.blochs[None, :, :], target, perm[None, :]
-    ).reshape(1, 3, 3)
-    f, R = _kabsch(K)
-    return FidelityResult(float(f[0]), R[0])
-
-
-def best_fidelity_over_relabelings(e: Povm, target: TargetPovm) -> float:
-    """Max of povm_fidelity over the target's relabeling classes."""
-    if e.outcomes != target.outcomes:
-        raise ValueError("candidate and target must have the same outcome count")
-    perms = np.array(target.relabel_classes)
-    K = _alignment_matrices(
-        e.weights[None, :], e.blochs[None, :, :], target, perms
-    ).reshape(len(perms), 3, 3)
-    return float(_kabsch(K)[0].max())
 
 
 @dataclass(frozen=True)

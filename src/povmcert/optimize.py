@@ -40,6 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from ._numerics import bracketed_scan_max
+from .qubit import Povm
 from .sampling import RngStream, random_extremal_povms, random_unit_vectors
 from .witness import Strategy, WitnessSpec, bloch_values
 
@@ -280,7 +281,7 @@ def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict)
     """The best row of a see-saw batch as a heuristic bound with its strategy."""
     best = int(np.argmax(state["values"]))
     w = np.clip(state["PW"][best], 0.0, None)
-    argmax = Strategy.from_arrays(state["M"][best], state["N"][best], w, state["PN"][best])
+    argmax = Strategy(state["M"][best], state["N"][best], Povm(w, state["PN"][best]))
     return BoundResult(kind, float(state["values"][best]), spec.k, True, argmax, diagnostics)
 
 

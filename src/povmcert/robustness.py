@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .optimize import OptimizerConfig, projective_bound, three_outcome_max
-from .witness import Strategy, WitnessSpec, build_witness
+from .witness import WitnessSpec, build_witness
 
 log = logging.getLogger(__name__)
 
@@ -162,15 +162,3 @@ def visibility_curve_to_csv(curve: Sequence[VisibilityResult]) -> str:
     for p in curve:
         w.writerow([repr(p.k), p.bound_kind, repr(p.bound_value), repr(p.v_crit)])
     return out.getvalue()
-
-
-def depolarize_preparations(strategy: Strategy, v: float) -> Strategy:
-    """Shrink every preparation Bloch vector by the visibility v."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    return Strategy.from_arrays(
-        v * strategy.prep_blochs,
-        strategy.binary_axes,
-        strategy.povm.weights,
-        strategy.povm.blochs,
-    )

@@ -11,8 +11,9 @@ batch sizes.
 Extremal POVM sampling follows the rejection scheme: draw unit Bloch
 directions uniformly (for three outcomes, inside a uniformly random
 plane), solve the completeness constraints for the weights, and reject
-draws with any weight <= 1e-6.  The acceptance rate is reported in the
-returned sample so long campaigns can log it.
+draws with any weight <= 1e-6.  The returned sample records how many
+draws were made (`attempts`) next to how many were kept (`count`), so
+long campaigns can log the acceptance rate.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation
-
-from .qubit import Povm
 
 Array = np.ndarray
 
@@ -67,7 +66,7 @@ def random_unit_vectors(rng, shape) -> Array:
     return v / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalSample:
     """Batch of extremal POVMs plus rejection-sampling statistics."""
 
@@ -78,13 +77,6 @@ class ExtremalSample:
     @property
     def count(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.count / self.attempts if self.attempts else 0.0
-
-    def povm(self, i: int) -> Povm:
-        return Povm.from_arrays(self.weights[i], self.blochs[i])
 
 
 def solve_weights_directions(blochs: Array) -> tuple[Array, Array]:
@@ -168,7 +160,3 @@ def random_extremal_povms(outcomes: int, count: int, rng) -> ExtremalSample:
     weights = np.concatenate(got_w)[:count]
     blochs = np.concatenate(got_n)[:count]
     return ExtremalSample(weights, blochs, attempts)
-
-
-def random_extremal_povm(outcomes: int, rng) -> Povm:
-    return random_extremal_povms(outcomes, 1, rng).povm(0)

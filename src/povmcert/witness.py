@@ -27,24 +27,24 @@ re-positioned wave plates both take this form).  `bloch_values` is the
 one batched witness evaluator on that format, and `probability_table`
 the one Born-table builder.
 
+A `Strategy` holds the same arrays for one explicit qubit strategy:
+preparation Bloch vectors (X, 3), observable axes (Y, 3) and a `Povm`.
+
 Three families ship as builders: a four-outcome witness maximized by a
 tetrahedral (symmetric informationally complete) POVM, and two
 three-outcome witnesses maximized by a trine POVM.  Their coefficient
-tables, ideal strategies, and quantum maxima are fixed here; everything
-downstream treats them as ordinary `WitnessSpec` values.
+tables and quantum maxima are fixed here; everything downstream treats
+them as ordinary `WitnessSpec` values.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .qubit import Observable, Povm, QubitState
+from .qubit import Povm, observable_axes, state_vectors
 
 Array = np.ndarray
 
@@ -77,7 +77,7 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessSpec:
     """Coefficient tensor c (shape (X, Y, 2)) plus penalty weight k.
 
@@ -117,83 +117,32 @@ class WitnessSpec:
         """Base value on maximally mixed preparations."""
         return float(self.coeffs.sum()) / 2.0
 
-    def to_dict(self) -> dict:
-        cells = []
-        X, Y, _ = self.coeffs.shape
-        for x in range(X):
-            for y in range(Y):
-                for b in range(2):
-                    c = self.coeffs[x, y, b]
-                    if c != 0.0:
-                        cells.append({"x": x, "y": y, "b": b, "c": float(c)})
-        return {
-            "name": self.name,
-            "k": float(self.k),
-            "coeffs": cells,
-            "povm_outcomes": self.scenario.povm_outcomes,
-            "quantum_max": None if self.quantum_max is None else float(self.quantum_max),
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WitnessSpec":
-        cells = data["coeffs"]
-        X = max(cell["x"] for cell in cells) + 1
-        Y = max(cell["y"] for cell in cells) + 1
-        c = np.zeros((X, Y, 2))
-        for cell in cells:
-            c[cell["x"], cell["y"], cell["b"]] = cell["c"]
-        scenario = Scenario(X, Y, int(data["povm_outcomes"]))
-        return cls(data["name"], scenario, c, float(data["k"]), data.get("quantum_max"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "WitnessSpec":
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
-    """A full qubit strategy: preparations, binary observables, POVM."""
+    """A full qubit strategy: preparations (X, 3), observable axes (Y, 3), POVM.
 
-    preparations: tuple[QubitState, ...]
-    binaries: tuple[Observable, ...]
+    The arrays are read-only copies; every preparation has |m| <= 1 and
+    every axis is a unit vector.
+    """
+
+    preparations: Array
+    binaries: Array
     povm: Povm
 
-    @property
-    def prep_blochs(self) -> Array:
-        return np.array([s.bloch for s in self.preparations])
-
-    @property
-    def binary_axes(self) -> Array:
-        return np.array([o.axis for o in self.binaries])
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "preparations", state_vectors(self.preparations))
+        object.__setattr__(self, "binaries", observable_axes(self.binaries))
 
     def to_dict(self) -> dict:
         return {
-            "preparations": [[float(c) for c in s.bloch] for s in self.preparations],
-            "binaries": [[float(c) for c in o.axis] for o in self.binaries],
+            "preparations": [[float(c) for c in m] for m in self.preparations],
+            "binaries": [[float(c) for c in n] for n in self.binaries],
             "povm": self.povm.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Strategy":
-        return cls(
-            tuple(QubitState(np.asarray(r, dtype=float)) for r in data["preparations"]),
-            tuple(Observable(np.asarray(a, dtype=float)) for a in data["binaries"]),
-            Povm.from_dict(data["povm"]),
-        )
 
-    @classmethod
-    def from_arrays(cls, prep_blochs, binary_axes, weights, povm_blochs) -> "Strategy":
-        return cls(
-            tuple(QubitState(np.asarray(r, dtype=float)) for r in prep_blochs),
-            tuple(Observable(np.asarray(a, dtype=float)) for a in binary_axes),
-            Povm.from_arrays(weights, povm_blochs),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Observed table: binary part (X, Y, 2) and POVM part (X, O).
 
@@ -241,60 +190,6 @@ class ProbabilityTable:
     @property
     def has_errors(self) -> bool:
         return self.binary_err is not None and self.povm_err is not None
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["x", "y", "b", "p", "stderr"])
-        X, Y, _ = self.binary.shape
-        O = self.povm.shape[1]
-        for x in range(X):
-            for y in range(Y):
-                for b in range(2):
-                    err = "" if self.binary_err is None else repr(float(self.binary_err[x, y, b]))
-                    w.writerow([x, y, b, repr(float(self.binary[x, y, b])), err])
-            for b in range(O):
-                err = "" if self.povm_err is None else repr(float(self.povm_err[x, b]))
-                w.writerow([x, "povm", b, repr(float(self.povm[x, b])), err])
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ProbabilityTable":
-        binary_cells: dict[tuple[int, int, int], tuple[float, float | None]] = {}
-        povm_cells: dict[tuple[int, int], tuple[float, float | None]] = {}
-        reader = csv.DictReader(io.StringIO(text))
-        required = {"x", "y", "b", "p"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError("probability CSV needs columns x,y,b,p[,stderr]")
-        for row in reader:
-            x, b, p = int(row["x"]), int(row["b"]), float(row["p"])
-            err = row.get("stderr", "")
-            err_val = float(err) if err not in ("", None) else None
-            if row["y"].strip() == "povm":
-                povm_cells[(x, b)] = (p, err_val)
-            else:
-                binary_cells[(x, int(row["y"]), b)] = (p, err_val)
-        if not binary_cells or not povm_cells:
-            raise ValueError("probability CSV must contain binary and povm rows")
-        X = max(x for x, _, _ in binary_cells) + 1
-        Y = max(y for _, y, _ in binary_cells) + 1
-        O = max(b for _, b in povm_cells) + 1
-        binary = np.zeros((X, Y, 2))
-        povm = np.zeros((X, O))
-        have_err = any(e is not None for _, e in binary_cells.values()) or any(
-            e is not None for _, e in povm_cells.values()
-        )
-        binary_err = np.zeros((X, Y, 2)) if have_err else None
-        povm_err = np.zeros((X, O)) if have_err else None
-        for (x, y, b), (p, e) in binary_cells.items():
-            binary[x, y, b] = p
-            if binary_err is not None and e is not None:
-                binary_err[x, y, b] = e
-        for (x, b), (p, e) in povm_cells.items():
-            povm[x, b] = p
-            if povm_err is not None and e is not None:
-                povm_err[x, b] = e
-        return cls(binary, povm, binary_err, povm_err)
 
 
 class WitnessValue(NamedTuple):
@@ -414,40 +309,9 @@ def build_witness(name: str, k: float) -> WitnessSpec:
         raise ValueError(f"unknown witness family {name!r}; have {sorted(WITNESS_BUILDERS)}") from None
 
 
-def ideal_sic_strategy() -> Strategy:
-    """Tetrahedral preparations, Pauli observables, anti-aligned SIC POVM."""
-    return Strategy.from_arrays(
-        TETRAHEDRON, np.eye(3), np.full(4, 0.25), -TETRAHEDRON
-    )
-
-
-def ideal_trine_strategy() -> Strategy:
-    """Reversed-trine preparations with sigma_z/sigma_x observables.
-
-    The coefficient table reaches its quantum value 5 in this frame
-    (direct check: columns give 2 and 3); the POVM is anti-aligned with
-    the preparations, so the penalty vanishes at every k.
-    """
-    preps = TRINE[::-1]
-    axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    return Strategy.from_arrays(preps, axes, np.full(3, 1 / 3), -preps)
-
-
-def ideal_sym_trine_strategy() -> Strategy:
-    """Trine preparations with observables and POVM anti-aligned to them."""
-    return Strategy.from_arrays(TRINE, -TRINE, np.full(3, 1 / 3), -TRINE)
-
-
-IDEAL_STRATEGIES = {
-    "sic": ideal_sic_strategy,
-    "trine": ideal_trine_strategy,
-    "sym-trine": ideal_sym_trine_strategy,
-}
-
-
 def strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
     """Witness value of an explicit strategy (exact Born probabilities)."""
     table = probability_table(
-        strategy.prep_blochs[:, None], strategy.binary_axes, strategy.povm.weights, strategy.povm.blochs
+        strategy.preparations[:, None], strategy.binaries, strategy.povm.weights, strategy.povm.blochs
     )
     return evaluate_witness(spec, table).value

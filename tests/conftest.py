@@ -1,6 +1,18 @@
+"""Shared fixtures, the 2x2-matrix Born-rule oracle and the ideal strategies.
+
+The library works on Bloch vectors only; the Pauli matrices here are the
+independent route the tests check it against: a state r is the density
+matrix (I + r . sigma)/2, an observable axis n the matrix n . sigma with
+outcome b's effect (I + (-1)^b n . sigma)/2, and a POVM element (w, n)
+the effect w (I + n . sigma).
+"""
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from povmcert.qubit import Povm
+from povmcert.sampling import random_extremal_povms
+from povmcert.witness import TETRAHEDRON, TRINE, Strategy
 
 settings.register_profile(
     "default",
@@ -14,3 +26,73 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# ------------------------------------------------------ 2x2-matrix oracle
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+IDENTITY2 = np.eye(2, dtype=complex)
+
+
+def density_matrix(r) -> np.ndarray:
+    """(I + r . sigma) / 2."""
+    return 0.5 * (IDENTITY2 + np.einsum("i,ijk->jk", np.asarray(r, dtype=float), PAULIS))
+
+
+def observable_matrix(n) -> np.ndarray:
+    """n . sigma."""
+    return np.einsum("i,ijk->jk", np.asarray(n, dtype=float), PAULIS)
+
+
+def binary_effect(n, b: int) -> np.ndarray:
+    """Effect of outcome b of n . sigma; outcome 0 is the +1 eigenspace."""
+    sign = 1.0 if b == 0 else -1.0
+    return 0.5 * (IDENTITY2 + sign * observable_matrix(n))
+
+
+def effect_matrices(povm: Povm) -> np.ndarray:
+    """(O, 2, 2) effects w_i (I + n_i . sigma)."""
+    return povm.weights[:, None, None] * (
+        IDENTITY2 + np.einsum("oi,ijk->ojk", povm.blochs, PAULIS)
+    )
+
+
+# ------------------------------------------------------- ideal strategies
+
+
+def ideal_sic_strategy() -> Strategy:
+    """Tetrahedral preparations, Pauli observables, anti-aligned SIC POVM."""
+    return Strategy(TETRAHEDRON, np.eye(3), Povm(np.full(4, 0.25), -TETRAHEDRON))
+
+
+def ideal_trine_strategy() -> Strategy:
+    """Reversed-trine preparations with sigma_z/sigma_x observables.
+
+    The coefficient table reaches its quantum value 5 in this frame
+    (direct check: columns give 2 and 3); the POVM is anti-aligned with
+    the preparations, so the penalty vanishes at every k.
+    """
+    preps = TRINE[::-1]
+    axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    return Strategy(preps, axes, Povm(np.full(3, 1 / 3), -preps))
+
+
+def ideal_sym_trine_strategy() -> Strategy:
+    """Trine preparations with observables and POVM anti-aligned to them."""
+    return Strategy(TRINE, -TRINE, Povm(np.full(3, 1 / 3), -TRINE))
+
+
+IDEAL_STRATEGIES = {
+    "sic": ideal_sic_strategy,
+    "trine": ideal_trine_strategy,
+    "sym-trine": ideal_sym_trine_strategy,
+}
+
+
+def extremal_povm(outcomes: int, rng) -> Povm:
+    """One uniformly sampled extremal POVM, drawn as the library draws a batch of one."""
+    sample = random_extremal_povms(outcomes, 1, rng)
+    return Povm(sample.weights[0], sample.blochs[0])

@@ -13,13 +13,11 @@ import pytest
 from povmcert import (
     OptimizerConfig,
     RngStream,
-    best_fidelity_over_relabelings,
     build_witness,
     certify,
     critical_visibility,
     ingest_counts,
     monte_carlo_systematic,
-    povm_fidelity,
     projective_bound,
     projective_bound_numeric,
     projective_bound_sic,
@@ -34,6 +32,7 @@ from povmcert import (
     trine_target,
 )
 from povmcert.cli import main as cli_main
+from povmcert.fidelity import _alignment_matrices, _kabsch
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.robustness import a_rand, visibility_curve
 
@@ -136,17 +135,24 @@ def test_criterion_4_critical_visibility():
 
 
 def test_criterion_5_fidelity_anchors():
+    # Kabsch fidelities over the target's relabelings, as in the envelopes
+    def fidelities(povm, target):
+        K = _alignment_matrices(
+            povm.weights[None], povm.blochs[None], target, np.array(target.relabel_classes)
+        )
+        return _kabsch(K[0])[0]
+
     for target in (sic_target(), trine_target()):
-        self_fid = povm_fidelity(target.povm, target).fidelity
+        self_fid = fidelities(target.povm, target)[0]  # identity pairing
         assert self_fid == pytest.approx(1.0, abs=1e-9)
 
     # any projective pair is rotation-equivalent, so one padded pair
     # suffices for the best projective-vs-trine anchor
-    pair = Povm.from_arrays(
+    pair = Povm(
         np.array([0.5, 0.5, 0.0]),
         np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
     )
-    best = best_fidelity_over_relabelings(pair, trine_target())
+    best = fidelities(pair, trine_target()).max()
     anchor = (2.0 + np.sqrt(3.0)) / 4.0
     assert best == pytest.approx(anchor, abs=1e-4)
     note(f"self-fidelities 1.0; projective-vs-trine {best:.6f} (target {anchor:.6f})")
@@ -222,7 +228,7 @@ def test_criterion_8_property_suites(tmp_path):
         resid = np.einsum("so,soi->si", sample.weights, sample.blochs)
         assert np.abs(resid).max() < 1e-9
         for s in range(0, 10_000, 50):
-            povm = Povm.from_arrays(sample.weights[s], sample.blochs[s])
+            povm = Povm(sample.weights[s], sample.blochs[s])
             assert validate_povm(povm).ok
             assert classify_extremal(povm) == f"extremal-{outcomes}"
     note("10^4 sampled POVMs per class: all valid and extremal")
@@ -231,7 +237,7 @@ def test_criterion_8_property_suites(tmp_path):
     config = OptimizerConfig(restarts=16, seed=0)
     for name, k, gram in (("sic", 0.2, -1.0 / 3.0), ("trine", 1.0, -0.5)):
         arg = seesaw_maximize(build_witness(name, k), config).argmax
-        g = arg.prep_blochs @ arg.prep_blochs.T
+        g = arg.preparations @ arg.preparations.T
         off = g[~np.eye(len(g), dtype=bool)]
         np.testing.assert_allclose(off, gram, atol=1e-4)
     note("optimum preparation Grams: -1/3 (sic), -1/2 (trine)")

@@ -380,9 +380,11 @@ def test_certify_computes_bounds_when_not_given(trine_counts, capsys):
 
 def test_certify_failed_certification_still_exits_zero(trine_counts, tmp_path, capsys):
     bounds = {
+        "witness": "trine",
+        "k": 4.5,
         "bounds": [
             {"kind": "projective-numeric", "value": 4.999, "k": 4.5, "heuristic": True}
-        ]
+        ],
     }
     path = tmp_path / "impossible.json"
     path.write_text(json.dumps(bounds))
@@ -391,6 +393,29 @@ def test_certify_failed_certification_still_exits_zero(trine_counts, tmp_path, c
     assert rc == 0
     report = read_json(capsys)
     assert report["verdicts"]["non_projective_certified"] is False
+
+
+def test_certify_rejects_bounds_for_another_witness(tmp_path, capsys):
+    # sym-trine bounds share trine's scenario and k but not its values: the
+    # sym-trine projective bound 0.809 sits far below trine's value 4.977
+    rc = run("bounds", "--witness", "sym-trine", "--k", 1, "--kinds", "projective",
+             "--out", "b.json", "--out-dir", tmp_path)
+    assert rc == 0
+    rc = run("simulate", "--witness", "trine", "--k", 1, "--seed", 3,
+             "--out", "c.csv", "--out-dir", tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    rc = run("certify", "--counts", tmp_path / "c.csv", "--witness", "trine", "--k", 1,
+             "--bounds", tmp_path / "b.json")
+    assert rc == 2
+    assert "witness='sym-trine'" in capsys.readouterr().err
+    # a bare list of bounds carries no stamp at all
+    bare = json.loads((tmp_path / "b.json").read_text())["bounds"]
+    (tmp_path / "bare.json").write_text(json.dumps(bare))
+    rc = run("certify", "--counts", tmp_path / "c.csv", "--witness", "trine", "--k", 1,
+             "--bounds", tmp_path / "bare.json")
+    assert rc == 2
+    assert "witness=None" in capsys.readouterr().err
 
 
 def test_certify_envelope_gives_fidelity_floor(sic_counts, tmp_path, capsys):

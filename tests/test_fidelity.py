@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import extremal_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
@@ -15,9 +16,9 @@ from povmcert.fidelity import (
     EnvelopeCurve,
     SamplePoint,
     TargetPovm,
-    best_fidelity_over_relabelings,
+    _alignment_matrices,
+    _kabsch,
     envelope_from_points,
-    povm_fidelity,
     sample_fidelity_curve,
     samples_to_csv,
     sic_target,
@@ -25,7 +26,7 @@ from povmcert.fidelity import (
 )
 from povmcert.optimize import OptimizerConfig
 from povmcert.qubit import Povm
-from povmcert.sampling import RngStream, random_extremal_povm
+from povmcert.sampling import RngStream
 from povmcert.witness import (
     SIC_QUANTUM_MAX,
     TETRAHEDRON,
@@ -46,9 +47,28 @@ def procrustes_fidelity(e: Povm, target: TargetPovm, perm) -> float:
     return 0.5 + 0.5 * (s[0] + s[1] + np.sign(np.linalg.det(K)) * s[2])
 
 
+def fidelities(e: Povm, target: TargetPovm, perms):
+    """Kabsch fidelities (C,) and rotations (C, 3, 3) of one POVM for C pairings.
+
+    This is the route `sample_fidelity_curve` takes.
+    """
+    K = _alignment_matrices(e.weights[None], e.blochs[None], target, np.array(perms))
+    return _kabsch(K[0])
+
+
+def fidelity(e: Povm, target: TargetPovm, relabeling=None) -> float:
+    perm = range(target.outcomes) if relabeling is None else relabeling
+    return float(fidelities(e, target, [perm])[0][0])
+
+
+def best_fidelity(e: Povm, target: TargetPovm) -> float:
+    """Max over the target's relabeling classes."""
+    return float(fidelities(e, target, target.relabel_classes)[0].max())
+
+
 def rotated(e: Povm, rotvec) -> Povm:
     R = Rotation.from_rotvec(rotvec).as_matrix()
-    return Povm.from_arrays(e.weights.copy(), e.blochs @ R.T)
+    return Povm(e.weights.copy(), e.blochs @ R.T)
 
 
 # ---------------------------------------------------------------- targets
@@ -77,7 +97,7 @@ def test_trine_target_geometry_and_classes():
 
 
 def test_target_rejects_non_extremal_povm():
-    pair = Povm.from_arrays(
+    pair = Povm(
         np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     )
     with pytest.raises(ValueError, match="extremal"):
@@ -85,7 +105,7 @@ def test_target_rejects_non_extremal_povm():
 
 
 def test_target_rejects_invalid_povm():
-    bad = Povm.from_arrays(np.array([0.7, 0.3, 0.2]), TRINE.copy())
+    bad = Povm(np.array([0.7, 0.3, 0.2]), TRINE.copy())
     with pytest.raises(ValueError, match="validation"):
         TargetPovm.from_povm(bad)
 
@@ -96,29 +116,28 @@ def test_target_rejects_invalid_povm():
 @pytest.mark.parametrize("target_fn", [sic_target, trine_target])
 def test_self_fidelity_is_one(target_fn):
     t = target_fn()
-    res = povm_fidelity(t.povm, t)
-    assert res.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(res.rotation @ res.rotation.T, np.eye(3), atol=1e-9)
+    f, R = fidelities(t.povm, t, [range(t.outcomes)])
+    assert f[0] == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(R[0] @ R[0].T, np.eye(3), atol=1e-9)
 
 
 @pytest.mark.parametrize("target_fn", [sic_target, trine_target])
 @pytest.mark.parametrize("rotvec", [[0.3, -1.1, 0.4], [2.0, 0.0, 0.9]])
 def test_fidelity_is_rotation_invariant(target_fn, rotvec):
     t = target_fn()
-    res = povm_fidelity(rotated(t.povm, rotvec), t)
-    assert res.fidelity == pytest.approx(1.0, abs=1e-9)
+    assert fidelity(rotated(t.povm, rotvec), t) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mirrored_tetrahedron_needs_the_odd_relabeling():
     t = sic_target()
-    mirror = Povm.from_arrays(np.full(4, 0.25), -TETRAHEDRON)
+    mirror = Povm(np.full(4, 0.25), -TETRAHEDRON)
     # identity pairing: K = I/3 up to sign conventions with det < 0,
     # so one singular direction flips and F = 1/2 + (1/3 + 1/3 - 1/3)/2
-    ident = povm_fidelity(mirror, t)
-    assert ident.fidelity == pytest.approx(2.0 / 3.0, abs=1e-9)
-    swapped = povm_fidelity(mirror, t, relabeling=(0, 1, 3, 2))
-    assert swapped.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert best_fidelity_over_relabelings(mirror, t) == pytest.approx(
+    ident = fidelity(mirror, t)
+    assert ident == pytest.approx(2.0 / 3.0, abs=1e-9)
+    swapped = fidelity(mirror, t, relabeling=(0, 1, 3, 2))
+    assert swapped == pytest.approx(1.0, abs=1e-9)
+    assert best_fidelity(mirror, t) == pytest.approx(
         1.0, abs=1e-9
     )
 
@@ -127,11 +146,11 @@ def test_best_projective_fidelity_to_trine():
     # a projective pair padded with a dead outcome: K has rank one with
     # norm |v_0 - v_1|/2 = sqrt(3)/2, so F = 1/2 + sqrt(3)/4
     t = trine_target()
-    e = Povm.from_arrays(
+    e = Povm(
         np.array([0.5, 0.5, 0.0]),
         np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
     )
-    best = best_fidelity_over_relabelings(e, t)
+    best = best_fidelity(e, t)
     assert best == pytest.approx(BEST_PROJECTIVE_VS_TRINE, abs=1e-12)
     assert best <= BEST_PROJECTIVE_VS_TRINE + 1e-9
 
@@ -140,8 +159,8 @@ def test_best_projective_fidelity_to_trine():
 @given(seed=st.integers(min_value=0, max_value=10_000), outcomes=st.sampled_from([3, 4]))
 def test_search_matches_procrustes_closed_form(seed, outcomes):
     t = sic_target() if outcomes == 4 else trine_target()
-    e = random_extremal_povm(outcomes, RngStream(seed, 11))
-    got = povm_fidelity(e, t).fidelity
+    e = extremal_povm(outcomes, RngStream(seed, 11))
+    got = fidelity(e, t)
     want = procrustes_fidelity(e, t, range(outcomes))
     assert got == pytest.approx(want, abs=1e-12)
     assert got <= want + 1e-12
@@ -149,34 +168,34 @@ def test_search_matches_procrustes_closed_form(seed, outcomes):
 
 def test_search_beats_dense_rotation_grid():
     t = sic_target()
-    e = random_extremal_povm(4, RngStream(17, 11))
+    e = extremal_povm(4, RngStream(17, 11))
     v = t.povm.blochs
     K = np.einsum("o,oi,oj->ij", e.weights, e.blochs, v)
     R = Rotation.random(100_000, random_state=RngStream(18).generator()).as_matrix()
     grid = 0.5 + 0.5 * np.einsum("mij,ji->m", R, K).max()
-    got = povm_fidelity(e, t).fidelity
+    got = fidelity(e, t)
     assert got >= grid - 1e-12
     assert got - grid < 3e-3
 
 
 def test_fidelity_outcome_mismatch_rejected():
+    # sample_fidelity_curve refuses a target of the wrong outcome count
     with pytest.raises(ValueError, match="outcome"):
-        povm_fidelity(trine_target().povm, sic_target())
+        sample_fidelity_curve(sic_witness(0.2), trine_target(), n_samples=1)
     with pytest.raises(ValueError, match="outcome"):
-        best_fidelity_over_relabelings(sic_target().povm, trine_target())
+        sample_fidelity_curve(trine_witness(1.0), sic_target(), n_samples=1)
 
 
 def test_fidelity_result_rotation_is_proper():
-    e = random_extremal_povm(4, RngStream(23, 11))
-    res = povm_fidelity(e, sic_target())
-    assert np.allclose(res.rotation @ res.rotation.T, np.eye(3), atol=1e-10)
-    assert np.linalg.det(res.rotation) == pytest.approx(1.0, abs=1e-10)
+    e = extremal_povm(4, RngStream(23, 11))
+    f, R = fidelities(e, sic_target(), [range(4)])
+    f, R = f[0], R[0]
+    assert np.allclose(R @ R.T, np.eye(3), atol=1e-10)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
     # the returned rotation actually realizes the reported fidelity
     v = sic_target().povm.blochs
     K = np.einsum("o,oi,oj->ij", e.weights, e.blochs, v)
-    assert 0.5 + 0.5 * np.trace(res.rotation @ K) == pytest.approx(
-        res.fidelity, abs=1e-12
-    )
+    assert 0.5 + 0.5 * np.trace(R @ K) == pytest.approx(f, abs=1e-12)
 
 
 # ------------------------------------------------------------- envelopes
@@ -348,5 +367,3 @@ def test_trine_curve_smoke():
 def test_curve_input_validation():
     with pytest.raises(ValueError, match="at least one"):
         sample_fidelity_curve(sic_witness(0.2), sic_target(), n_samples=0)
-    with pytest.raises(ValueError, match="outcome"):
-        sample_fidelity_curve(sic_witness(0.2), trine_target(), n_samples=4)

@@ -8,12 +8,21 @@ evaluation, and dense grids.
 """
 import numpy as np
 import pytest
+from conftest import (
+    IDEAL_STRATEGIES,
+    IDENTITY2,
+    PAULIS,
+    binary_effect,
+    density_matrix,
+    effect_matrices,
+    extremal_povm,
+    observable_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcert._numerics import bracketed_scan_max
 from povmcert.optimize import (
-    BoundResult,
     OptimizerConfig,
     _binary_step,
     _enclosing_ball_step,
@@ -26,23 +35,9 @@ from povmcert.optimize import (
     seesaw_maximize,
     three_outcome_max,
 )
-from povmcert.qubit import (
-    IDENTITY2,
-    PAULIS,
-    Observable,
-    Povm,
-    QubitState,
-    classify_extremal,
-    validate_povm,
-)
-from povmcert.sampling import (
-    RngStream,
-    random_extremal_povm,
-    random_extremal_povms,
-    random_unit_vectors,
-)
+from povmcert.qubit import Povm, classify_extremal, validate_povm
+from povmcert.sampling import RngStream, random_extremal_povms, random_unit_vectors
 from povmcert.witness import (
-    IDEAL_STRATEGIES,
     SIC_QUANTUM_MAX,
     SYM_TRINE_QUANTUM_MAX,
     TETRAHEDRON,
@@ -106,7 +101,7 @@ def test_seesaw_sic_optimum_geometry():
     # (pairwise Gram -1/3) and the povm anti-aligns with them
     spec = build_witness("sic", k=0.5)
     res = seesaw_maximize(spec, FAST)
-    m = res.argmax.prep_blochs
+    m = res.argmax.preparations
     gram = m @ m.T
     off = gram[~np.eye(4, dtype=bool)]
     assert np.allclose(off, -1.0 / 3.0, atol=1e-6)
@@ -119,7 +114,7 @@ def test_seesaw_trine_optimum_geometry():
     # preparations end up as a planar trine: Gram -1/2 off-diagonal
     spec = build_witness("trine", k=0.5)
     res = seesaw_maximize(spec, FAST)
-    m = res.argmax.prep_blochs
+    m = res.argmax.preparations
     gram = m @ m.T
     off = gram[~np.eye(3, dtype=bool)]
     assert np.allclose(off, -0.5, atol=1e-6)
@@ -286,7 +281,7 @@ def test_maximize_given_ideal_povm_reaches_maximum():
 def test_maximize_given_povm_batch_matches_single():
     spec = build_witness("sic", k=0.2)
     rng = RngStream(21).generator()
-    povms = [random_extremal_povm(4, rng) for _ in range(3)]
+    povms = [extremal_povm(4, rng) for _ in range(3)]
     w = np.stack([p.weights for p in povms])
     n = np.stack([p.blochs for p in povms])
     batch = maximize_given_povm_batch(spec, w, n, OptimizerConfig(seed=5), restarts=6)
@@ -347,9 +342,8 @@ def test_optimal_binary_observable_beats_grid():
         M = random_unit_vectors(rng, (1, 4))
         N = _binary_step(D, M, random_unit_vectors(rng, (1, 3)))
         for y in range(3):
-            W = sum(D[x, y] * QubitState(M[0, x]).matrix() for x in range(4))
-            obs = Observable(N[0, y])
-            got = np.real(np.trace(W @ (obs.effect(0) - obs.effect(1))))
+            W = sum(D[x, y] * density_matrix(M[0, x]) for x in range(4))
+            got = np.real(np.trace(W @ (binary_effect(N[0, y], 0) - binary_effect(N[0, y], 1))))
             assert got >= np.real(np.einsum("jk,akj->a", W, grid)).max() - 1e-12
 
 
@@ -363,14 +357,14 @@ def test_optimal_preparation_beats_grid():
     for _ in range(5):
         D = rng.normal(size=(4, 3))
         N = random_unit_vectors(rng, (1, 3))
-        povm = random_extremal_povm(4, rng)
+        povm = extremal_povm(4, rng)
         M = _prep_step(
             D, N, k, povm.weights[None], povm.blochs[None], random_unit_vectors(rng, (1, 4))
         )
         for x in range(4):
-            L = sum(D[x, y] * Observable(N[0, y]).matrix() for y in range(3))
-            L = L - k * povm.elements[x].matrix()
-            got = np.real(np.trace(QubitState(M[0, x]).matrix() @ L))
+            L = sum(D[x, y] * observable_matrix(N[0, y]) for y in range(3))
+            L = L - k * effect_matrices(povm)[x]
+            got = np.real(np.trace(density_matrix(M[0, x]) @ L))
             assert got >= np.real(np.einsum("ajk,kj->a", grid, L)).max() - 1e-12
 
 
@@ -404,11 +398,11 @@ def ball_step(preps, current: Povm, outcomes=None):
     PW, PN = _enclosing_ball_step(
         m, S[None], current.weights[None].copy(), current.blochs[None].copy()
     )
-    return Povm.from_arrays(PW[0], PN[0])
+    return Povm(PW[0], PN[0])
 
 
 def test_ball_step_tetrahedron_is_anti_aligned():
-    p = ball_step(TETRAHEDRON, random_extremal_povm(4, RngStream(1)))
+    p = ball_step(TETRAHEDRON, extremal_povm(4, RngStream(1)))
     assert validate_povm(p).ok
     assert penalty_value(TETRAHEDRON, p) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(p.blochs, -TETRAHEDRON, atol=1e-12)
@@ -416,14 +410,14 @@ def test_ball_step_tetrahedron_is_anti_aligned():
 
 
 def test_ball_step_trine_reaches_zero():
-    p = ball_step(TRINE, random_extremal_povm(3, RngStream(2)))
+    p = ball_step(TRINE, extremal_povm(3, RngStream(2)))
     assert validate_povm(p).ok
     assert penalty_value(TRINE, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ball_step_three_tetrahedron_vertices():
     # the circumradius of a tetrahedron face is sqrt(8/9)
-    current = Povm.from_arrays(
+    current = Povm(
         [0.5, 0.5, 0.0, 0.0], [[0, 0, 1], [0, 0, -1], [0, 0, 1], [0, 0, 1]]
     )
     p = ball_step(TETRAHEDRON, current, outcomes=3)
@@ -441,9 +435,9 @@ def test_ball_step_three_tetrahedron_vertices():
     ],
 )
 def test_ball_step_antipodal_points_reach_zero(preps):
-    current = random_extremal_povm(3, RngStream(3))
+    current = extremal_povm(3, RngStream(3))
     if len(preps) == 2:
-        current = Povm.from_arrays([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]])
+        current = Povm([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]])
     p = ball_step(preps, current)
     assert validate_povm(p).ok
     assert penalty_value(preps, p) == pytest.approx(0.0, abs=1e-12)
@@ -453,7 +447,7 @@ def test_ball_step_coincident_points_keep_current_povm():
     # no ball exists; the first current effect opposes the points, so a
     # step that trusted a degenerate candidate would report less than 1
     m = np.tile([0.0, 0.6, 0.8], (3, 1))
-    current = Povm.from_arrays(np.full(3, 1.0 / 3.0), TRINE)
+    current = Povm(np.full(3, 1.0 / 3.0), TRINE)
     p = ball_step(m, current)
     assert penalty_value(m, p) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(p.weights, current.weights)
@@ -478,9 +472,9 @@ def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(w @ n, 0.0, atol=1e-9)
         assert np.allclose(np.linalg.norm(n[w > 0], axis=1), 1.0, atol=1e-12)
-        assert validate_povm(Povm.from_arrays(w, n)).ok
-        val = penalty_value(m[r], Povm.from_arrays(w, n))
-        assert val <= penalty_value(m[r], current.povm(r)) + 1e-12
+        assert validate_povm(Povm(w, n)).ok
+        val = penalty_value(m[r], Povm(w, n))
+        assert val <= penalty_value(m[r], Povm(current.weights[r], current.blochs[r])) + 1e-12
         probe_vals = np.einsum(
             "po,po->p", probes.weights, 1.0 + np.einsum("poi,oi->po", probes.blochs, m[r])
         )

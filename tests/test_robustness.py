@@ -1,6 +1,7 @@
 """Critical visibility formula, noise curves, and their consistency."""
 import numpy as np
 import pytest
+from conftest import IDEAL_STRATEGIES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,22 +9,20 @@ from povmcert.optimize import (
     OptimizerConfig,
     projective_bound,
     projective_bound_sic,
-    three_outcome_max,
 )
 from povmcert.robustness import (
     DEFAULT_K_GRID,
     VisibilityResult,
     a_rand,
     critical_visibility,
-    depolarize_preparations,
     most_robust_point,
     visibility_curve,
     visibility_curve_to_csv,
 )
 from povmcert.witness import (
     SIC_QUANTUM_MAX,
-    IDEAL_STRATEGIES,
     ProbabilityTable,
+    Strategy,
     build_witness,
     evaluate_witness,
     sic_witness,
@@ -33,6 +32,11 @@ from povmcert.witness import (
 )
 
 FAST = OptimizerConfig(restarts=8, max_iters=300, seed=7)
+
+
+def depolarized(strategy, v):
+    """The strategy with every preparation Bloch vector shrunk by v."""
+    return Strategy(v * strategy.preparations, strategy.binaries, strategy.povm)
 
 
 def mixed_prep_table(spec):
@@ -111,7 +115,7 @@ def test_depolarized_ideal_sic_lands_exactly_on_the_bound(k):
     spec = sic_witness(k)
     bound = projective_bound_sic(k).value
     v = critical_visibility(k, bound, spec.quantum_max, a_rand(spec)).value
-    noisy = depolarize_preparations(IDEAL_STRATEGIES["sic"](), v)
+    noisy = depolarized(IDEAL_STRATEGIES["sic"](), v)
     assert strategy_value(spec, noisy) == pytest.approx(bound, abs=1e-6)
 
 
@@ -119,21 +123,8 @@ def test_depolarized_ideal_trine_lands_on_numeric_bound():
     spec = trine_witness(1.0)
     bound = projective_bound(spec, FAST).value
     v = critical_visibility(1.0, bound, spec.quantum_max, a_rand(spec)).value
-    noisy = depolarize_preparations(IDEAL_STRATEGIES["trine"](), v)
+    noisy = depolarized(IDEAL_STRATEGIES["trine"](), v)
     assert strategy_value(spec, noisy) == pytest.approx(bound, abs=1e-6)
-
-
-def test_depolarize_preparations_scales_and_validates():
-    ideal = IDEAL_STRATEGIES["sic"]()
-    half = depolarize_preparations(ideal, 0.5)
-    assert np.allclose(half.prep_blochs, 0.5 * ideal.prep_blochs)
-    assert np.allclose(half.binary_axes, ideal.binary_axes)
-    assert np.allclose(half.povm.blochs, ideal.povm.blochs)
-    same = depolarize_preparations(ideal, 1.0)
-    assert np.allclose(same.prep_blochs, ideal.prep_blochs)
-    assert np.allclose(depolarize_preparations(ideal, 0.0).prep_blochs, 0.0)
-    with pytest.raises(ValueError, match="visibility"):
-        depolarize_preparations(ideal, 1.2)
 
 
 def test_sic_projective_curve_minimum_sits_at_fifth():

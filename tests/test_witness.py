@@ -1,19 +1,19 @@
 """Witness builders, table evaluation, serialization."""
+import json
+
 import numpy as np
 import pytest
+from conftest import IDEAL_STRATEGIES, binary_effect, density_matrix, effect_matrices
 from hypothesis import given
 from hypothesis import strategies as st
 
-from povmcert.qubit import Observable, Povm, QubitState
+from povmcert.qubit import Povm
 from povmcert.sampling import random_extremal_povms
 from povmcert.witness import (
-    IDEAL_STRATEGIES,
     TETRAHEDRON,
-    TRINE,
     ProbabilityTable,
     Scenario,
     Strategy,
-    WitnessSpec,
     bloch_values,
     build_witness,
     evaluate_witness,
@@ -94,7 +94,7 @@ def test_ideal_strategies_reach_quantum_max(name):
 def test_ideal_povms_are_anti_aligned():
     for name in ("sic", "trine", "sym-trine"):
         s = IDEAL_STRATEGIES[name]()
-        assert np.allclose(s.povm.blochs, -s.prep_blochs, atol=1e-12)
+        assert np.allclose(s.povm.blochs, -s.preparations, atol=1e-12)
         total = s.povm.weights @ s.povm.blochs
         assert np.allclose(total, 0, atol=1e-12)
 
@@ -107,20 +107,19 @@ def unit_rows(rng, shape):
 def test_probability_table_matches_matrix_born_rule(rng):
     # Bloch-form fast path vs literal trace formulas, for shared and for
     # per-setting preparations (setting y, the POVM last, sees M[x, y])
-    axes = [Observable(v) for v in unit_rows(rng, (2,))]
-    N = np.array([o.axis for o in axes])
-    povm = Povm.from_arrays(np.full(4, 0.25), TETRAHEDRON)
+    N = unit_rows(rng, (2,))
+    povm = Povm(np.full(4, 0.25), TETRAHEDRON)
     for S in (1, 3):
         M = unit_rows(rng, (4, S)) * rng.uniform(0.5, 1, (4, 1, 1))
         t = probability_table(M, N, povm.weights, povm.blochs)
         for x in range(4):
-            for y, ob in enumerate(axes):
-                rho = QubitState(M[x, min(y, S - 1)]).matrix()
+            for y, n in enumerate(N):
+                rho = density_matrix(M[x, min(y, S - 1)])
                 for b in (0, 1):
-                    p = np.trace(rho @ ob.effect(b)).real
+                    p = np.trace(rho @ binary_effect(n, b)).real
                     assert t.binary[x, y, b] == pytest.approx(p, abs=1e-12)
-            rho = QubitState(M[x, -1]).matrix()
-            for b, eff in enumerate(povm.matrices()):
+            rho = density_matrix(M[x, -1])
+            for b, eff in enumerate(effect_matrices(povm)):
                 assert t.povm[x, b] == pytest.approx(np.trace(rho @ eff).real, abs=1e-12)
 
 
@@ -199,37 +198,26 @@ def test_table_validation():
         ProbabilityTable(np.full((2, 2, 2), 0.5) * np.array([3, -1]), np.full((2, 2), 0.5))
 
 
-def test_table_csv_round_trip():
-    strat = IDEAL_STRATEGIES["sic"]()
-    t = probability_table(
-        strat.prep_blochs[:, None], strat.binary_axes, strat.povm.weights, strat.povm.blochs
-    )
-    t2 = ProbabilityTable.from_csv(t.to_csv())
-    assert np.allclose(t2.binary, t.binary, atol=1e-15)
-    assert np.allclose(t2.povm, t.povm, atol=1e-15)
-    assert t2.binary_err is None
-    # with errors
-    t3 = ProbabilityTable(t.binary, t.povm, np.full_like(t.binary, 1e-3), np.full_like(t.povm, 2e-3))
-    t4 = ProbabilityTable.from_csv(t3.to_csv())
-    assert np.allclose(t4.binary_err, 1e-3)
-    assert np.allclose(t4.povm_err, 2e-3)
-
-
-def test_witness_json_round_trip():
-    w = trine_witness(4.5)
-    w2 = WitnessSpec.from_json(w.to_json())
-    assert w2.name == "trine" and w2.k == 4.5
-    assert np.allclose(w2.coeffs, w.coeffs)
-    assert w2.scenario == w.scenario
-    assert w2.quantum_max == pytest.approx(5.0)
-
-
 def test_strategy_round_trip():
+    # to_dict is what bounds files carry as an argmax; it rebuilds the strategy
     s = IDEAL_STRATEGIES["trine"]()
-    s2 = Strategy.from_dict(s.to_dict())
-    assert np.allclose(s2.prep_blochs, s.prep_blochs)
-    assert np.allclose(s2.binary_axes, s.binary_axes)
+    d = json.loads(json.dumps(s.to_dict()))
+    s2 = Strategy(d["preparations"], d["binaries"], Povm.from_dict(d["povm"]))
+    assert np.allclose(s2.preparations, s.preparations)
+    assert np.allclose(s2.binaries, s.binaries)
     assert np.allclose(s2.povm.weights, s.povm.weights)
+
+
+def test_strategy_checks_its_arrays():
+    s = IDEAL_STRATEGIES["sic"]()
+    with pytest.raises(ValueError, match="shape"):
+        Strategy(s.preparations[:, :2], s.binaries, s.povm)
+    with pytest.raises(ValueError, match="finite"):
+        Strategy(s.preparations, np.full((3, 3), np.nan), s.povm)
+    # a preparation a hair outside the ball passes (|m| <= 1 + 1e-9)
+    Strategy(s.preparations * (1 + 1e-10), s.binaries, s.povm)
+    with pytest.raises(ValueError):
+        s.preparations[0, 0] = 0.0
 
 
 def test_build_witness_rejects_unknown():
