@@ -58,7 +58,6 @@ from .witness import (
     evaluate_witness,
     probability_table,
     sic_witness,
-    strategy_value,
     sym_trine_witness,
     trine_witness,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "sic_target",
     "sic_witness",
     "simulate_counts",
-    "strategy_value",
     "sym_trine_witness",
     "three_outcome_max",
     "trine_experiment",

@@ -247,8 +247,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.format == "csv":
-        raise ValueError("certify reports are JSON only")
     spec = build_witness(args.witness, args.k)
     records = counts_from_csv(Path(args.counts).read_text())
     table = ingest_counts(records)
@@ -310,13 +308,18 @@ def cmd_visibility_curve(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(p: argparse.ArgumentParser, format_default: str = "json") -> None:
+def _add_common(
+    p: argparse.ArgumentParser, restarts: int | None = 32, format_default: str | None = None
+) -> None:
+    """--seed and --out-dir; --restarts unless `restarts` is None; --format when given a default."""
     # per-subparser, not a shared parent: parents=[...] would share the
     # action objects, so one subparser's set_defaults would leak to all
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out-dir", default=None, help="output directory (default: . or POVMCERT_OUT_DIR)")
-    p.add_argument("--format", choices=("json", "csv"), default=format_default, help="stdout/file format where both make sense")
-    p.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
+    if format_default is not None:
+        p.add_argument("--format", choices=("json", "csv"), default=format_default, help="stdout/file format")
+    if restarts is not None:
+        p.add_argument("--restarts", type=int, default=restarts, help="optimizer restarts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="witness bounds for one family and k")
-    _add_common(p)
+    _add_common(p, format_default="json")
     p.add_argument("--witness", required=True, choices=FAMILIES)
     p.add_argument("--k", type=float, required=True, help="penalty weight")
     p.add_argument("--kinds", default=None, help="comma list from projective,three-outcome,quantum")
@@ -337,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("fidelity-curve", help="sampled (witness value, fidelity) scatter and envelope")
-    _add_common(p)
+    _add_common(p, restarts=8)
     p.add_argument("--witness", required=True, choices=FAMILIES)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--samples", type=int, default=None, help="POVM samples (default: figure scale per family)")
     p.add_argument("--bin-width", type=float, default=0.002)
     p.add_argument("--out", default=None, help="artifact stem (default fidelity-<witness>-k<k>)")
-    p.set_defaults(func=cmd_fidelity_curve, restarts=8)
+    p.set_defaults(func=cmd_fidelity_curve)
 
     p = sub.add_parser("certify", help="evaluate a counts file and issue verdicts")
     _add_common(p)
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="synthesize a counts file for the modeled setup")
-    _add_common(p)
+    _add_common(p, restarts=None)
     p.add_argument("--witness", required=True, choices=FAMILIES)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--config", default=None, help="experiment config JSON (default: built-in published setup)")

@@ -263,7 +263,7 @@ def sample_fidelity_curve(
     stream = stream or RngStream(0)
     config = config or OptimizerConfig(restarts=8)
 
-    sample = random_extremal_povms(target.outcomes, n_samples, stream.derived(0).generator())
+    sample = random_extremal_povms(target.outcomes, n_samples, stream.generator())
     values = maximize_given_povm_batch(
         spec, sample.weights, sample.blochs, config, restarts=config.restarts
     )

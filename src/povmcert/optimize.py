@@ -66,6 +66,14 @@ class OptimizerConfig:
     tol: float = 1e-10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
     def stream(self, index: int = 0) -> RngStream:
         return RngStream(self.seed, index)
 

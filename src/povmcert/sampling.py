@@ -1,26 +1,28 @@
 """Seeded random generation of strategies and extremal POVMs.
 
-Everything here draws from a numpy Generator.  `RngStream` is the seed
-carrier used across the package: a (seed, index) pair that maps to a
+Every draw takes a numpy Generator.  `RngStream` is the seed carrier
+used across the package: a (seed, index) pair that maps to a
 `SeedSequence` spawn, so independent consumers (optimizer restarts,
 sampling campaigns, noise simulation) get reproducible, non-overlapping
-streams without sharing generator state.  Batch functions draw in a
-fixed order, so a full run is bit-reproducible given the seed and the
-batch sizes.
+streams without sharing generator state; callers turn it into a
+Generator with `.generator()`.  Batch functions draw in a fixed order,
+so a full run is bit-reproducible given the seed and the batch sizes.
 
 Extremal POVM sampling follows the rejection scheme: draw unit Bloch
-directions uniformly (for three outcomes, inside a uniformly random
-plane), solve the completeness constraints for the weights, and reject
-draws with any weight <= 1e-6.  The returned sample records how many
-draws were made (`attempts`) next to how many were kept (`count`), so
-long campaigns can log the acceptance rate.
+directions uniformly, solve the completeness constraints for the
+weights, and reject draws with any weight <= 1e-6.  Three-outcome
+directions lie in a uniformly random plane: a uniform unit quaternion
+(four normal draws, normalized) rotates the xz-plane, and three
+uniform in-plane angles place the directions in its image.  The
+returned sample records how many draws were made (`attempts`) next to
+how many were kept (`count`), so long campaigns can log the acceptance
+rate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 Array = np.ndarray
 
@@ -38,22 +40,9 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.index,)))
 
-    def derived(self, index: int) -> "RngStream":
-        """Sibling stream with a different index under the same seed."""
-        return RngStream(self.seed, index)
 
-
-def _rng(source) -> np.random.Generator:
-    if isinstance(source, np.random.Generator):
-        return source
-    if isinstance(source, RngStream):
-        return source.generator()
-    return np.random.default_rng(source)
-
-
-def random_unit_vectors(rng, shape) -> Array:
+def random_unit_vectors(rng: np.random.Generator, shape) -> Array:
     """Uniform points on the unit sphere; shape may be an int or tuple."""
-    rng = _rng(rng)
     if isinstance(shape, int):
         shape = (shape,)
     v = rng.normal(size=(*shape, 3))
@@ -79,44 +68,41 @@ class ExtremalSample:
         return self.weights.shape[0]
 
 
-def solve_weights_directions(blochs: Array) -> tuple[Array, Array]:
-    """Weights from completeness for (S, 4, 3) unit directions.
+def _random_planes(rng: np.random.Generator, count: int) -> tuple[Array, Array]:
+    """Orthonormal pairs (e1, e2), each (count, 3), spanning uniformly random planes.
+
+    The images of x and z under the rotation of a uniform unit
+    quaternion (x, y, z, w), scalar last.
+    """
+    q = rng.normal(size=(count, 4))
+    x, y, z, w = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    e1 = np.stack([x2 - y2 - z2 + w2, 2 * (x * y + z * w), 2 * (x * z - y * w)], axis=-1)
+    e2 = np.stack([2 * (x * z + y * w), 2 * (y * z - x * w), -x2 - y2 + z2 + w2], axis=-1)
+    return e1, e2
+
+
+def _completeness_weights(coords: Array) -> tuple[Array, Array]:
+    """Weights from completeness for (S, O, O - 1) outcome coordinates.
 
     Returns (weights, ok): rows of the linear system are sum w = 1 and
-    sum w n = 0; draws with a near-singular system are marked not ok.
+    sum w c = 0; draws with a near-singular system are marked not ok.
     """
-    S = blochs.shape[0]
-    A = np.empty((S, 4, 4))
+    S, O, _ = coords.shape
+    A = np.empty((S, O, O))
     A[:, 0, :] = 1.0
-    A[:, 1:, :] = np.swapaxes(blochs, 1, 2)
-    b = np.zeros((S, 4))
+    A[:, 1:, :] = np.swapaxes(coords, 1, 2)
+    b = np.zeros((S, O))
     b[:, 0] = 1.0
     det = np.abs(np.linalg.det(A))
     ok = det > 1e-12
-    w = np.full((S, 4), -1.0)
+    w = np.full((S, O), -1.0)
     if ok.any():
         w[ok] = np.linalg.solve(A[ok], b[ok, :, None])[..., 0]
     return w, ok
 
 
-def solve_weights_inplane(cos_a: Array, sin_a: Array) -> tuple[Array, Array]:
-    """Weights for (S, 3) in-plane angles; system rows: sum w = 1, sum w e = 0."""
-    S = cos_a.shape[0]
-    A = np.empty((S, 3, 3))
-    A[:, 0, :] = 1.0
-    A[:, 1, :] = cos_a
-    A[:, 2, :] = sin_a
-    b = np.zeros((S, 3))
-    b[:, 0] = 1.0
-    det = np.abs(np.linalg.det(A))
-    ok = det > 1e-12
-    w = np.full((S, 3), -1.0)
-    if ok.any():
-        w[ok] = np.linalg.solve(A[ok], b[ok, :, None])[..., 0]
-    return w, ok
-
-
-def random_extremal_povms(outcomes: int, count: int, rng) -> ExtremalSample:
+def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -> ExtremalSample:
     """Rejection-sample extremal POVMs with the given outcome count (3 or 4).
 
     Four outcomes: four uniform unit directions, weights solved from
@@ -129,7 +115,6 @@ def random_extremal_povms(outcomes: int, count: int, rng) -> ExtremalSample:
         raise ValueError("extremal sampling supports 3 or 4 outcomes")
     if count < 1:
         raise ValueError("count must be positive")
-    rng = _rng(rng)
     got_w: list[Array] = []
     got_n: list[Array] = []
     have = 0
@@ -143,14 +128,12 @@ def random_extremal_povms(outcomes: int, count: int, rng) -> ExtremalSample:
         attempts += batch
         if outcomes == 4:
             dirs = random_unit_vectors(rng, (batch, 4))
-            w, ok = solve_weights_directions(dirs)
+            w, ok = _completeness_weights(dirs)
         else:
-            frames = Rotation.random(batch, random_state=rng).as_matrix()  # (B, 3, 3)
-            e1 = frames[:, :, 0]
-            e2 = frames[:, :, 2]  # random image of the xz-plane
+            e1, e2 = _random_planes(rng, batch)
             ang = rng.uniform(0.0, 2.0 * np.pi, size=(batch, 3))
             cos_a, sin_a = np.cos(ang), np.sin(ang)
-            w, ok = solve_weights_inplane(cos_a, sin_a)
+            w, ok = _completeness_weights(np.stack([cos_a, sin_a], axis=-1))
             dirs = cos_a[..., None] * e1[:, None, :] + sin_a[..., None] * e2[:, None, :]
         ok &= np.all(w > WEIGHT_FLOOR, axis=1)
         if ok.any():

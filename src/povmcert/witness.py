@@ -308,10 +308,3 @@ def build_witness(name: str, k: float) -> WitnessSpec:
     except KeyError:
         raise ValueError(f"unknown witness family {name!r}; have {sorted(WITNESS_BUILDERS)}") from None
 
-
-def strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
-    """Witness value of an explicit strategy (exact Born probabilities)."""
-    table = probability_table(
-        strategy.preparations[:, None], strategy.binaries, strategy.povm.weights, strategy.povm.blochs
-    )
-    return evaluate_witness(spec, table).value

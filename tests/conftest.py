@@ -1,4 +1,5 @@
-"""Shared fixtures, the 2x2-matrix Born-rule oracle and the ideal strategies.
+"""Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies
+and the value of an explicit strategy.
 
 The library works on Bloch vectors only; the Pauli matrices here are the
 independent route the tests check it against: a state r is the density
@@ -12,7 +13,14 @@ from hypothesis import HealthCheck, settings
 
 from povmcert.qubit import Povm
 from povmcert.sampling import random_extremal_povms
-from povmcert.witness import TETRAHEDRON, TRINE, Strategy
+from povmcert.witness import (
+    TETRAHEDRON,
+    TRINE,
+    Strategy,
+    WitnessSpec,
+    evaluate_witness,
+    probability_table,
+)
 
 settings.register_profile(
     "default",
@@ -92,7 +100,14 @@ IDEAL_STRATEGIES = {
 }
 
 
-def extremal_povm(outcomes: int, rng) -> Povm:
+def strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
+    """Witness value of an explicit strategy (exact Born probabilities)."""
+    povm = strategy.povm
+    table = probability_table(strategy.preparations[:, None], strategy.binaries, povm.weights, povm.blochs)
+    return evaluate_witness(spec, table).value
+
+
+def extremal_povm(outcomes: int, rng: np.random.Generator) -> Povm:
     """One uniformly sampled extremal POVM, drawn as the library draws a batch of one."""
     sample = random_extremal_povms(outcomes, 1, rng)
     return Povm(sample.weights[0], sample.blochs[0])

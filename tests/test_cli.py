@@ -478,10 +478,34 @@ def test_certify_out_file(trine_counts, tmp_path, capsys):
 
 
 def test_certify_csv_format_rejected(trine_counts, capsys):
-    rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 4.5,
-             "--format", "csv")
+    # certify writes JSON only, so it has no --format option
+    with pytest.raises(SystemExit) as exc:
+        run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 4.5,
+            "--format", "csv")
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--format"),
+    ("simulate", "--restarts"),
+    ("fidelity-curve", "--format"),
+])
+def test_options_a_command_never_reads_are_rejected(command, option, capsys):
+    value = "csv" if option == "--format" else "8"
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--witness", "trine", "--k", 1, option, value)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+@pytest.mark.parametrize("command, extra", [("bounds", ()), ("fidelity-curve", ("--samples", 10))])
+def test_non_positive_restarts_exit_two(command, extra, restarts, tmp_path, capsys):
+    rc = run(command, "--witness", "trine", "--k", 1, "--restarts", restarts,
+             "--out-dir", tmp_path, *extra)
     assert rc == 2
-    assert "JSON only" in capsys.readouterr().err
+    assert "restarts" in capsys.readouterr().err
 
 
 def test_certify_malformed_counts_exits_two(tmp_path, capsys):

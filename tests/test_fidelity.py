@@ -159,7 +159,7 @@ def test_best_projective_fidelity_to_trine():
 @given(seed=st.integers(min_value=0, max_value=10_000), outcomes=st.sampled_from([3, 4]))
 def test_search_matches_procrustes_closed_form(seed, outcomes):
     t = sic_target() if outcomes == 4 else trine_target()
-    e = extremal_povm(outcomes, RngStream(seed, 11))
+    e = extremal_povm(outcomes, RngStream(seed, 11).generator())
     got = fidelity(e, t)
     want = procrustes_fidelity(e, t, range(outcomes))
     assert got == pytest.approx(want, abs=1e-12)
@@ -168,7 +168,7 @@ def test_search_matches_procrustes_closed_form(seed, outcomes):
 
 def test_search_beats_dense_rotation_grid():
     t = sic_target()
-    e = extremal_povm(4, RngStream(17, 11))
+    e = extremal_povm(4, RngStream(17, 11).generator())
     v = t.povm.blochs
     K = np.einsum("o,oi,oj->ij", e.weights, e.blochs, v)
     R = Rotation.random(100_000, random_state=RngStream(18).generator()).as_matrix()
@@ -187,7 +187,7 @@ def test_fidelity_outcome_mismatch_rejected():
 
 
 def test_fidelity_result_rotation_is_proper():
-    e = extremal_povm(4, RngStream(23, 11))
+    e = extremal_povm(4, RngStream(23, 11).generator())
     f, R = fidelities(e, sic_target(), [range(4)])
     f, R = f[0], R[0]
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-10)

@@ -17,6 +17,7 @@ from conftest import (
     effect_matrices,
     extremal_povm,
     observable_matrix,
+    strategy_value,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +45,6 @@ from povmcert.witness import (
     TRINE,
     TRINE_QUANTUM_MAX,
     build_witness,
-    strategy_value,
 )
 
 QUANTUM_MAXIMA = {
@@ -371,8 +371,8 @@ def test_optimal_preparation_beats_grid():
 def test_degenerate_matrices_break_ties_deterministically():
     # a zero field has no best axis: both steps keep the current one
     D = np.zeros((4, 3))
-    M = random_unit_vectors(RngStream(4), (2, 4))
-    N = random_unit_vectors(RngStream(5), (2, 3))
+    M = random_unit_vectors(RngStream(4).generator(), (2, 4))
+    N = random_unit_vectors(RngStream(5).generator(), (2, 3))
     assert np.array_equal(_binary_step(D, M, N), N)
     PW = np.full((2, 4), 0.25)
     PN = np.zeros((2, 4, 3))
@@ -402,7 +402,7 @@ def ball_step(preps, current: Povm, outcomes=None):
 
 
 def test_ball_step_tetrahedron_is_anti_aligned():
-    p = ball_step(TETRAHEDRON, extremal_povm(4, RngStream(1)))
+    p = ball_step(TETRAHEDRON, extremal_povm(4, RngStream(1).generator()))
     assert validate_povm(p).ok
     assert penalty_value(TETRAHEDRON, p) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(p.blochs, -TETRAHEDRON, atol=1e-12)
@@ -410,7 +410,7 @@ def test_ball_step_tetrahedron_is_anti_aligned():
 
 
 def test_ball_step_trine_reaches_zero():
-    p = ball_step(TRINE, extremal_povm(3, RngStream(2)))
+    p = ball_step(TRINE, extremal_povm(3, RngStream(2).generator()))
     assert validate_povm(p).ok
     assert penalty_value(TRINE, p) == pytest.approx(0.0, abs=1e-12)
 
@@ -435,7 +435,7 @@ def test_ball_step_three_tetrahedron_vertices():
     ],
 )
 def test_ball_step_antipodal_points_reach_zero(preps):
-    current = extremal_povm(3, RngStream(3))
+    current = extremal_povm(3, RngStream(3).generator())
     if len(preps) == 2:
         current = Povm([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]])
     p = ball_step(preps, current)
@@ -484,6 +484,16 @@ def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
 # ---------------------------------------------------------------------------
 # result plumbing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("restarts", 0), ("restarts", -1), ("max_iters", 0), ("tol", 0.0), ("tol", -1e-9),
+     ("tol", float("nan")), ("tol", float("inf"))],
+)
+def test_optimizer_config_rejects_out_of_range_knobs(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
 
 
 def test_bound_result_serializes():

@@ -177,7 +177,7 @@ VALUE_TYPES = {
     "WitnessSpec": lambda: sic_witness(0.2),
     "ProbabilityTable": lambda: expected_probabilities(sic_experiment()),
     "ExperimentConfig": trine_experiment,
-    "ExtremalSample": lambda: random_extremal_povms(4, 2, RngStream(0)),
+    "ExtremalSample": lambda: random_extremal_povms(4, 2, RngStream(0).generator()),
 }
 
 

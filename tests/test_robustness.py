@@ -1,7 +1,7 @@
 """Critical visibility formula, noise curves, and their consistency."""
 import numpy as np
 import pytest
-from conftest import IDEAL_STRATEGIES
+from conftest import IDEAL_STRATEGIES, strategy_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from povmcert.witness import (
     build_witness,
     evaluate_witness,
     sic_witness,
-    strategy_value,
     sym_trine_witness,
     trine_witness,
 )

@@ -1,10 +1,21 @@
-"""Seeded sampling: unit vectors and extremal POVMs."""
+"""Seeded sampling: unit vectors, random planes and extremal POVMs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import extremal_povm
+from scipy.spatial.transform import Rotation
 
 from povmcert.qubit import Povm, classify_extremal, validate_povm
-from povmcert.sampling import RngStream, random_extremal_povms, random_unit_vectors
+from povmcert.sampling import (
+    RngStream,
+    _random_planes,
+    random_extremal_povms,
+    random_unit_vectors,
+)
 
 
 def test_rng_stream_reproducible_and_distinct():
@@ -15,11 +26,33 @@ def test_rng_stream_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-    assert RngStream(7).derived(3) == RngStream(7, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+@pytest.mark.parametrize("count", [1, 256, 1_000])
+def test_random_planes_match_scipy_rotation(seed, count):
+    # scipy's uniform rotation is the independent reference: same draws,
+    # same frame (images of x and z), bit for bit, and the same stream use
+    ours = np.random.default_rng(seed)
+    theirs = np.random.default_rng(seed)
+    e1, e2 = _random_planes(ours, count)
+    frames = Rotation.random(count, random_state=theirs).as_matrix()
+    assert np.array_equal(np.stack([e1, e2], axis=-1), frames[:, :, (0, 2)])
+    assert ours.normal() == theirs.normal()
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, povmcert; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unit_vectors_are_unit_and_isotropic():
-    v = random_unit_vectors(RngStream(1), 100_000)
+    v = random_unit_vectors(RngStream(1).generator(), 100_000)
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
     # isotropy: mean vector shrinks like 1/sqrt(N)
     assert np.linalg.norm(v.mean(axis=0)) < 0.01
@@ -27,7 +60,7 @@ def test_unit_vectors_are_unit_and_isotropic():
 
 @pytest.mark.parametrize("outcomes", [3, 4])
 def test_extremal_samples_are_valid_extremal_povms(outcomes):
-    sample = random_extremal_povms(outcomes, 200, RngStream(2))
+    sample = random_extremal_povms(outcomes, 200, RngStream(2).generator())
     assert sample.count == 200
     assert sample.attempts >= 200
     # completeness holds by construction
@@ -44,30 +77,30 @@ def test_extremal_samples_are_valid_extremal_povms(outcomes):
 
 
 def test_three_outcome_samples_are_coplanar():
-    sample = random_extremal_povms(3, 500, RngStream(3))
+    sample = random_extremal_povms(3, 500, RngStream(3).generator())
     dets = np.abs(np.linalg.det(sample.blochs))
     assert dets.max() < 1e-12
 
 
 def test_four_outcome_weight_statistics():
     # weights average 1/4 by symmetry of the sampling measure
-    sample = random_extremal_povms(4, 20_000, RngStream(4))
+    sample = random_extremal_povms(4, 20_000, RngStream(4).generator())
     assert sample.weights.mean() == pytest.approx(0.25, abs=1e-3)
     # acceptance is far from vanishing; recorded for reproducibility
     assert sample.count / sample.attempts > 0.01
 
 
 def test_extremal_sampling_reproducible():
-    a = random_extremal_povms(4, 50, RngStream(99))
-    b = random_extremal_povms(4, 50, RngStream(99))
+    a = random_extremal_povms(4, 50, RngStream(99).generator())
+    b = random_extremal_povms(4, 50, RngStream(99).generator())
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.blochs, b.blochs)
-    p = extremal_povm(3, RngStream(5))
+    p = extremal_povm(3, RngStream(5).generator())
     assert classify_extremal(p) == "extremal-3"
 
 
 def test_extremal_sampling_rejects_bad_outcome_count():
     with pytest.raises(ValueError):
-        random_extremal_povms(2, 10, RngStream(0))
+        random_extremal_povms(2, 10, RngStream(0).generator())
     with pytest.raises(ValueError):
-        random_extremal_povms(5, 10, RngStream(0))
+        random_extremal_povms(5, 10, RngStream(0).generator())

@@ -3,7 +3,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import IDEAL_STRATEGIES, binary_effect, density_matrix, effect_matrices
+from conftest import (
+    IDEAL_STRATEGIES,
+    binary_effect,
+    density_matrix,
+    effect_matrices,
+    strategy_value,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +25,6 @@ from povmcert.witness import (
     evaluate_witness,
     probability_table,
     sic_witness,
-    strategy_value,
     sym_trine_witness,
     trine_witness,
 )
