@@ -212,9 +212,13 @@ class EnvelopeCurve:
         )
 
 
+def _check_bin_width(bin_width: float) -> None:
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
+
+
 def envelope_from_points(points: list[SamplePoint], bin_width: float) -> EnvelopeCurve:
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    _check_bin_width(bin_width)
     groups: dict[int, list[SamplePoint]] = {}
     for p in points:
         groups.setdefault(int(np.floor(p.witness_value / bin_width)), []).append(p)
@@ -249,15 +253,16 @@ def sample_fidelity_curve(
 ) -> tuple[list[SamplePoint], EnvelopeCurve]:
     """Scatter random extremal POVMs into (witness value, fidelity) points.
 
-    Per sample: the best witness value with that POVM held fixed (via
-    the see-saw over preparations and observables, `config.restarts`
-    starts per sample, 8 without a config) and the best
-    fidelity over rotations and target relabelings (closed form).  Both
-    run vectorized across the whole batch.  Deterministic for a fixed
-    stream, sample count, and config.
+    Per sample: the best witness value with that POVM held fixed
+    (`maximize_given_povm_batch`, `config.restarts` starts per sample, 8
+    without a config) and the best fidelity over rotations and target
+    relabelings (closed form).  All POVMs are drawn in one batch before
+    any search starts, and the bin width is checked before the draw.
+    Deterministic for a fixed stream, sample count, and config.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    _check_bin_width(bin_width)
     if target.outcomes != spec.scenario.povm_outcomes:
         raise ValueError("target outcome count does not match the witness scenario")
     stream = stream or RngStream(0)

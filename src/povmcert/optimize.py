@@ -20,6 +20,22 @@ pairs, triangle circumcircles and the tetrahedron's circumsphere.  A
 row whose ball is not lower keeps its current POVM, so the see-saw
 value never decreases.
 
+With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
+envelope's witness search) the preparation step is closed form, which
+leaves the reduced objective
+
+    A(N) = offset - k sum_x w_x + sum_x |h_x|,  h_x = sum_y D_xy n_y - k w_x p_x,
+
+a function of the Y observable axes alone.  Each row first takes
+see-saw steps until it gains less than 1e-4, which settles it in the
+basin the see-saw climbs, then batched saddle-free Riemannian Newton
+steps on the product of spheres (the Hessian's eigenvalues taken by
+modulus: Newton near a maximum, away from saddles elsewhere), with
+three step lengths and the see-saw step as a fallback; a row keeps its
+point when nothing ascends.  Rows retire one by one once their gain
+falls below `tol`, and the batch runs in fixed chunks of rows, so the
+working set stays small.
+
 Every quantity of a batch of restarts advances in lock step through
 numpy array ops; a "row" below is one restart (or one restart of one
 outcome assignment).  Values come from `witness.bloch_values`, the
@@ -240,14 +256,14 @@ def _run_seesaw(
     PW: Array,
     PN: Array,
     config: OptimizerConfig,
-    subset: Array | None = None,
+    subset: Array,
     record: bool = False,
 ) -> dict:
     """Alternate exact steps until every row's value stalls below tol.
 
     subset (B, T) holds the outcomes each row's POVM may use and picks
-    the POVM step: None keeps the POVMs fixed, T = 2 takes the
-    projective step, T >= 3 the enclosing ball.
+    the POVM step: T = 2 takes the projective step, T >= 3 the
+    enclosing ball.
     """
     D = spec.bloch_coeffs
     k = spec.k
@@ -260,7 +276,7 @@ def _run_seesaw(
         iterations = it + 1
         N = _binary_step(D, M, N)
         M = _prep_step(D, N, k, PW, PN, M)
-        if k > 0 and subset is not None:
+        if k > 0:
             if subset.shape[1] == 2:
                 PW, PN = _projective_povm_step(M, subset[:, 0], subset[:, 1], O, PN)
             else:
@@ -283,6 +299,132 @@ def _run_seesaw(
         "converged": converged,
         "trace": trace,
     }
+
+
+# rows of a fixed-POVM search that advance together; bounds its working set
+_FIXED_CHUNK = 32
+# see-saw steps run until a row gains less than this: by then the row has
+# settled in the basin the see-saw climbs, and Newton steps finish it
+_SEESAW_TOL = 1e-4
+# Newton step scales tried per iteration, and the longest step per axis
+_NEWTON_SCALES = np.array([1.0, 0.25, 0.0625])
+_NEWTON_CAP = 0.5
+# eigenvalue floor of the saddle-free Newton step
+_SADDLE_FLOOR = 1e-4
+
+
+def _reduced_objective(D: Array, N: Array, K: Array) -> Array:
+    """sum_x |h_x| with h_x = sum_y D_xy n_y - K_x, for (..., B, Y, 3) observables."""
+    return np.linalg.norm(D @ N - K, axis=-1).sum(axis=-1)
+
+
+def _unit_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
+    """u_x = unit(h_x) and |h_x| (B, X, 1), a zero field giving u_x = 0."""
+    H = D @ N - K
+    r = np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), 1e-300)
+    return H / r, r
+
+
+def _tangent_bases(N: Array) -> Array:
+    """Two orthonormal tangent vectors of each unit vector: (..., 3) -> (..., 2, 3).
+
+    The branch-free basis of Duff et al., JCGT 6(1) (2017), which stays
+    well conditioned on the whole sphere.
+    """
+    x, y, z = N[..., 0], N[..., 1], N[..., 2]
+    s = np.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=-1)
+    e2 = np.stack([b, s + y * y * a, -y], axis=-1)
+    return np.stack([e1, e2], axis=-2)
+
+
+def _reduced_derivatives(D: Array, N: Array, K: Array) -> tuple[Array, Array, Array, Array]:
+    """Riemannian gradient and Hessian of sum_x |h_x| over the observables.
+
+    N (B, Y, 3) observables, K (B, X, 3) penalty fields and
+    u_x = unit(h_x).  On the product of spheres the gradient is the
+    tangent part of G_y = sum_x D_xy u_x, and the Hessian block (y, z)
+    is sum_x D_xy D_xz (I - u_x u_x^T) / |h_x| restricted to the tangent
+    planes, less (n_y . G_y) on the diagonal.  Returns G (B, Y, 3), the
+    tangent bases E (B, 2Y, 3), and the gradient (B, 2Y) and Hessian
+    (B, 2Y, 2Y) in those bases, coordinates ordered (y, basis vector).
+    """
+    B, Y, _ = N.shape
+    U, r = _unit_fields(D, N, K)
+    G = D.T @ U
+    E = _tangent_bases(N).reshape(B, 2 * Y, 3)
+    g = np.sum(E * G.repeat(2, axis=1), axis=-1)
+    Q = (U @ E.swapaxes(1, 2)) * (D.repeat(2, axis=1) / np.sqrt(r))  # (B, X, 2Y)
+    C = ((D.T / r.swapaxes(1, 2)) @ D).repeat(2, axis=1).repeat(2, axis=2)
+    hess = C * (E @ E.swapaxes(1, 2)) - Q.swapaxes(1, 2) @ Q
+    diag = np.arange(2 * Y)
+    hess[:, diag, diag] -= np.sum(N * G, axis=-1).repeat(2, axis=1)
+    return G, E, g, hess
+
+
+def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
+    """Saddle-free Newton points at each scale of `_NEWTON_SCALES`, then the see-saw point.
+
+    The step solves |H| t = g, with the `_reduced_derivatives` Hessian
+    H taken by the modulus of its eigenvalues (floored at
+    `_SADDLE_FLOOR`): the Newton step where H is negative definite, and
+    a step that climbs away from saddles where it is not (Dauphin et
+    al., NeurIPS 2014); a plain Newton step would converge to them.  A
+    step is shrunk, direction kept, until no axis moves more than
+    `_NEWTON_CAP`.  The see-saw point is unit(G_y).  Returns
+    (len(_NEWTON_SCALES) + 1, B, Y, 3).
+    """
+    B, Y, _ = N.shape
+    G, E, g, hess = _reduced_derivatives(D, N, K)
+    t = np.zeros_like(g)
+    ok = np.isfinite(hess).all(axis=(1, 2))
+    lam, V = np.linalg.eigh(hess[ok])
+    gv = (g[ok, None, :] @ V)[:, 0] / np.maximum(np.abs(lam), _SADDLE_FLOOR)
+    t[ok] = (V @ gv[..., None])[..., 0]
+    T = (t.reshape(B, Y, 1, 2) @ E.reshape(B, Y, 2, 3))[:, :, 0]
+    longest = np.linalg.norm(T, axis=-1).max(axis=-1)
+    T *= (_NEWTON_CAP / np.maximum(longest, _NEWTON_CAP))[:, None, None]
+    points = _normalize_rows(N + _NEWTON_SCALES[:, None, None, None] * T, N)
+    return np.concatenate([points, _normalize_rows(G, N)[None]])
+
+
+def _fixed_povm_ascent(
+    D: Array, N: Array, K: Array, config: OptimizerConfig
+) -> tuple[Array, int, int]:
+    """Maximize sum_x |sum_y D_xy n_y - K_x| over the observables, row by row.
+
+    N (B, Y, 3) starting observables and K (B, X, 3) the penalty fields
+    k w_x p_x (zero for x >= O).  See-saw steps come first, until a row
+    gains less than `_SEESAW_TOL`; after that each iteration moves a row
+    to the best of its `_ascent_candidates`.  A row keeps its point if
+    nothing ascends, so no value decreases, and retires once its gain
+    falls below `config.tol`.  Both stages share `config.max_iters`.
+    Returns the observables, the iterations run and the rows still
+    moving when the iterations ran out.
+    """
+    N = N.copy()
+    value = _reduced_objective(D, N, K)
+    iterations = 0
+    for newton, tol in ((False, max(_SEESAW_TOL, config.tol)), (True, config.tol)):
+        active = np.arange(len(N))
+        while active.size and iterations < config.max_iters:
+            iterations += 1
+            n, k_fields = N[active], K[active]
+            if newton:
+                points = _ascent_candidates(D, n, k_fields)
+            else:
+                points = _normalize_rows(D.T @ _unit_fields(D, n, k_fields)[0], n)[None]
+            scores = _reduced_objective(D, points, k_fields)
+            best = np.argmax(scores, axis=0)
+            rows = np.arange(active.size)
+            gain = scores[best, rows] - value[active]
+            up = gain > 0
+            N[active[up]] = points[best[up], rows[up]]
+            value[active[up]] = scores[best[up], rows[up]]
+            active = active[gain >= tol]
+    return N, iterations, active.size
 
 
 def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict) -> BoundResult:
@@ -370,10 +512,13 @@ def maximize_given_povm_batch(
 ) -> Array:
     """Best witness value for each fixed POVM in a batch.
 
-    weights (S, O) and blochs (S, O, 3); returns (S,) values.  Runs the
-    see-saw over preparations and observables only, `restarts` times per
-    sample, vectorized across the whole batch.  A batch that stops at
-    `config.max_iters` without converging is reported by a warning.
+    weights (S, O) and blochs (S, O, 3); returns (S,) values.  Each
+    sample gets `restarts` random starts: preparations and observables
+    drawn from `config.stream(1)`, then one see-saw observable step and
+    `_fixed_povm_ascent` on the reduced objective (see-saw steps, then
+    saddle-free Newton steps), in chunks of `_FIXED_CHUNK` rows.  Values
+    come from `bloch_values` at the optimal preparations.  Rows still
+    moving at `config.max_iters` are reported by a warning.
     """
     config = config or OptimizerConfig()
     S, O = weights.shape
@@ -383,16 +528,26 @@ def maximize_given_povm_batch(
     B = S * restarts
     M = random_unit_vectors(rng, (B, spec.scenario.preparations))
     N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
-    PW = np.repeat(weights, restarts, axis=0)
-    PN = np.repeat(blochs, restarts, axis=0)
-    state = _run_seesaw(spec, M, N, PW, PN, config)
-    if not state["converged"]:
+    D = spec.bloch_coeffs
+    values = np.empty(B)
+    iterations = moving = 0
+    for lo in range(0, B, _FIXED_CHUNK):
+        rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
+        m, PW, PN = M[rows], weights[rows // restarts], blochs[rows // restarts]
+        K = np.zeros_like(m)
+        K[:, :O] = spec.k * PW[..., None] * PN
+        n, its, left = _fixed_povm_ascent(D, _binary_step(D, m, N[rows]), K, config)
+        m = _prep_step(D, n, spec.k, PW, PN, m)
+        values[rows] = bloch_values(spec, m[:, :, None], n, PW, PN)
+        iterations, moving = max(iterations, its), moving + left
+    if moving:
         log.warning(
-            "fixed-POVM see-saw stopped unconverged after %d iterations on %d rows",
-            state["iterations"],
+            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)",
+            iterations,
             B,
+            moving,
         )
-    return state["values"].reshape(S, restarts).max(axis=1)
+    return values.reshape(S, restarts).max(axis=1)
 
 
 def projective_bound_numeric(

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import povmcert.fidelity
 from povmcert.cli import main
 from povmcert.experiment import counts_from_csv, trine_experiment
 from povmcert.fidelity import EnvelopeBin, EnvelopeCurve
@@ -497,6 +498,19 @@ def test_options_a_command_never_reads_are_rejected(command, option, capsys):
         run(command, "--witness", "trine", "--k", 1, option, value)
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+def test_bad_bin_width_exits_two_before_the_search(width, tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise RuntimeError("the witness search started")
+
+    monkeypatch.setattr(povmcert.fidelity, "maximize_given_povm_batch", no_search)
+    rc = run("fidelity-curve", "--witness", "trine", "--k", 1, "--samples", 10,
+             f"--bin-width={width}", "--out-dir", tmp_path)
+    assert rc == 2
+    assert "bin width" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("restarts", [0, -1])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import povmcert.fidelity
 from povmcert.fidelity import (
     EnvelopeBin,
     EnvelopeCurve,
@@ -31,6 +32,7 @@ from povmcert.witness import (
     SIC_QUANTUM_MAX,
     TETRAHEDRON,
     TRINE,
+    build_witness,
     sic_witness,
     trine_witness,
 )
@@ -263,6 +265,12 @@ def test_envelope_rejects_bad_width():
         envelope_from_points([SamplePoint(0.1, 0.9, 0)], 0.0)
 
 
+@pytest.mark.parametrize("width", [-1.0, float("nan"), float("inf")])
+def test_envelope_rejects_negative_or_non_finite_width(width):
+    with pytest.raises(ValueError, match="bin width"):
+        envelope_from_points([SamplePoint(0.1, 0.9, 0)], width)
+
+
 def test_envelope_json_round_trip():
     env = envelope_from_points(
         [SamplePoint(0.75, 0.9, 0), SamplePoint(0.76, 0.95, 1)], 0.002
@@ -367,3 +375,42 @@ def test_trine_curve_smoke():
 def test_curve_input_validation():
     with pytest.raises(ValueError, match="at least one"):
         sample_fidelity_curve(sic_witness(0.2), sic_target(), n_samples=0)
+
+
+def test_curve_draws_every_povm_in_one_call(monkeypatch):
+    # 100 samples x 8 restarts span several chunks of the witness
+    # search, yet the POVMs come from a single draw
+    calls = []
+    draw = povmcert.fidelity.random_extremal_povms
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(povmcert.fidelity, "random_extremal_povms", counting)
+    pts, _ = sample_fidelity_curve(
+        sic_witness(0.2), sic_target(), 100, stream=RngStream(3), config=OptimizerConfig(restarts=8)
+    )
+    assert len(calls) == 1
+    assert len(pts) == 100
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+def test_curve_checks_bin_width_before_sampling(width, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the bin width was checked")
+
+    monkeypatch.setattr(povmcert.fidelity, "random_extremal_povms", no_draw)
+    with pytest.raises(ValueError, match="bin width"):
+        sample_fidelity_curve(sic_witness(0.2), sic_target(), 10, bin_width=width)
+
+
+@pytest.mark.parametrize("name, k, target", [("sic", 0.2, sic_target), ("trine", 1.0, trine_target)])
+def test_default_envelope_search_converges(name, k, target, caplog):
+    # the 300-sample envelopes of `fidelity-curve --seed 1`
+    with caplog.at_level("WARNING", logger="povmcert.optimize"):
+        sample_fidelity_curve(
+            build_witness(name, k), target(), 300, stream=RngStream(1),
+            config=OptimizerConfig(restarts=8, seed=1),
+        )
+    assert not [r for r in caplog.records if r.name == "povmcert.optimize"]
