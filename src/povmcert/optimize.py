@@ -32,9 +32,11 @@ basin the see-saw climbs, then batched saddle-free Riemannian Newton
 steps on the product of spheres (the Hessian's eigenvalues taken by
 modulus: Newton near a maximum, away from saddles elsewhere), with
 three step lengths and the see-saw step as a fallback; a row keeps its
-point when nothing ascends.  Rows retire one by one once their gain
-falls below `tol`, and the batch runs in fixed chunks of rows, so the
-working set stays small.
+point when nothing ascends.  Each stage runs a pool of 32 rows: a row
+leaves it once its gain falls below the stage's tolerance (`tol` for
+the Newton stage), and the next waiting row takes its slot at once, so
+the working set stays small and every iteration runs on a full pool.
+`max_iters` is each row's own budget across both stages.
 
 Every quantity of a batch of restarts advances in lock step through
 numpy array ops; a "row" below is one restart (or one restart of one
@@ -391,40 +393,89 @@ def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
 
 
 def _fixed_povm_ascent(
-    D: Array, N: Array, K: Array, config: OptimizerConfig
-) -> tuple[Array, int, int]:
-    """Maximize sum_x |sum_y D_xy n_y - K_x| over the observables, row by row.
+    spec: WitnessSpec,
+    M: Array,
+    N: Array,
+    weights: Array,
+    blochs: Array,
+    per_povm: int,
+    config: OptimizerConfig,
+) -> tuple[Array, Array, Array]:
+    """Best witness value of each row with its POVM held fixed.
 
-    N (B, Y, 3) starting observables and K (B, X, 3) the penalty fields
-    k w_x p_x (zero for x >= O).  See-saw steps come first, until a row
-    gains less than `_SEESAW_TOL`; after that each iteration moves a row
-    to the best of its `_ascent_candidates`.  A row keeps its point if
-    nothing ascends, so no value decreases, and retires once its gain
-    falls below `config.tol`.  Both stages share `config.max_iters`.
-    Returns the observables, the iterations run and the rows still
-    moving when the iterations ran out.
+    M (B, X, 3) and N (B, Y, 3) are the rows' starting preparations and
+    observables, and row i holds POVM i // per_povm of weights (S, O)
+    and blochs (S, O, 3).  After one see-saw observable step a row
+    maximizes sum_x |sum_y D_xy n_y - K_x|, with penalty fields
+    K_x = k w_x p_x (zero for x >= O), in two stages: see-saw steps
+    until it gains less than `_SEESAW_TOL`, then moves to the best of its
+    `_ascent_candidates`.  A row keeps its point if nothing ascends, so
+    no value decreases, and leaves a stage once its gain falls below the
+    stage's tolerance.  Each stage runs a pool of `_FIXED_CHUNK` rows
+    that the stage's queue refills as rows leave, so the working set
+    stays small and every iteration runs on a full pool until the queue
+    is empty.  `config.max_iters` is each row's budget across both
+    stages.  N is overwritten with the final observables.  Returns the
+    rows' values from `bloch_values` at the optimal preparations, their
+    iteration counts, and whether each finished the Newton stage within
+    its budget.
     """
-    N = N.copy()
-    value = _reduced_objective(D, N, K)
-    iterations = 0
+    D = spec.bloch_coeffs
+    B, X, _ = M.shape
+    O = weights.shape[1]
+
+    def fields(rows: Array) -> Array:
+        p = rows // per_povm
+        K = np.zeros((rows.size, X, 3))
+        K[:, :O] = spec.k * weights[p][..., None] * blochs[p]
+        return K
+
+    value = np.empty(B)
+    for lo in range(0, B, _FIXED_CHUNK):
+        rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
+        N[rows] = n = _binary_step(D, M[rows], N[rows])
+        value[rows] = _reduced_objective(D, n, fields(rows))
+    # per-row budgets in the smallest integer type that holds max_iters
+    iterations = np.zeros(B, dtype=np.min_scalar_type(config.max_iters))
+    ready = np.ones(B, dtype=bool)
     for newton, tol in ((False, max(_SEESAW_TOL, config.tol)), (True, config.tol)):
-        active = np.arange(len(N))
-        while active.size and iterations < config.max_iters:
-            iterations += 1
-            n, k_fields = N[active], K[active]
+        settled = np.zeros(B, dtype=bool)
+        pool, K = np.empty(0, dtype=int), np.empty((0, X, 3))
+        cursor = 0
+        while cursor < B or pool.size:
+            # the free slots go to the ready rows among the next ones in order
+            free = _FIXED_CHUNK - pool.size
+            new = cursor + np.flatnonzero(ready[cursor : cursor + free])
+            cursor += free
+            if new.size:
+                pool, K = np.concatenate([pool, new]), np.concatenate([K, fields(new)])
+            if not pool.size:
+                continue
+            n = N[pool]
             if newton:
-                points = _ascent_candidates(D, n, k_fields)
+                points = _ascent_candidates(D, n, K)
             else:
-                points = _normalize_rows(D.T @ _unit_fields(D, n, k_fields)[0], n)[None]
-            scores = _reduced_objective(D, points, k_fields)
+                points = _normalize_rows(D.T @ _unit_fields(D, n, K)[0], n)[None]
+            scores = _reduced_objective(D, points, K)
             best = np.argmax(scores, axis=0)
-            rows = np.arange(active.size)
-            gain = scores[best, rows] - value[active]
+            rows = np.arange(pool.size)
+            score = scores[best, rows]
+            gain = score - value[pool]
             up = gain > 0
-            N[active[up]] = points[best[up], rows[up]]
-            value[active[up]] = scores[best[up], rows[up]]
-            active = active[gain >= tol]
-    return N, iterations, active.size
+            N[pool[up]] = points[best[up], rows[up]]
+            value[pool[up]] = score[up]
+            iterations[pool] += 1
+            moving = gain >= tol
+            settled[pool[~moving]] = True
+            stay = moving & (iterations[pool] < config.max_iters)
+            pool, K = pool[stay], K[stay]
+        ready = settled & (iterations < config.max_iters)
+    for lo in range(0, B, _FIXED_CHUNK):
+        rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
+        PW, PN = weights[rows // per_povm], blochs[rows // per_povm]
+        m = _prep_step(D, N[rows], spec.k, PW, PN, M[rows])
+        value[rows] = bloch_values(spec, m[:, :, None], N[rows], PW, PN)
+    return value, iterations, settled
 
 
 def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict) -> BoundResult:
@@ -514,12 +565,17 @@ def maximize_given_povm_batch(
 
     weights (S, O) and blochs (S, O, 3); returns (S,) values.  Each
     sample gets `restarts` random starts: preparations and observables
-    drawn from `config.stream(1)`, then one see-saw observable step and
-    `_fixed_povm_ascent` on the reduced objective (see-saw steps, then
-    saddle-free Newton steps), in chunks of `_FIXED_CHUNK` rows.  Values
-    come from `bloch_values` at the optimal preparations.  Rows still
-    moving at `config.max_iters` are reported by a warning.
+    drawn from `config.stream(1)`, then `_fixed_povm_ascent` (see-saw
+    steps, then saddle-free Newton steps on the reduced objective, in a
+    pool of `_FIXED_CHUNK` rows).  Rows still moving when their
+    `config.max_iters` budget runs out are reported by a warning.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if blochs.shape != (*weights.shape, 3):
+        raise ValueError(
+            f"blochs shape {blochs.shape} does not match weights shape {weights.shape}"
+        )
     config = config or OptimizerConfig()
     S, O = weights.shape
     if O != spec.scenario.povm_outcomes:
@@ -528,22 +584,12 @@ def maximize_given_povm_batch(
     B = S * restarts
     M = random_unit_vectors(rng, (B, spec.scenario.preparations))
     N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
-    D = spec.bloch_coeffs
-    values = np.empty(B)
-    iterations = moving = 0
-    for lo in range(0, B, _FIXED_CHUNK):
-        rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
-        m, PW, PN = M[rows], weights[rows // restarts], blochs[rows // restarts]
-        K = np.zeros_like(m)
-        K[:, :O] = spec.k * PW[..., None] * PN
-        n, its, left = _fixed_povm_ascent(D, _binary_step(D, m, N[rows]), K, config)
-        m = _prep_step(D, n, spec.k, PW, PN, m)
-        values[rows] = bloch_values(spec, m[:, :, None], n, PW, PN)
-        iterations, moving = max(iterations, its), moving + left
+    values, iterations, converged = _fixed_povm_ascent(spec, M, N, weights, blochs, restarts, config)
+    moving = B - int(np.count_nonzero(converged))
     if moving:
         log.warning(
             "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)",
-            iterations,
+            iterations.max(),
             B,
             moving,
         )

@@ -24,11 +24,13 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmcert import optimize
 from povmcert._numerics import bracketed_scan_max
 from povmcert.optimize import (
     OptimizerConfig,
     _binary_step,
     _enclosing_ball_step,
+    _fixed_povm_ascent,
     _normalize_rows,
     _prep_step,
     _reduced_derivatives,
@@ -328,6 +330,79 @@ def test_unconverged_warning_counts_rows_still_moving(caplog):
     (record,) = [r for r in caplog.records if r.name == "povmcert.optimize"]
     moving = int(re.search(r"\((\d+) still moving\)", record.getMessage()).group(1))
     assert 1 <= moving <= 6
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_maximize_given_povm_batch_rejects_restarts_below_one(monkeypatch, restarts):
+    spec = build_witness("sic", k=0.2)
+    povms = random_extremal_povms(4, 2, RngStream(25).generator())
+    monkeypatch.setattr("povmcert.optimize.random_unit_vectors", _no_draw)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs, restarts=restarts)
+
+
+def test_maximize_given_povm_batch_rejects_mismatched_blochs(monkeypatch):
+    spec = build_witness("sic", k=0.2)
+    povms = random_extremal_povms(4, 3, RngStream(25).generator())
+    monkeypatch.setattr("povmcert.optimize.random_unit_vectors", _no_draw)
+    with pytest.raises(ValueError, match=r"blochs shape \(2, 4, 3\) does not match weights shape \(3, 4\)"):
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs[:2])
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("drew random starts before checking the arguments")
+
+
+@pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
+def test_fixed_povm_values_do_not_depend_on_pool_width(monkeypatch, name, k):
+    # each row's search depends on its own start alone, so the rows that
+    # share its pool, and the order they enter it, change nothing
+    spec = build_witness(name, k=k)
+    povms = random_extremal_povms(spec.scenario.povm_outcomes, 50, RngStream(26).generator())
+    values = []
+    for width in (1, 5, 32, 10_000):
+        monkeypatch.setattr("povmcert.optimize._FIXED_CHUNK", width)
+        values.append(
+            maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=4), restarts=8)
+        )
+    for v in values[1:]:
+        assert np.array_equal(v, values[0])
+
+
+def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
+    spec = build_witness("trine", k=1.0)
+    povms = random_extremal_povms(3, 20, RngStream(27).generator())
+    seen = {"candidates": [], "objective": []}
+    for name, key in (("_ascent_candidates", "candidates"), ("_reduced_objective", "objective")):
+        original = getattr(optimize, name)
+
+        def spy(D, N, K, original=original, key=key):
+            seen[key].append(N.shape[-3])
+            return original(D, N, K)
+
+        monkeypatch.setattr(optimize, name, spy)
+    monkeypatch.setattr(optimize, "_FIXED_CHUNK", 5)
+    maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
+    for rows in seen.values():
+        assert rows and max(rows) == 5
+
+
+def test_fixed_povm_budget_is_per_row():
+    # from these starts row 0 converges in about 30 iterations and row 1
+    # needs over 100; under a budget of 60 the slow row must not spend
+    # the fast row's iterations
+    spec = build_witness("trine", k=1.0)
+    rng = RngStream(8).generator()
+    povms = random_extremal_povms(3, 2, rng)
+    M = random_unit_vectors(rng, (2, 3))
+    N = random_unit_vectors(rng, (2, 2))
+    config = OptimizerConfig(max_iters=60)
+    both = _fixed_povm_ascent(spec, M, N.copy(), povms.weights, povms.blochs, 1, config)
+    alone = _fixed_povm_ascent(spec, M[:1], N[:1].copy(), povms.weights[:1], povms.blochs[:1], 1, config)
+    assert list(both[2]) == [True, False]
+    assert both[1][1] == 60
+    assert both[0][0] == alone[0][0]
+    assert both[1][0] == alone[1][0] < 60
 
 
 @pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
