@@ -254,10 +254,11 @@ def sample_fidelity_curve(
     """Scatter random extremal POVMs into (witness value, fidelity) points.
 
     Per sample: the best witness value with that POVM held fixed
-    (`maximize_given_povm_batch`, `config.restarts` starts per sample, 8
-    without a config) and the best fidelity over rotations and target
-    relabelings (closed form).  All POVMs are drawn in one batch before
-    any search starts, and the bin width is checked before the draw.
+    (`maximize_given_povm_batch`, `config.restarts` random starts per
+    sample, 8 without a config, and one anti-aligned start) and the best
+    fidelity over rotations and target relabelings (closed form).  All
+    POVMs are drawn in one batch before any search starts, and the bin
+    width is checked before the draw.
     Deterministic for a fixed stream, sample count, and config.
     """
     if n_samples < 1:

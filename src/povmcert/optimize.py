@@ -564,10 +564,14 @@ def maximize_given_povm_batch(
     """Best witness value for each fixed POVM in a batch.
 
     weights (S, O) and blochs (S, O, 3); returns (S,) values.  Each
-    sample gets `restarts` random starts: preparations and observables
-    drawn from `config.stream(1)`, then `_fixed_povm_ascent` (see-saw
-    steps, then saddle-free Newton steps on the reduced objective, in a
-    pool of `_FIXED_CHUNK` rows).  Rows still moving when their
+    sample gets `restarts` random starts, preparations and observables
+    drawn from `config.stream(1)`, and after them one deterministic
+    start: every preparation anti-aligned with its effect (extra
+    preparations with the last effect), a strategy with no penalty that
+    the random starts can miss.  `_fixed_povm_ascent` climbs every row
+    (see-saw steps, then saddle-free Newton steps on the reduced
+    objective, in a pool of `_FIXED_CHUNK` rows), and a sample's value is
+    the best of its `restarts + 1` rows.  Rows still moving when their
     `config.max_iters` budget runs out are reported by a warning.
     """
     if restarts < 1:
@@ -580,20 +584,31 @@ def maximize_given_povm_batch(
     S, O = weights.shape
     if O != spec.scenario.povm_outcomes:
         raise ValueError("POVM outcome count does not match the witness scenario")
+    X, Y = spec.scenario.preparations, spec.scenario.binary_settings
     rng = config.stream(1).generator()
     B = S * restarts
-    M = random_unit_vectors(rng, (B, spec.scenario.preparations))
-    N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
+    M = random_unit_vectors(rng, (B, X))
+    N = random_unit_vectors(rng, (B, Y))
     values, iterations, converged = _fixed_povm_ascent(spec, M, N, weights, blochs, restarts, config)
+    best = values.reshape(S, restarts).max(axis=1)
     moving = B - int(np.count_nonzero(converged))
-    if moving:
+    # free the random starts first, so the extra starts add nothing to the peak memory
+    del M, N, values, converged
+    M = -blochs[:, np.minimum(np.arange(X), O - 1)]
+    N = np.tile([0.0, 0.0, 1.0], (S, Y, 1))  # kept only where the first step has no field
+    anti, anti_iterations, anti_converged = _fixed_povm_ascent(spec, M, N, weights, blochs, 1, config)
+    anti_moving = S - int(np.count_nonzero(anti_converged))
+    if moving or anti_moving:
         log.warning(
-            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)",
-            iterations.max(),
+            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)"
+            " and %d anti-aligned starts (%d still moving)",
+            max(iterations.max(), anti_iterations.max()),
             B,
             moving,
+            S,
+            anti_moving,
         )
-    return values.reshape(S, restarts).max(axis=1)
+    return np.maximum(best, anti)
 
 
 def projective_bound_numeric(

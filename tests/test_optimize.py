@@ -51,6 +51,7 @@ from povmcert.witness import (
     TETRAHEDRON,
     TRINE,
     TRINE_QUANTUM_MAX,
+    Strategy,
     WitnessSpec,
     bloch_values,
     build_witness,
@@ -332,6 +333,18 @@ def test_unconverged_warning_counts_rows_still_moving(caplog):
     assert 1 <= moving <= 6
 
 
+def test_unconverged_warning_reports_anti_aligned_starts(caplog):
+    spec = build_witness("sic", k=0.2)
+    povms = random_extremal_povms(4, 3, RngStream(22).generator())
+    with caplog.at_level("WARNING", logger="povmcert.optimize"):
+        maximize_given_povm_batch(
+            spec, povms.weights, povms.blochs, OptimizerConfig(max_iters=2, seed=5), restarts=2
+        )
+    (record,) = [r for r in caplog.records if r.name == "povmcert.optimize"]
+    anti = re.search(r"and 3 anti-aligned starts \((\d+) still moving\)", record.getMessage())
+    assert 1 <= int(anti.group(1)) <= 3
+
+
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_maximize_given_povm_batch_rejects_restarts_below_one(monkeypatch, restarts):
     spec = build_witness("sic", k=0.2)
@@ -461,6 +474,21 @@ def test_fixed_povm_search_reaches_long_seesaw(name, k):
     reference = _long_seesaw_best(spec, povms.weights, povms.blochs, config, 8)
     assert np.all(got >= reference - 1e-9)
     assert got.max() <= QUANTUM_MAXIMA[name] + 1e-9
+
+
+def test_fixed_povm_search_reaches_anti_aligned_strategy():
+    # sic k=0.2, seed 82: all 8 random starts of POVM 64 settle 0.007
+    # below the strategy whose preparations anti-align with the effects
+    spec = build_witness("sic", k=0.2)
+    povms = random_extremal_povms(4, 300, RngStream(82).generator())
+    config = OptimizerConfig(restarts=8, seed=82)
+    got = maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=8)
+    D = spec.bloch_coeffs
+    for i in (64, *range(0, 300, 25)):
+        m = -povms.blochs[i]
+        h = D.T @ m
+        anti = Strategy(m, h / np.linalg.norm(h, axis=1, keepdims=True), Povm(povms.weights[i], povms.blochs[i]))
+        assert got[i] >= strategy_value(spec, anti) - 1e-9
 
 
 def test_fixed_povm_search_survives_singular_hessians():
