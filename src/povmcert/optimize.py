@@ -437,15 +437,17 @@ def _fixed_povm_ascent(
         value[rows] = _reduced_objective(D, n, fields(rows))
     # per-row budgets in the smallest integer type that holds max_iters
     iterations = np.zeros(B, dtype=np.min_scalar_type(config.max_iters))
-    ready = np.ones(B, dtype=bool)
+    # rows that have not run out of budget while still moving; a row
+    # with no budget left cannot take the Newton stage either
+    within_budget = np.ones(B, dtype=bool)
     for newton, tol in ((False, max(_SEESAW_TOL, config.tol)), (True, config.tol)):
-        settled = np.zeros(B, dtype=bool)
+        within_budget &= iterations < config.max_iters
         pool, K = np.empty(0, dtype=int), np.empty((0, X, 3))
         cursor = 0
         while cursor < B or pool.size:
-            # the free slots go to the ready rows among the next ones in order
+            # the free slots go to the next rows in order that take this stage
             free = _FIXED_CHUNK - pool.size
-            new = cursor + np.flatnonzero(ready[cursor : cursor + free])
+            new = cursor + np.flatnonzero(within_budget[cursor : cursor + free])
             cursor += free
             if new.size:
                 pool, K = np.concatenate([pool, new]), np.concatenate([K, fields(new)])
@@ -466,16 +468,15 @@ def _fixed_povm_ascent(
             value[pool[up]] = score[up]
             iterations[pool] += 1
             moving = gain >= tol
-            settled[pool[~moving]] = True
             stay = moving & (iterations[pool] < config.max_iters)
+            within_budget[pool[moving & ~stay]] = False
             pool, K = pool[stay], K[stay]
-        ready = settled & (iterations < config.max_iters)
     for lo in range(0, B, _FIXED_CHUNK):
         rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
         PW, PN = weights[rows // per_povm], blochs[rows // per_povm]
         m = _prep_step(D, N[rows], spec.k, PW, PN, M[rows])
         value[rows] = bloch_values(spec, m[:, :, None], N[rows], PW, PN)
-    return value, iterations, settled
+    return value, iterations, within_budget
 
 
 def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict) -> BoundResult:
@@ -592,17 +593,18 @@ def maximize_given_povm_batch(
     values, iterations, converged = _fixed_povm_ascent(spec, M, N, weights, blochs, restarts, config)
     best = values.reshape(S, restarts).max(axis=1)
     moving = B - int(np.count_nonzero(converged))
+    iterations_run = int(iterations.max())
     # free the random starts first, so the extra starts add nothing to the peak memory
-    del M, N, values, converged
+    del M, N, values, iterations, converged
     M = -blochs[:, np.minimum(np.arange(X), O - 1)]
-    N = np.tile([0.0, 0.0, 1.0], (S, Y, 1))  # kept only where the first step has no field
+    N = np.tile([0.0, 0.0, 1.0], (S, Y, 1))  # used only where the first step finds no field
     anti, anti_iterations, anti_converged = _fixed_povm_ascent(spec, M, N, weights, blochs, 1, config)
     anti_moving = S - int(np.count_nonzero(anti_converged))
     if moving or anti_moving:
         log.warning(
             "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)"
             " and %d anti-aligned starts (%d still moving)",
-            max(iterations.max(), anti_iterations.max()),
+            max(iterations_run, anti_iterations.max()),
             B,
             moving,
             S,
