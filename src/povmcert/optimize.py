@@ -411,14 +411,14 @@ def _fixed_povm_ascent(
     until it gains less than `_SEESAW_TOL`, then moves to the best of its
     `_ascent_candidates`.  A row keeps its point if nothing ascends, so
     no value decreases, and leaves a stage once its gain falls below the
-    stage's tolerance.  Each stage runs a pool of `_FIXED_CHUNK` rows
-    that the stage's queue refills as rows leave, so the working set
-    stays small and every iteration runs on a full pool until the queue
-    is empty.  `config.max_iters` is each row's budget across both
-    stages.  N is overwritten with the final observables.  Returns the
-    rows' values from `bloch_values` at the optimal preparations, their
-    iteration counts, and whether each finished the Newton stage within
-    its budget.
+    stage's tolerance.  Each stage runs a pool of `_FIXED_CHUNK` rows;
+    as rows leave, the next rows waiting for the stage take their slots,
+    so the working set stays small and every iteration runs on a full
+    pool until no row is left waiting.  `config.max_iters` is each
+    row's budget across both stages.  N is overwritten with the final
+    observables.  Returns the rows' values from `bloch_values` at the
+    optimal preparations, their iteration counts, and whether each
+    finished the Newton stage within its budget.
     """
     D = spec.bloch_coeffs
     B, X, _ = M.shape
