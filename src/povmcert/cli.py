@@ -247,6 +247,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    if args.config is not None and not args.syst_runs:
+        raise ValueError("--config only feeds the --syst-runs Monte Carlo; pass --syst-runs too")
     spec = build_witness(args.witness, args.k)
     records = counts_from_csv(Path(args.counts).read_text())
     table = ingest_counts(records)

@@ -17,15 +17,23 @@ binary setting carries the interference visibility of its nearest Pauli
 basis, the POVM setting the mean of the three.  Measurements themselves
 stay ideal; plate imperfections on the measurement side are not
 separable from those visibilities without a full interferometer model.
-This noise and the plate jitter of the systematics both give the state
-each preparation delivers during each setting, the per-setting format
-that the witness module's evaluator and table builder take.
+This noise and the plate jitter of the systematics both act on the
+state each preparation delivers during each setting, the per-setting
+format of the witness module's evaluator, table builder and linear form.
 
 Counts are independent Poisson draws.  Statistical errors propagate
 sqrt(N) through the count ratios; the systematic error is the spread of
 the noiseless witness value under normally distributed plate-angle
 errors (the quoted 0.02 degree figure is a FWHM, converted to sigma by
-/ 2.355).
+/ 2.355).  At fixed measurements the witness is const + sum C . m over
+the (preparation, setting) groups (`witness.bloch_linear_form`), and
+the plate model projects onto each group's C in closed form:
+
+    C . m = cos2q R sin(4h - 2q + phi) + C_y sin2q,
+    R = hypot(C_x, C_z),  phi = atan2(C_z, C_x),
+
+so the Monte Carlo scores a run with three sines or cosines per group
+and never builds its Bloch vectors.
 """
 from __future__ import annotations
 
@@ -41,7 +49,13 @@ from .fidelity import EnvelopeCurve
 from .optimize import BoundResult
 from .qubit import Povm, observable_axes
 from .sampling import RngStream
-from .witness import ProbabilityTable, WitnessSpec, bloch_values, evaluate_witness, probability_table
+from .witness import (
+    ProbabilityTable,
+    WitnessSpec,
+    bloch_linear_form,
+    evaluate_witness,
+    probability_table,
+)
 
 Array = np.ndarray
 
@@ -64,7 +78,7 @@ SIC_PLATE_ANGLES = (
 # and for the trine preps (QWP at zero: linear polarization only)
 TRINE_PLATE_ANGLES = ((0.0, 0.0), (30.0, 0.0), (-30.0, 0.0))
 
-_MC_CHUNK = 16_384
+_MC_CHUNK = 4_096
 
 
 def _blochs_from_angles(hwp_deg: Array, qwp_deg: Array) -> Array:
@@ -353,26 +367,48 @@ def monte_carlo_systematic(
     magnitude.  The measurement side is left untouched (its
     imperfections live in the visibility model).  Returns the sample
     standard deviation of the witness value over the runs.
+
+    Each run is scored through the projected plate model of the module
+    docstring: R, phi, C_y and the nominal angles (in radians) are set
+    up once, and a chunk of runs costs its normal draws and three
+    sines or cosines per group, the same values as `_blochs_from_angles`
+    scored by `bloch_values` up to rounding.
     """
     if runs < 100:
         raise ValueError("need at least 100 Monte Carlo runs")
     _check_scenario(cfg, spec)
-    sigma = cfg.motor_fwhm_deg / _FWHM_TO_SIGMA
-    angles = cfg.plate_angles  # (X, 2)
-    X = angles.shape[0]
-    N = cfg.binaries
-    Y = len(N)
+    const, C = bloch_linear_form(spec, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
+    settings = C.shape[1]
+    C = C.reshape(-1, 3)  # one row per (preparation, setting) group
+    amp = np.hypot(C[:, 0], C[:, 2])
+    h, q = np.repeat(np.deg2rad(cfg.plate_angles), settings, axis=0).T
+    two_q0 = 2 * q
+    # plane angle plus phase, less 2q: the jittered 2q is subtracted per run
+    plane0 = 4 * h + np.arctan2(C[:, 2], C[:, 0])
+    sigma = np.deg2rad(cfg.motor_fwhm_deg / _FWHM_TO_SIGMA)
     # draws are taken chunk by chunk from one generator: the normal
-    # stream does not depend on how it is split, so memory stays bounded
-    # by the chunk and the values do not depend on _MC_CHUNK
+    # stream does not depend on how it is split, and each run's sum
+    # runs over its own row in the same order (a BLAS product would
+    # round rows differently by their place in the chunk), so the
+    # values do not depend on _MC_CHUNK
     gen = stream.generator()
     values = np.empty(runs)
     for lo in range(0, runs, _MC_CHUNK):
         hi = min(lo + _MC_CHUNK, runs)
-        draws = gen.normal(0.0, 1.0, size=(hi - lo, X, Y + 1, 2))
-        perturbed = angles[None, :, None, :] + sigma * draws
-        blochs = _blochs_from_angles(perturbed[..., 0], perturbed[..., 1])
-        values[lo:hi] = bloch_values(spec, blochs, N, cfg.povm.weights, cfg.povm.blochs)
+        draws = gen.standard_normal(size=(hi - lo, len(C), 2))  # (hwp, qwp) errors
+        two_q = draws[..., 1] * (2 * sigma)
+        two_q += two_q0
+        plane = draws[..., 0] * (4 * sigma)
+        plane += plane0
+        plane -= two_q
+        np.sin(plane, out=plane)
+        plane *= amp
+        plane *= np.cos(two_q)
+        np.sin(two_q, out=two_q)
+        two_q *= C[:, 1]
+        plane += two_q
+        values[lo:hi] = plane.sum(axis=1)
+    values += const
     return float(np.std(values, ddof=1))
 
 

@@ -25,7 +25,9 @@ every setting; S = Y + 1 is one state per binary setting followed by
 the one seen by the POVM setting (per-setting depolarization and
 re-positioned wave plates both take this form).  `bloch_values` is the
 one batched witness evaluator on that format, and `probability_table`
-the one Born-table builder.
+the one Born-table builder.  `bloch_linear_form` restates the evaluator
+at fixed measurements as const + sum C * M, for callers that score many
+M against one set of measurements.
 
 A `Strategy` holds the same arrays for one explicit qubit strategy:
 preparation Bloch vectors (X, 3), observable axes (Y, 3) and a `Povm`.
@@ -224,6 +226,25 @@ def bloch_values(spec: WitnessSpec, M: Array, N: Array, weights: Array, blochs: 
     overlap = np.einsum("...oi,...oi->...o", blochs, M[..., :O, -1, :])
     pen = np.einsum("...o,...o->...", weights, 1.0 + overlap)
     return spec.offset + base - spec.k * pen
+
+
+def bloch_linear_form(
+    spec: WitnessSpec, N: Array, weights: Array, blochs: Array
+) -> tuple[float, Array]:
+    """`bloch_values` at fixed measurements, as an affine form of M.
+
+    Returns (const, C) with C of shape (X, Y + 1, 3), so that
+    bloch_values(spec, M, N, weights, blochs) = const + sum C * M for
+    any per-setting M (X, Y + 1, 3): const = offset - k sum_x w_x,
+    C[x, y] = D_xy n_y on the binary settings, C[x, Y] = -k w_x p_x for
+    x < O, and zero elsewhere.  N (Y, 3), weights (O,), blochs (O, 3).
+    """
+    Y = spec.scenario.binary_settings
+    O = spec.scenario.povm_outcomes
+    C = np.zeros((spec.scenario.preparations, Y + 1, 3))
+    C[:, :Y] = spec.bloch_coeffs[:, :, None] * N
+    C[:O, Y] = -spec.k * weights[:, None] * blochs
+    return spec.offset - spec.k * float(np.sum(weights)), C
 
 
 def evaluate_witness(spec: WitnessSpec, table: ProbabilityTable) -> WitnessValue:

@@ -1,5 +1,6 @@
-"""Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies
-and the value of an explicit strategy.
+"""Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies,
+the value of an explicit strategy and the reference Monte Carlo
+systematics.
 
 The library works on Bloch vectors only; the Pauli matrices here are the
 independent route the tests check it against: a state r is the density
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from povmcert.experiment import _FWHM_TO_SIGMA, _blochs_from_angles
 from povmcert.qubit import Povm
 from povmcert.sampling import random_extremal_povms
 from povmcert.witness import (
@@ -18,6 +20,7 @@ from povmcert.witness import (
     TRINE,
     Strategy,
     WitnessSpec,
+    bloch_values,
     evaluate_witness,
     probability_table,
 )
@@ -111,3 +114,22 @@ def extremal_povm(outcomes: int, rng: np.random.Generator) -> Povm:
     """One uniformly sampled extremal POVM, drawn as the library draws a batch of one."""
     sample = random_extremal_povms(outcomes, 1, rng)
     return Povm(sample.weights[0], sample.blochs[0])
+
+
+# ------------------------------------------------- reference systematics
+
+
+def reference_monte_carlo_systematic(cfg, spec, runs, stream) -> float:
+    """The plate-jitter spread through full Bloch vectors, all runs at once.
+
+    The same normal draws as `monte_carlo_systematic` (one (hwp, qwp)
+    error pair per run, preparation and setting), the plate model
+    `_blochs_from_angles` in degrees, and `bloch_values` on the jittered
+    per-setting vectors.
+    """
+    X, Y = len(cfg.preparations), len(cfg.binaries)
+    draws = stream.generator().normal(0.0, 1.0, size=(runs, X, Y + 1, 2))
+    angles = cfg.plate_angles[None, :, None, :] + cfg.motor_fwhm_deg / _FWHM_TO_SIGMA * draws
+    M = _blochs_from_angles(angles[..., 0], angles[..., 1])
+    values = bloch_values(spec, M, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
+    return float(np.std(values, ddof=1))

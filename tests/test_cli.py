@@ -468,6 +468,14 @@ def test_certify_syst_runs_uses_builtin_config(trine_counts, capsys):
     assert 5e-4 < report["syst_err"] < 2.5e-3
 
 
+def test_certify_config_without_syst_runs_exits_two(trine_counts, tmp_path, capsys):
+    # --config only feeds the Monte Carlo: alone it would be silently ignored
+    rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 1,
+             "--config", tmp_path / "missing.json")
+    assert rc == 2
+    assert "--syst-runs" in capsys.readouterr().err
+
+
 def test_certify_out_file(trine_counts, tmp_path, capsys):
     rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 4.5,
              "--restarts", 8, "--out", "report.json", "--out-dir", tmp_path)

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from conftest import reference_monte_carlo_systematic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcert import experiment
 from povmcert.experiment import (
+    LAB_VISIBILITIES,
+    TRINE_PLATE_ANGLES,
     CountsRecord,
     ExperimentConfig,
     Visibilities,
@@ -26,12 +29,15 @@ from povmcert.experiment import (
 )
 from povmcert.fidelity import SamplePoint, envelope_from_points
 from povmcert.optimize import BoundResult
+from povmcert.qubit import Povm
 from povmcert.sampling import RngStream
 from povmcert.witness import (
     SIC_QUANTUM_MAX,
     TETRAHEDRON,
+    TRINE,
     evaluate_witness,
     sic_witness,
+    sym_trine_witness,
     trine_witness,
 )
 
@@ -330,13 +336,51 @@ def test_systematic_error_is_deterministic_and_scales_with_fwhm():
     )
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 999, 1_000])
 @pytest.mark.parametrize(
     "cfg, spec", [(sic_experiment(), sic_witness(0.2)), (trine_experiment(), trine_witness(1.0))]
 )
-def test_systematic_error_does_not_depend_on_chunk_size(cfg, spec, monkeypatch):
+def test_systematic_error_does_not_depend_on_chunk_size(cfg, spec, chunk, monkeypatch):
     whole = monte_carlo_systematic(cfg, spec, 5_000, RngStream(64))
-    monkeypatch.setattr(experiment, "_MC_CHUNK", 1_000)
+    monkeypatch.setattr(experiment, "_MC_CHUNK", chunk)
     assert monte_carlo_systematic(cfg, spec, 5_000, RngStream(64)) == whole
+
+
+def _sym_trine_experiment():
+    # plates at minus the trine, observables and POVM on the trine
+    return ExperimentConfig(
+        preparations=TRINE_PLATE_ANGLES,
+        visibilities=LAB_VISIBILITIES,
+        binaries=TRINE,
+        povm=Povm(np.full(3, 1.0 / 3.0), TRINE),
+        photon_budget=1e6,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, spec",
+    [
+        (sic_experiment(), sic_witness(0.2)),
+        (trine_experiment(), trine_witness(1.0)),
+        (trine_experiment(), trine_witness(4.5)),
+        (_sym_trine_experiment(), sym_trine_witness(0.5)),
+        (
+            dataclasses.replace(
+                sic_experiment(visibilities=Visibilities(z=0.9, x=0.95, y=0.97)),
+                preparations=((12.0, 31.0), (-40.0, 8.5), (77.0, -22.0), (3.0, 44.0)),
+            ),
+            sic_witness(1.3),
+        ),
+        (dataclasses.replace(sic_experiment(), motor_fwhm_deg=5.0), sic_witness(0.2)),
+        (dataclasses.replace(trine_experiment(), motor_fwhm_deg=5.0), trine_witness(4.5)),
+    ],
+    ids=["sic", "trine-k1", "trine-k4.5", "sym-trine", "sic-moved-plates", "sic-5deg", "trine-5deg"],
+)
+def test_systematic_error_matches_the_full_bloch_reference(cfg, spec):
+    # the projected plate model against the Bloch vectors of _blochs_from_angles
+    # scored by bloch_values; a 5 degree FWHM rules out small-angle shortcuts
+    got = monte_carlo_systematic(cfg, spec, 3_000, RngStream(65))
+    assert got == pytest.approx(reference_monte_carlo_systematic(cfg, spec, 3_000, RngStream(65)), rel=1e-12)
 
 
 def test_zero_motor_spread_means_zero_systematic():

@@ -20,6 +20,8 @@ from povmcert.witness import (
     ProbabilityTable,
     Scenario,
     Strategy,
+    WitnessSpec,
+    bloch_linear_form,
     bloch_values,
     build_witness,
     evaluate_witness,
@@ -146,6 +148,30 @@ def test_bloch_values_match_table_evaluation(rng, name, per_setting):
         for b in range(B):
             table = probability_table(M[b], N[b], W[b], P[b])
             assert values[b] == pytest.approx(evaluate_witness(spec, table).value, abs=1e-12)
+
+
+def _x_above_o_witness(k):
+    # a custom tensor where preparation 3 has no POVM partner
+    c = np.random.default_rng(3).normal(size=(4, 2, 2))
+    return WitnessSpec("custom", Scenario(4, 2, 3), c, k)
+
+
+@pytest.mark.parametrize("build", [sic_witness, trine_witness, sym_trine_witness, _x_above_o_witness])
+@pytest.mark.parametrize("k", [0.0, 0.2, 4.5])
+def test_linear_form_matches_bloch_values(rng, build, k):
+    # the Monte Carlo's affine form against the evaluator it restates
+    spec = build(k)
+    sc = spec.scenario
+    X, Y, O = sc.preparations, sc.binary_settings, sc.povm_outcomes
+    M = unit_rows(rng, (50, X, Y + 1)) * rng.uniform(0, 1, (50, X, Y + 1, 1))
+    N = unit_rows(rng, (Y,))
+    povm = random_extremal_povms(O, 1, rng)
+    W, P = povm.weights[0], povm.blochs[0]
+    const, C = bloch_linear_form(spec, N, W, P)
+    assert C.shape == (X, Y + 1, 3)
+    assert not C[O:, Y].any()
+    form = const + np.einsum("bxsi,xsi->b", M, C)
+    np.testing.assert_allclose(form, bloch_values(spec, M, N, W, P), rtol=1e-14, atol=1e-14)
 
 
 def test_witness_linearity_in_table(rng):
