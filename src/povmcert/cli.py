@@ -262,10 +262,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 f"k={envelope.k!r}; this run is witness={args.witness!r}, k={args.k!r}"
             )
 
+    # built on both paths, so --restarts is checked even when --bounds skips the search
+    config = _optimizer_config(args)
     if args.bounds is not None:
         bounds = _load_bounds_file(args.bounds, args.witness, args.k)
     else:
-        config = _optimizer_config(args)
         bounds = [projective_bound(spec, config), seesaw_maximize(spec, config)]
         if spec.scenario.povm_outcomes == 4:
             bounds.insert(1, three_outcome_max(spec, config))

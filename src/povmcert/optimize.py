@@ -303,8 +303,9 @@ def _run_seesaw(
     }
 
 
-# rows of a fixed-POVM search that advance together; bounds its working set
-_FIXED_CHUNK = 32
+# rows of a fixed-POVM search that advance together; a row's working set is
+# a few hundred bytes, so the width is set by the per-call numpy overhead
+_FIXED_CHUNK = 64
 # see-saw steps run until a row gains less than this: by then the row has
 # settled in the basin the see-saw climbs, and Newton steps finish it
 _SEESAW_TOL = 1e-4

@@ -476,6 +476,19 @@ def test_certify_config_without_syst_runs_exits_two(trine_counts, tmp_path, caps
     assert "--syst-runs" in capsys.readouterr().err
 
 
+def test_certify_checks_restarts_with_bounds_file(trine_counts, tmp_path, capsys):
+    # --bounds skips the search, but --restarts 0 is refused as it is without it
+    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective",
+             "--restarts", 8, "--out", "b.json", "--out-dir", tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    for extra in ((), ("--bounds", tmp_path / "b.json")):
+        rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 1,
+                 "--restarts", 0, *extra)
+        assert rc == 2
+        assert "restarts must be at least 1" in capsys.readouterr().err
+
+
 def test_certify_out_file(trine_counts, tmp_path, capsys):
     rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 4.5,
              "--restarts", 8, "--out", "report.json", "--out-dir", tmp_path)

@@ -373,7 +373,7 @@ def test_fixed_povm_values_do_not_depend_on_pool_width(monkeypatch, name, k):
     spec = build_witness(name, k=k)
     povms = random_extremal_povms(spec.scenario.povm_outcomes, 50, RngStream(26).generator())
     values = []
-    for width in (1, 5, 32, 10_000):
+    for width in (1, 5, 32, 64, 128, 10_000):
         monkeypatch.setattr("povmcert.optimize._FIXED_CHUNK", width)
         values.append(
             maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=4), restarts=8)
@@ -398,6 +398,25 @@ def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
     maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
     for rows in seen.values():
         assert rows and max(rows) == 5
+
+
+def test_fixed_povm_search_fills_its_default_pool(monkeypatch):
+    # 40 POVMs x 4 random starts + 1 anti-aligned start is 200 rows, more
+    # than the default pool holds: each stage fills it and never exceeds it
+    spec = build_witness("trine", k=1.0)
+    povms = random_extremal_povms(3, 40, RngStream(27).generator())
+    seen = {"candidates": [], "objective": []}
+    for name, key in (("_ascent_candidates", "candidates"), ("_reduced_objective", "objective")):
+        original = getattr(optimize, name)
+
+        def spy(D, N, K, original=original, key=key):
+            seen[key].append(N.shape[-3])
+            return original(D, N, K)
+
+        monkeypatch.setattr(optimize, name, spy)
+    maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
+    for rows in seen.values():
+        assert rows and max(rows) == optimize._FIXED_CHUNK
 
 
 def test_fixed_povm_budget_is_per_row():

@@ -99,6 +99,15 @@ def test_extremal_sampling_reproducible():
     assert classify_extremal(p) == "extremal-3"
 
 
+@pytest.mark.parametrize("outcomes", [3, 4])
+def test_extremal_samples_own_exactly_count_rows(outcomes):
+    # the accepted surplus of the last batch is dropped, not kept behind a view
+    sample = random_extremal_povms(outcomes, 300, RngStream(111).generator())
+    for a in (sample.weights, sample.blochs):
+        assert a.shape[0] == 300
+        assert a.base is None and a.flags.owndata
+
+
 def test_extremal_sampling_rejects_bad_outcome_count():
     with pytest.raises(ValueError):
         random_extremal_povms(2, 10, RngStream(0).generator())
