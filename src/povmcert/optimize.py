@@ -32,7 +32,7 @@ basin the see-saw climbs, then batched saddle-free Riemannian Newton
 steps on the product of spheres (the Hessian's eigenvalues taken by
 modulus: Newton near a maximum, away from saddles elsewhere), with
 three step lengths and the see-saw step as a fallback; a row keeps its
-point when nothing ascends.  Each stage runs a pool of 32 rows: a row
+point when nothing ascends.  Each stage runs a pool of 64 rows: a row
 leaves it once its gain falls below the stage's tolerance (`tol` for
 the Newton stage), and the next waiting row takes its slot at once, so
 the working set stays small and every iteration runs on a full pool.

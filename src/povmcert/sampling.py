@@ -143,12 +143,11 @@ def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -
             w, ok = _completeness_weights(np.stack([cos_a, sin_a], axis=-1))
             dirs = cos_a[..., None] * e1[:, None, :] + sin_a[..., None] * e2[:, None, :]
         ok &= np.all(w > WEIGHT_FLOOR, axis=1)
-        if ok.any():
-            # keep only the rows still needed, so the result owns count rows
-            keep = np.flatnonzero(ok)[: count - have]
-            got_w.append(w[keep])
-            got_n.append(dirs[keep])
-            have += keep.size
+        # keep only the rows still needed, so the result owns count rows
+        keep = np.flatnonzero(ok)[: count - have]
+        got_w.append(w[keep])
+        got_n.append(dirs[keep])
+        have += keep.size
     weights = np.concatenate(got_w)
     blochs = np.concatenate(got_n)
     return ExtremalSample(weights, blochs, attempts)

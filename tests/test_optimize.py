@@ -382,9 +382,8 @@ def test_fixed_povm_values_do_not_depend_on_pool_width(monkeypatch, name, k):
         assert np.array_equal(v, values[0])
 
 
-def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
-    spec = build_witness("trine", k=1.0)
-    povms = random_extremal_povms(3, 20, RngStream(27).generator())
+def _pool_sizes(monkeypatch) -> dict:
+    """Record how many rows each pooled call of the fixed-POVM search sees."""
     seen = {"candidates": [], "objective": []}
     for name, key in (("_ascent_candidates", "candidates"), ("_reduced_objective", "objective")):
         original = getattr(optimize, name)
@@ -394,6 +393,13 @@ def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
             return original(D, N, K)
 
         monkeypatch.setattr(optimize, name, spy)
+    return seen
+
+
+def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
+    spec = build_witness("trine", k=1.0)
+    povms = random_extremal_povms(3, 20, RngStream(27).generator())
+    seen = _pool_sizes(monkeypatch)
     monkeypatch.setattr(optimize, "_FIXED_CHUNK", 5)
     maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
     for rows in seen.values():
@@ -401,19 +407,10 @@ def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
 
 
 def test_fixed_povm_search_fills_its_default_pool(monkeypatch):
-    # 40 POVMs x 4 random starts + 1 anti-aligned start is 200 rows, more
-    # than the default pool holds: each stage fills it and never exceeds it
+    # 100 POVMs x 4 random starts are 400 rows, several default pools
     spec = build_witness("trine", k=1.0)
-    povms = random_extremal_povms(3, 40, RngStream(27).generator())
-    seen = {"candidates": [], "objective": []}
-    for name, key in (("_ascent_candidates", "candidates"), ("_reduced_objective", "objective")):
-        original = getattr(optimize, name)
-
-        def spy(D, N, K, original=original, key=key):
-            seen[key].append(N.shape[-3])
-            return original(D, N, K)
-
-        monkeypatch.setattr(optimize, name, spy)
+    povms = random_extremal_povms(3, 100, RngStream(27).generator())
+    seen = _pool_sizes(monkeypatch)
     maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
     for rows in seen.values():
         assert rows and max(rows) == optimize._FIXED_CHUNK

@@ -105,7 +105,7 @@ def test_extremal_samples_own_exactly_count_rows(outcomes):
     sample = random_extremal_povms(outcomes, 300, RngStream(111).generator())
     for a in (sample.weights, sample.blochs):
         assert a.shape[0] == 300
-        assert a.base is None and a.flags.owndata
+        assert a.flags.owndata
 
 
 def test_extremal_sampling_rejects_bad_outcome_count():
