@@ -298,6 +298,9 @@ def counts_from_csv(text: str) -> list[CountsRecord]:
         raise ValueError("counts CSV needs columns x,y,b,n")
     records = []
     for row in reader:
+        missing = [c for c in ("x", "y", "b", "n") if row[c] is None]
+        if missing:
+            raise ValueError(f"counts CSV line {reader.line_num} has no {','.join(missing)}")
         y_raw = row["y"].strip()
         y: int | str = POVM_SETTING if y_raw == POVM_SETTING else int(y_raw)
         records.append(CountsRecord(int(row["x"]), y, int(row["b"]), int(row["n"])))
@@ -476,10 +479,12 @@ def certify(
             raise ValueError(f"bound kind {b.kind!r} not recognized")
         if slot in slots:
             raise ValueError(f"duplicate bound for slot {slot!r}")
-        if abs(b.k - spec.k) > 1e-9:
+        if not abs(b.k - spec.k) <= 1e-9:
             raise ValueError(
                 f"bound {b.kind!r} was computed at k={b.k}, witness has k={spec.k}"
             )
+        if not np.isfinite(b.value):
+            raise ValueError(f"bound {b.kind!r} has a non-finite value {b.value}")
         slots[slot] = b
     if "projective" not in slots:
         raise ValueError("certification needs a projective bound")

@@ -45,9 +45,10 @@ evaluator the experiment layer shares, and `_multistart` sets up the
 random starts of all three bound searches.  All see-saw results are
 heuristic lower bounds on the true maximum and are labeled as such;
 the two closed-form projective bounds (the four-outcome family and the
-symmetric three-outcome family) are certified, reducing the projective
-maximum to a one-dimensional concave-free maximization on [-1, 1]
-handled by bracketed golden section.
+symmetric three-outcome family) are certified: each reduces the
+projective maximum to a smooth one-parameter profile whose stationary
+points are the roots of one quartic, so its maximum is the best value
+at the interval's ends and those roots.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._numerics import bracketed_scan_max
 from .qubit import Povm
 from .sampling import RngStream, random_extremal_povms, random_unit_vectors
 from .witness import Strategy, WitnessSpec, bloch_values
@@ -259,7 +259,6 @@ def _run_seesaw(
     PN: Array,
     config: OptimizerConfig,
     subset: Array,
-    record: bool = False,
 ) -> dict:
     """Alternate exact steps until every row's value stalls below tol.
 
@@ -271,7 +270,6 @@ def _run_seesaw(
     k = spec.k
     O = spec.scenario.povm_outcomes
     vals = bloch_values(spec, M[:, :, None], N, PW, PN)
-    trace = [vals.copy()] if record else None
     iterations = 0
     converged = False
     for it in range(config.max_iters):
@@ -286,8 +284,6 @@ def _run_seesaw(
         new_vals = bloch_values(spec, M[:, :, None], N, PW, PN)
         delta = new_vals - vals
         vals = new_vals
-        if record:
-            trace.append(vals.copy())
         if it >= 1 and float(np.max(delta)) < config.tol:
             converged = True
             break
@@ -299,7 +295,6 @@ def _run_seesaw(
         "values": vals,
         "iterations": iterations,
         "converged": converged,
-        "trace": trace,
     }
 
 
@@ -489,7 +484,7 @@ def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict)
 
 
 def _multistart(
-    spec: WitnessSpec, config: OptimizerConfig, stream: int, groups: Array, record: bool = False
+    spec: WitnessSpec, config: OptimizerConfig, stream: int, groups: Array
 ) -> tuple[dict, Array]:
     """See-saw from `config.restarts` random starts per outcome group.
 
@@ -517,7 +512,7 @@ def _multistart(
     PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
     np.put_along_axis(PW, subset, weights, axis=1)
     np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
-    state = _run_seesaw(spec, M, N, PW, PN, config, subset, record)
+    state = _run_seesaw(spec, M, N, PW, PN, config, subset)
     return state, state["values"].reshape(G, R)
 
 
@@ -526,22 +521,15 @@ def _multistart(
 # ---------------------------------------------------------------------------
 
 
-def seesaw_maximize(
-    spec: WitnessSpec,
-    config: OptimizerConfig | None = None,
-    record_trace: bool = False,
-) -> BoundResult:
+def seesaw_maximize(spec: WitnessSpec, config: OptimizerConfig | None = None) -> BoundResult:
     """Multistart see-saw over unrestricted qubit strategies.
 
     Returns the best value across restarts as a heuristic lower bound on
-    the quantum maximum, with the achieving strategy attached.  With
-    `record_trace` the diagnostics carry the per-iteration values of
-    every restart (each step is a coordinate maximization, so the trace
-    never decreases).
+    the quantum maximum, with the achieving strategy attached.
     """
     config = config or OptimizerConfig()
     groups = np.arange(spec.scenario.povm_outcomes)[None, :]
-    state, _ = _multistart(spec, config, 0, groups, record_trace)
+    state, _ = _multistart(spec, config, 0, groups)
     vals = state["values"]
     diagnostics = {
         "witness": spec.name,
@@ -551,8 +539,6 @@ def seesaw_maximize(
         "value_spread": float(vals.max() - vals.min()),
         "seed": config.seed,
     }
-    if record_trace:
-        diagnostics["value_trace"] = [step.tolist() for step in state["trace"]]
     return _seesaw_result("quantum-seesaw", spec, state, diagnostics)
 
 
@@ -695,58 +681,72 @@ def three_outcome_max(
 # ---------------------------------------------------------------------------
 
 
-def _sic_projective_profile(k: float):
-    r = 3.0 + 144.0 * k * k
+def _closed_form_bound(name: str, k: float, quartic: list[float], profile) -> BoundResult:
+    """Maximum of a projective profile that is smooth in u on [0, sqrt 2].
 
-    def f(x: float) -> float:
-        return (
-            (1.0 - 2.0 * k) / 2.0
-            + (SQ2 / 24.0) * np.sqrt(6.0 - 4.0 * x)
-            + (SQ2 / 24.0) * np.sqrt(2.0 * r + 4.0 * x + 48.0 * k * SQ2 * np.sqrt(1.0 + x))
-        )
-
-    return f
-
-
-def _sym_trine_projective_profile(k: float):
-    r = 3.0 + 81.0 * k * k
-
-    def f(x: float) -> float:
-        return (
-            (1.0 - 2.0 * k) / 2.0
-            + (SQ2 / 18.0) * np.sqrt(2.0 * r - 4.0 * x + 36.0 * k * SQ2 * np.sqrt(1.0 - x))
-            + (1.0 / 18.0) * np.sqrt(3.0 + 2.0 * x + 2.0 * SQ2 * np.sqrt(1.0 + x))
-        )
-
-    return f
-
-
-def _closed_form_bound(name: str, profile, k: float) -> BoundResult:
+    Every stationary point of the profile is a root of `quartic`, so the
+    maximum is the best value at the two ends and at those roots.  Each
+    root's real part is clipped into the interval: an extra candidate is
+    still a feasible point, and a near-double root whose roundoff left an
+    imaginary part is not lost.  `profile(u)` returns the values at u and
+    the closed form's argument x in [-1, 1].
+    """
     if not np.isfinite(k) or k < 0:
         raise ValueError("penalty weight k must be >= 0")
-    x, fx = bracketed_scan_max(profile, -1.0, 1.0, subintervals=64, tol=1e-10)
+    u = np.clip(np.concatenate([[0.0, SQ2], np.roots(quartic).real]), 0.0, SQ2)
+    values, x = profile(u)
+    best = int(np.argmax(values))
     return BoundResult(
         kind="projective-closed-form",
-        value=float(fx),
+        value=float(values[best]),
         k=float(k),
         heuristic=False,
-        argmax={"x": float(x)},
-        diagnostics={"witness": name, "method": "closed-form", "subintervals": 64},
+        argmax={"x": float(x[best])},
+        diagnostics={"witness": name, "method": "closed-form"},
     )
 
 
 def projective_bound_sic(k: float) -> BoundResult:
     """Certified projective bound for the four-outcome family.
 
-    The projective maximum reduces to a one-parameter family; the
-    profile is maximized on [-1, 1] by bracketed golden section.
+    The projective maximum reduces to a profile of one parameter x in
+    [-1, 1].  With t = sqrt(1 + x) and a = 12 sqrt(2) k it reads
+    (1 - 2k)/2 + (sqrt(2)/24) (sqrt(10 - 4t^2) + sqrt((2t + a)^2 + 2)),
+    which is stationary only where
+    16t^4 + 16a t^3 + 4(a^2 - 4)t^2 - 20a t - 5a^2 = 0.
     """
-    return _closed_form_bound("sic", _sic_projective_profile(k), k)
+    a = 12.0 * SQ2 * k
+
+    def profile(t: Array) -> tuple[Array, Array]:
+        # clamped: at t = sqrt 2 the difference rounds below zero
+        edge = np.sqrt(np.maximum(10.0 - 4.0 * t * t, 0.0))
+        value = (1.0 - 2.0 * k) / 2.0 + (SQ2 / 24.0) * (edge + np.sqrt((2.0 * t + a) ** 2 + 2.0))
+        return value, t * t - 1.0
+
+    quartic = [16.0, 16.0 * a, 4.0 * (a * a - 4.0), -20.0 * a, -5.0 * a * a]
+    return _closed_form_bound("sic", k, quartic, profile)
 
 
 def projective_bound_sym_trine(k: float) -> BoundResult:
-    """Certified projective bound for the symmetric three-outcome family."""
-    return _closed_form_bound("sym-trine", _sym_trine_projective_profile(k), k)
+    """Certified projective bound for the symmetric three-outcome family.
+
+    With s = sqrt(1 - x) and b = 9 sqrt(2) k the profile reads
+    (1 - 2k)/2 + (sqrt(2)/18) sqrt((2s + b)^2 + 2) + (1 + sqrt(2) sqrt(2 - s^2))/18,
+    which is stationary only where
+    20s^4 + 20b s^3 + (5b^2 - 30)s^2 - 32b s - 8b^2 = 0.
+    """
+    b = 9.0 * SQ2 * k
+
+    def profile(s: Array) -> tuple[Array, Array]:
+        # clamped: at s = sqrt 2 the difference rounds below zero
+        edge = np.sqrt(np.maximum(2.0 - s * s, 0.0))
+        value = (1.0 - 2.0 * k) / 2.0 + (
+            SQ2 * np.sqrt((2.0 * s + b) ** 2 + 2.0) + 1.0 + SQ2 * edge
+        ) / 18.0
+        return value, 1.0 - s * s
+
+    quartic = [20.0, 20.0 * b, 5.0 * b * b - 30.0, -32.0 * b, -8.0 * b * b]
+    return _closed_form_bound("sym-trine", k, quartic, profile)
 
 
 CLOSED_FORM_PROJECTIVE = {

@@ -113,7 +113,7 @@ class PovmValidation:
     violations: tuple[tuple[str, float], ...]
 
 
-def validate_povm(povm: Povm, *, completeness_tol: float = COMPLETENESS_TOL) -> PovmValidation:
+def validate_povm(povm: Povm) -> PovmValidation:
     """Check positivity of every effect and completeness of the set.
 
     Returns a report listing each violated constraint with its residual;
@@ -128,10 +128,10 @@ def validate_povm(povm: Povm, *, completeness_tol: float = COMPLETENESS_TOL) -> 
         if excess[i] > NORM_TOL:
             violations.append((f"element {i}: Bloch direction longer than 1", float(excess[i])))
     total = float(w.sum()) - 1.0
-    if abs(total) > completeness_tol:
+    if abs(total) > COMPLETENESS_TOL:
         violations.append(("weights do not sum to 1", abs(total)))
     resid = float(np.linalg.norm(w @ povm.blochs))
-    if resid > completeness_tol:
+    if resid > COMPLETENESS_TOL:
         violations.append(("weighted Bloch vectors do not sum to 0", resid))
     return PovmValidation(ok=not violations, violations=tuple(violations))
 

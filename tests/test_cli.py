@@ -543,9 +543,14 @@ def test_non_positive_restarts_exit_two(command, extra, restarts, tmp_path, caps
     assert "restarts" in capsys.readouterr().err
 
 
-def test_certify_malformed_counts_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    ["this,is,not\na,counts,file\n", "x,y,b,n\n0,0,0,5\n0,0\n", "x,y,b,n\n0,0,0,5\n0\n"],
+    ids=["not-counts", "short-row", "x-only-row"],
+)
+def test_certify_malformed_counts_exits_two(tmp_path, capsys, text):
     path = tmp_path / "bad.csv"
-    path.write_text("this,is,not\na,counts,file\n")
+    path.write_text(text)
     rc = run("certify", "--counts", path, "--witness", "sic", "--k", 0.2)
     assert rc == 2
     capsys.readouterr()

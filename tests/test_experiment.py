@@ -497,6 +497,15 @@ def test_certify_rejects_mismatched_or_bad_bounds(sic_lab_table):
             [bound("projective-closed-form", 0.77, 0.5)]
             + [bound("three-outcome-numeric", 0.78, 0.2)],
         )
+    # NaN fails every comparison, so a NaN k or value must not slip past the checks
+    for k, value, match in ((np.nan, 0.77, "k="), (0.2, np.nan, "finite"), (0.2, np.inf, "finite")):
+        with pytest.raises(ValueError, match=match):
+            certify(
+                table,
+                spec,
+                [bound("projective-closed-form", value, k)]
+                + [bound("three-outcome-numeric", 0.78, 0.2)],
+            )
     with pytest.raises(ValueError, match="duplicate"):
         certify(table, spec, sic_bounds() + [bound("projective-numeric", 0.7, 0.2)])
     with pytest.raises(ValueError, match="not recognized"):

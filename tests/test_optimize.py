@@ -25,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcert import optimize
-from povmcert._numerics import bracketed_scan_max
 from povmcert.optimize import (
     OptimizerConfig,
     _binary_step,
     _enclosing_ball_step,
     _fixed_povm_ascent,
+    _multistart,
     _normalize_rows,
     _prep_step,
     _reduced_derivatives,
@@ -64,6 +64,7 @@ QUANTUM_MAXIMA = {
 }
 
 FAST = OptimizerConfig(restarts=8, max_iters=300, seed=7)
+SQ2 = np.sqrt(2.0)
 
 # pair-restricted trine projective maxima, frozen from three independent
 # routes (see-saw, scipy on the reduced objective, matrix Born rule)
@@ -98,11 +99,17 @@ def test_seesaw_argmax_value_consistent():
 
 
 def test_seesaw_trace_is_monotone():
+    # the same seed replays the same trajectory, so the run stopped after
+    # i iterations gives each row's value at step i
     spec = build_witness("sic", k=0.4)
-    res = seesaw_maximize(spec, OptimizerConfig(restarts=6, max_iters=120, seed=3),
-                          record_trace=True)
-    trace = np.array(res.diagnostics["value_trace"])  # (iters+1, restarts)
-    steps = np.diff(trace, axis=0)
+    groups = np.arange(4)[None, :]
+    trace = []
+    for max_iters in range(1, 41):
+        config = OptimizerConfig(restarts=6, max_iters=max_iters, seed=3)
+        state, _ = _multistart(spec, config, 0, groups)
+        trace.append(state["values"])
+    assert state["converged"]  # the trace covers the whole run
+    steps = np.diff(np.array(trace), axis=0)
     assert steps.min() > -1e-9
 
 
@@ -223,14 +230,37 @@ def test_projective_bound_dispatch():
     assert projective_bound(build_witness("trine", k=0.2), FAST).kind == "projective-numeric"
 
 
-def test_closed_form_profile_maximum_against_dense_grid():
-    from povmcert.optimize import _sic_projective_profile
+def sic_projective_profile(k, x):
+    r = 3.0 + 144.0 * k * k
+    return (
+        (1.0 - 2.0 * k) / 2.0
+        + (SQ2 / 24.0) * np.sqrt(6.0 - 4.0 * x)
+        + (SQ2 / 24.0) * np.sqrt(2.0 * r + 4.0 * x + 48.0 * k * SQ2 * np.sqrt(1.0 + x))
+    )
 
-    f = _sic_projective_profile(0.3)
+
+def sym_trine_projective_profile(k, x):
+    r = 3.0 + 81.0 * k * k
+    return (
+        (1.0 - 2.0 * k) / 2.0
+        + (SQ2 / 18.0) * np.sqrt(2.0 * r - 4.0 * x + 36.0 * k * SQ2 * np.sqrt(1.0 - x))
+        + (1.0 / 18.0) * np.sqrt(3.0 + 2.0 * x + 2.0 * SQ2 * np.sqrt(1.0 + x))
+    )
+
+
+def test_closed_form_profile_maximum_against_dense_grid():
+    # the profiles in their x form on a dense grid: an independent route to
+    # the maximum the closed forms find through a change of variable
     xs = np.linspace(-1.0, 1.0, 200001)
-    grid = max(f(x) for x in xs)
-    x, fx = bracketed_scan_max(f, -1.0, 1.0, subintervals=64, tol=1e-10)
-    assert fx >= grid - 1e-10
+    for bound, profile in (
+        (projective_bound_sic, sic_projective_profile),
+        (projective_bound_sym_trine, sym_trine_projective_profile),
+    ):
+        for k in (0.0, 0.05, 0.3, 1.0, 5.0):
+            res = bound(k)
+            assert np.isfinite(res.value)
+            assert res.value >= profile(k, xs).max() - 1e-13
+            assert -1.0 <= res.argmax["x"] <= 1.0
 
 
 def test_closed_form_rejects_bad_k():
