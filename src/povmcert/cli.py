@@ -158,6 +158,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     spec = build_witness(args.witness, args.k)
     config = _optimizer_config(args)
     kinds = _parse_kinds(args.kinds, args.witness)
+    if args.assignment is not None and "projective" not in kinds:
+        raise ValueError("--assignment restricts the projective bound; add projective to --kinds")
     assignment = _parse_assignment(args.assignment)
     results: list[BoundResult] = []
     for kind in kinds:
@@ -233,13 +235,14 @@ def _load_bounds_file(path: str, witness: str, k: float) -> list[BoundResult]:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
-        return ExperimentConfig.from_json(Path(args.config).read_text())
-    builder = BUILTIN_EXPERIMENTS.get(args.witness)
-    if builder is None:
-        raise ValueError(
-            f"no built-in optical configuration for {args.witness!r}; pass --config"
-        )
-    cfg = builder()
+        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    else:
+        builder = BUILTIN_EXPERIMENTS.get(args.witness)
+        if builder is None:
+            raise ValueError(
+                f"no built-in optical configuration for {args.witness!r}; pass --config"
+            )
+        cfg = builder()
     if getattr(args, "budget", None) is not None:
         cfg = dataclasses.replace(cfg, photon_budget=args.budget)
     return cfg
@@ -287,10 +290,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args)
     records = simulate_counts(cfg, spec, RngStream(args.seed))
     name = args.out or f"counts-{args.witness}-k{args.k:g}.csv"
-    path = _out_dir(args) / name
-    _write(path, counts_to_csv(records))
-    _emit_manifest(path, "simulate", args, [path], t0)
-    print(str(path))
+    _emit(args, "simulate", counts_to_csv(records), name, t0)
     return 0
 
 
@@ -391,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -294,10 +294,16 @@ def counts_to_csv(records: Sequence[CountsRecord]) -> str:
 
 def counts_from_csv(text: str) -> list[CountsRecord]:
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not {"x", "y", "b", "n"}.issubset(reader.fieldnames):
+    names = reader.fieldnames
+    if names is None or not {"x", "y", "b", "n"}.issubset(names):
         raise ValueError("counts CSV needs columns x,y,b,n")
+    repeated = sorted({c for c in names if names.count(c) > 1})
+    if repeated:
+        raise ValueError(f"counts CSV header (line {reader.line_num}) repeats {','.join(repeated)}")
     records = []
     for row in reader:
+        if None in row:
+            raise ValueError(f"counts CSV line {reader.line_num} has more cells than its header")
         missing = [c for c in ("x", "y", "b", "n") if row[c] is None]
         if missing:
             raise ValueError(f"counts CSV line {reader.line_num} has no {','.join(missing)}")

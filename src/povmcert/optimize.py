@@ -26,17 +26,18 @@ leaves the reduced objective
 
     A(N) = offset - k sum_x w_x + sum_x |h_x|,  h_x = sum_y D_xy n_y - k w_x p_x,
 
-a function of the Y observable axes alone.  Each row first takes
-see-saw steps until it gains less than 1e-4, which settles it in the
-basin the see-saw climbs, then batched saddle-free Riemannian Newton
-steps on the product of spheres (the Hessian's eigenvalues taken by
-modulus: Newton near a maximum, away from saddles elsewhere), with
-three step lengths and the see-saw step as a fallback; a row keeps its
-point when nothing ascends.  Each stage runs a pool of 64 rows: a row
-leaves it once its gain falls below the stage's tolerance (`tol` for
-the Newton stage), and the next waiting row takes its slot at once, so
-the working set stays small and every iteration runs on a full pool.
-`max_iters` is each row's own budget across both stages.
+a function of the Y observable axes alone: a start is kept only as
+observables.  Each row first takes see-saw steps until it gains less
+than 1e-4, which settles it in the basin the see-saw climbs, then
+batched saddle-free Riemannian Newton steps on the product of spheres
+(the Hessian's eigenvalues taken by modulus: Newton near a maximum,
+away from saddles elsewhere), with three step lengths and the see-saw
+step as a fallback; a row keeps its point when nothing ascends.  Each
+stage runs a pool of 64 rows: a row leaves it once its gain falls
+below the stage's tolerance (`_TOL` for the Newton stage), and the
+next waiting row takes its slot at once, so the working set stays
+small and every iteration runs on a full pool.  `_MAX_ITERS` is each
+row's own budget across both stages.
 
 Every quantity of a batch of restarts advances in lock step through
 numpy array ops; a "row" below is one restart (or one restart of one
@@ -73,6 +74,9 @@ SQ2 = np.sqrt(2.0)
 _DEGENERATE = 1e-12
 # slack for roundoff in the weight sign and ball enclosure tests
 _BALL_TOL = 1e-10
+# each row's iteration budget, and the value gain below which a row has converged
+_MAX_ITERS = 500
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,17 +84,11 @@ class OptimizerConfig:
     """Knobs shared by every heuristic search."""
 
     restarts: int = 32
-    max_iters: int = 500
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     def stream(self, index: int = 0) -> RngStream:
         return RngStream(self.seed, index)
@@ -257,10 +255,9 @@ def _run_seesaw(
     N: Array,
     PW: Array,
     PN: Array,
-    config: OptimizerConfig,
     subset: Array,
 ) -> dict:
-    """Alternate exact steps until every row's value stalls below tol.
+    """Alternate exact steps until every row's value stalls below `_TOL`.
 
     subset (B, T) holds the outcomes each row's POVM may use and picks
     the POVM step: T = 2 takes the projective step, T >= 3 the
@@ -272,7 +269,7 @@ def _run_seesaw(
     vals = bloch_values(spec, M[:, :, None], N, PW, PN)
     iterations = 0
     converged = False
-    for it in range(config.max_iters):
+    for it in range(_MAX_ITERS):
         iterations = it + 1
         N = _binary_step(D, M, N)
         M = _prep_step(D, N, k, PW, PN, M)
@@ -284,7 +281,7 @@ def _run_seesaw(
         new_vals = bloch_values(spec, M[:, :, None], N, PW, PN)
         delta = new_vals - vals
         vals = new_vals
-        if it >= 1 and float(np.max(delta)) < config.tol:
+        if it >= 1 and float(np.max(delta)) < _TOL:
             converged = True
             break
     return {
@@ -388,20 +385,18 @@ def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
     return np.concatenate([points, _normalize_rows(G, N)[None]])
 
 
+def _anti_aligned(blochs: Array, X: int) -> Array:
+    """Preparations anti-aligned with their effects, extra ones with the last effect: (S, X, 3)."""
+    return -blochs[:, np.minimum(np.arange(X), blochs.shape[1] - 1)]
+
+
 def _fixed_povm_ascent(
-    spec: WitnessSpec,
-    M: Array,
-    N: Array,
-    weights: Array,
-    blochs: Array,
-    per_povm: int,
-    config: OptimizerConfig,
+    spec: WitnessSpec, N: Array, weights: Array, blochs: Array, per_povm: int
 ) -> tuple[Array, Array, Array]:
     """Best witness value of each row with its POVM held fixed.
 
-    M (B, X, 3) and N (B, Y, 3) are the rows' starting preparations and
-    observables, and row i holds POVM i // per_povm of weights (S, O)
-    and blochs (S, O, 3).  After one see-saw observable step a row
+    N (B, Y, 3) holds the rows' starting observables, and row i holds
+    POVM i // per_povm of weights (S, O) and blochs (S, O, 3).  A row
     maximizes sum_x |sum_y D_xy n_y - K_x|, with penalty fields
     K_x = k w_x p_x (zero for x >= O), in two stages: see-saw steps
     until it gains less than `_SEESAW_TOL`, then moves to the best of its
@@ -410,14 +405,15 @@ def _fixed_povm_ascent(
     stage's tolerance.  Each stage runs a pool of `_FIXED_CHUNK` rows;
     as rows leave, the next rows waiting for the stage take their slots,
     so the working set stays small and every iteration runs on a full
-    pool until no row is left waiting.  `config.max_iters` is each
-    row's budget across both stages.  N is overwritten with the final
+    pool until no row is left waiting.  `_MAX_ITERS` is each row's
+    budget across both stages.  N is overwritten with the final
     observables.  Returns the rows' values from `bloch_values` at the
-    optimal preparations, their iteration counts, and whether each
-    finished the Newton stage within its budget.
+    optimal preparations (the anti-aligned ones where a field is zero),
+    their iteration counts, and whether each finished the Newton stage
+    within its budget.
     """
     D = spec.bloch_coeffs
-    B, X, _ = M.shape
+    B, X = N.shape[0], spec.scenario.preparations
     O = weights.shape[1]
 
     def fields(rows: Array) -> Array:
@@ -429,15 +425,14 @@ def _fixed_povm_ascent(
     value = np.empty(B)
     for lo in range(0, B, _FIXED_CHUNK):
         rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
-        N[rows] = n = _binary_step(D, M[rows], N[rows])
-        value[rows] = _reduced_objective(D, n, fields(rows))
-    # per-row budgets in the smallest integer type that holds max_iters
-    iterations = np.zeros(B, dtype=np.min_scalar_type(config.max_iters))
+        value[rows] = _reduced_objective(D, N[rows], fields(rows))
+    # per-row budgets in the smallest integer type that holds _MAX_ITERS
+    iterations = np.zeros(B, dtype=np.min_scalar_type(_MAX_ITERS))
     # rows that have not run out of budget while still moving; a row
     # with no budget left cannot take the Newton stage either
     within_budget = np.ones(B, dtype=bool)
-    for newton, tol in ((False, max(_SEESAW_TOL, config.tol)), (True, config.tol)):
-        within_budget &= iterations < config.max_iters
+    for newton, tol in ((False, _SEESAW_TOL), (True, _TOL)):
+        within_budget &= iterations < _MAX_ITERS
         pool, K = np.empty(0, dtype=int), np.empty((0, X, 3))
         cursor = 0
         while cursor < B or pool.size:
@@ -464,13 +459,13 @@ def _fixed_povm_ascent(
             value[pool[up]] = score[up]
             iterations[pool] += 1
             moving = gain >= tol
-            stay = moving & (iterations[pool] < config.max_iters)
+            stay = moving & (iterations[pool] < _MAX_ITERS)
             within_budget[pool[moving & ~stay]] = False
             pool, K = pool[stay], K[stay]
     for lo in range(0, B, _FIXED_CHUNK):
         rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
         PW, PN = weights[rows // per_povm], blochs[rows // per_povm]
-        m = _prep_step(D, N[rows], spec.k, PW, PN, M[rows])
+        m = _prep_step(D, N[rows], spec.k, PW, PN, _anti_aligned(PN, X))
         value[rows] = bloch_values(spec, m[:, :, None], N[rows], PW, PN)
     return value, iterations, within_budget
 
@@ -512,7 +507,7 @@ def _multistart(
     PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
     np.put_along_axis(PW, subset, weights, axis=1)
     np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
-    state = _run_seesaw(spec, M, N, PW, PN, config, subset)
+    state = _run_seesaw(spec, M, N, PW, PN, subset)
     return state, state["values"].reshape(G, R)
 
 
@@ -552,15 +547,14 @@ def maximize_given_povm_batch(
     """Best witness value for each fixed POVM in a batch.
 
     weights (S, O) and blochs (S, O, 3); returns (S,) values.  Each
-    sample gets `restarts` random starts, preparations and observables
-    drawn from `config.stream(1)`, and after them one deterministic
-    start: every preparation anti-aligned with its effect (extra
-    preparations with the last effect), a strategy with no penalty that
-    the random starts can miss.  `_fixed_povm_ascent` climbs every row
-    (see-saw steps, then saddle-free Newton steps on the reduced
-    objective, in a pool of `_FIXED_CHUNK` rows), and a sample's value is
-    the best of its `restarts + 1` rows.  Rows still moving when their
-    `config.max_iters` budget runs out are reported by a warning.
+    sample gets `restarts` random preparations from `config.stream(1)`
+    and then the anti-aligned ones (`_anti_aligned`), a strategy with no
+    penalty that the random starts can miss.  The starts are built
+    `_FIXED_CHUNK` samples at a time and kept as the observables of one
+    see-saw step.  One `_fixed_povm_ascent` call climbs all
+    S (restarts + 1) rows, and a sample's value is the best of its
+    block.  Rows still moving when their `_MAX_ITERS` budget runs out
+    are reported by a warning.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -573,31 +567,29 @@ def maximize_given_povm_batch(
     if O != spec.scenario.povm_outcomes:
         raise ValueError("POVM outcome count does not match the witness scenario")
     X, Y = spec.scenario.preparations, spec.scenario.binary_settings
+    R = restarts + 1
     rng = config.stream(1).generator()
-    B = S * restarts
-    M = random_unit_vectors(rng, (B, X))
-    N = random_unit_vectors(rng, (B, Y))
-    values, iterations, converged = _fixed_povm_ascent(spec, M, N, weights, blochs, restarts, config)
-    best = values.reshape(S, restarts).max(axis=1)
-    moving = B - int(np.count_nonzero(converged))
-    iterations_run = int(iterations.max())
-    # free the random starts first, so the extra starts add nothing to the peak memory
-    del M, N, values, iterations, converged
-    M = -blochs[:, np.minimum(np.arange(X), O - 1)]
-    N = np.tile([0.0, 0.0, 1.0], (S, Y, 1))  # used only where the first step finds no field
-    anti, anti_iterations, anti_converged = _fixed_povm_ascent(spec, M, N, weights, blochs, 1, config)
-    anti_moving = S - int(np.count_nonzero(anti_converged))
-    if moving or anti_moving:
-        log.warning(
-            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)"
-            " and %d anti-aligned starts (%d still moving)",
-            max(iterations_run, anti_iterations.max()),
-            B,
-            moving,
-            S,
-            anti_moving,
+    N = np.empty((S * R, Y, 3))
+    for lo in range(0, S, _FIXED_CHUNK):
+        hi = min(lo + _FIXED_CHUNK, S)
+        M = np.concatenate(
+            [random_unit_vectors(rng, (hi - lo, restarts, X)), _anti_aligned(blochs[lo:hi], X)[:, None]],
+            axis=1,
         )
-    return np.maximum(best, anti)
+        # a start with an exactly zero field takes the z axis
+        N[lo * R : hi * R] = _binary_step(
+            spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0])
+        )
+    values, iterations, converged = _fixed_povm_ascent(spec, N, weights, blochs, R)
+    moving = values.size - int(np.count_nonzero(converged))
+    if moving:
+        log.warning(
+            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)",
+            iterations.max(),
+            values.size,
+            moving,
+        )
+    return values.reshape(S, R).max(axis=1)
 
 
 def projective_bound_numeric(

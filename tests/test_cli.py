@@ -122,6 +122,12 @@ def test_bad_assignment_exits_two(capsys):
     assert "assignment" in capsys.readouterr().err
 
 
+def test_assignment_without_projective_kind_exits_two(capsys):
+    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "quantum", "--assignment", "0,1")
+    assert rc == 2
+    assert "--assignment" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -177,6 +183,20 @@ def test_simulate_budget_override(tmp_path, capsys):
         per_setting[(r.x, r.y)] += r.n
     for total in per_setting.values():
         assert abs(total - 10000) < 5 * np.sqrt(10000)
+
+
+def test_simulate_budget_overrides_config_file(tmp_path, capsys):
+    cfg = tmp_path / "trine.json"
+    cfg.write_text(trine_experiment().to_json())
+    rc = run("simulate", "--witness", "trine", "--k", 1, "--config", cfg, "--budget", 1000,
+             "--out-dir", tmp_path, "--out", "c.csv")
+    capsys.readouterr()
+    assert rc == 0
+    totals = {}
+    for r in counts_from_csv((tmp_path / "c.csv").read_text()):
+        totals[(r.x, r.y)] = totals.get((r.x, r.y), 0) + r.n
+    for total in totals.values():
+        assert abs(total - 1000) < 5 * np.sqrt(1000)
 
 
 def test_simulate_sym_trine_has_no_builtin_config(capsys):
@@ -544,16 +564,22 @@ def test_non_positive_restarts_exit_two(command, extra, restarts, tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["this,is,not\na,counts,file\n", "x,y,b,n\n0,0,0,5\n0,0\n", "x,y,b,n\n0,0,0,5\n0\n"],
-    ids=["not-counts", "short-row", "x-only-row"],
+    "text, reason",
+    [
+        ("this,is,not\na,counts,file\n", "columns x,y,b,n"),
+        ("x,y,b,n\n0,0,0,5\n0,0\n", "line 3"),
+        ("x,y,b,n\n0,0,0,5\n0\n", "line 3"),
+        ("x,y,b,n\n0,0,0,5,7\n", "line 2 has more cells"),
+        ("x,y,b,n,x\n0,0,0,5,9\n", "line 1) repeats x"),
+    ],
+    ids=["not-counts", "short-row", "x-only-row", "surplus-cell", "repeated-column"],
 )
-def test_certify_malformed_counts_exits_two(tmp_path, capsys, text):
+def test_certify_malformed_counts_exits_two(tmp_path, capsys, text, reason):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     rc = run("certify", "--counts", path, "--witness", "sic", "--k", 0.2)
     assert rc == 2
-    capsys.readouterr()
+    assert reason in capsys.readouterr().err
 
 
 def test_certify_missing_counts_file_exits_two(capsys):

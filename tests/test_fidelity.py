@@ -306,7 +306,7 @@ def small_sic_curve():
         sic_target(),
         n_samples=48,
         stream=RngStream(31),
-        config=OptimizerConfig(restarts=4, max_iters=200, seed=1),
+        config=OptimizerConfig(restarts=4, seed=1),
     )
     return spec, pts, env
 
@@ -340,7 +340,7 @@ def test_curve_is_deterministic(small_sic_curve):
         sic_target(),
         n_samples=48,
         stream=RngStream(31),
-        config=OptimizerConfig(restarts=4, max_iters=200, seed=1),
+        config=OptimizerConfig(restarts=4, seed=1),
     )
     assert again == pts
 
@@ -363,7 +363,7 @@ def test_trine_curve_smoke():
         n_samples=24,
         bin_width=0.01,
         stream=RngStream(33),
-        config=OptimizerConfig(restarts=4, max_iters=200, seed=2),
+        config=OptimizerConfig(restarts=4, seed=2),
     )
     assert len(pts) == 24
     for p in pts:

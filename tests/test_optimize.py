@@ -7,6 +7,7 @@ Nelder-Mead on reduced objectives, explicit 2x2 matrix Born-rule
 evaluation, and dense grids.
 """
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ QUANTUM_MAXIMA = {
     "sym-trine": SYM_TRINE_QUANTUM_MAX,
 }
 
-FAST = OptimizerConfig(restarts=8, max_iters=300, seed=7)
+FAST = OptimizerConfig(restarts=8, seed=7)
 SQ2 = np.sqrt(2.0)
 
 # pair-restricted trine projective maxima, frozen from three independent
@@ -98,14 +99,15 @@ def test_seesaw_argmax_value_consistent():
     assert validate_povm(res.argmax.povm).ok
 
 
-def test_seesaw_trace_is_monotone():
+def test_seesaw_trace_is_monotone(monkeypatch):
     # the same seed replays the same trajectory, so the run stopped after
     # i iterations gives each row's value at step i
     spec = build_witness("sic", k=0.4)
     groups = np.arange(4)[None, :]
+    config = OptimizerConfig(restarts=6, seed=3)
     trace = []
     for max_iters in range(1, 41):
-        config = OptimizerConfig(restarts=6, max_iters=max_iters, seed=3)
+        monkeypatch.setattr(optimize, "_MAX_ITERS", max_iters)
         state, _ = _multistart(spec, config, 0, groups)
         trace.append(state["values"])
     assert state["converged"]  # the trace covers the whole run
@@ -148,7 +150,7 @@ def test_ideal_strategy_is_seesaw_fixed_point():
             spec,
             strat.povm.weights[None],
             strat.povm.blochs[None],
-            OptimizerConfig(restarts=6, max_iters=200, seed=1),
+            OptimizerConfig(restarts=6, seed=1),
         )
         assert fixed[0] == pytest.approx(v0, abs=1e-8)
 
@@ -334,45 +336,47 @@ def test_maximize_given_povm_batch_matches_single():
     assert batch.max() <= SIC_QUANTUM_MAX + 1e-9
 
 
-def test_maximize_given_povm_batch_reports_unconverged_stop(caplog):
+def test_maximize_given_povm_batch_reports_unconverged_stop(caplog, monkeypatch):
+    # 3 POVMs x (2 random starts + 1 anti-aligned start)
     spec = build_witness("sic", k=0.2)
     povms = random_extremal_povms(4, 3, RngStream(22).generator())
-    config = OptimizerConfig(max_iters=2, seed=5)
-    with caplog.at_level("WARNING", logger="povmcert.optimize"):
+    config = OptimizerConfig(seed=5)
+    with monkeypatch.context() as patch, caplog.at_level("WARNING", logger="povmcert.optimize"):
+        patch.setattr(optimize, "_MAX_ITERS", 2)
         maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=2)
     records = [r for r in caplog.records if r.name == "povmcert.optimize"]
     assert len(records) == 1
     assert records[0].levelname == "WARNING"
-    assert "unconverged after 2 iterations on 6 rows" in records[0].getMessage()
+    assert "unconverged after 2 iterations on 9 rows" in records[0].getMessage()
     caplog.clear()
-    config = OptimizerConfig(seed=5)
     with caplog.at_level("WARNING", logger="povmcert.optimize"):
         maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=2)
     assert not [r for r in caplog.records if r.name == "povmcert.optimize"]
 
 
-def test_unconverged_warning_counts_rows_still_moving(caplog):
+def test_unconverged_warning_counts_rows_still_moving(caplog, monkeypatch):
     spec = build_witness("sic", k=0.2)
     povms = random_extremal_povms(4, 3, RngStream(22).generator())
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 2)
     with caplog.at_level("WARNING", logger="povmcert.optimize"):
-        maximize_given_povm_batch(
-            spec, povms.weights, povms.blochs, OptimizerConfig(max_iters=2, seed=5), restarts=2
-        )
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=5), restarts=2)
     (record,) = [r for r in caplog.records if r.name == "povmcert.optimize"]
     moving = int(re.search(r"\((\d+) still moving\)", record.getMessage()).group(1))
-    assert 1 <= moving <= 6
+    assert 1 <= moving <= 9
 
 
-def test_unconverged_warning_reports_anti_aligned_starts(caplog):
+def test_unconverged_warning_reports_anti_aligned_starts(caplog, monkeypatch):
+    # one warning counts every row: 3 POVMs x (1 random start + 1 anti-aligned start)
     spec = build_witness("sic", k=0.2)
     povms = random_extremal_povms(4, 3, RngStream(22).generator())
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 2)
     with caplog.at_level("WARNING", logger="povmcert.optimize"):
-        maximize_given_povm_batch(
-            spec, povms.weights, povms.blochs, OptimizerConfig(max_iters=2, seed=5), restarts=2
-        )
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=5), restarts=1)
     (record,) = [r for r in caplog.records if r.name == "povmcert.optimize"]
-    anti = re.search(r"and 3 anti-aligned starts \((\d+) still moving\)", record.getMessage())
-    assert 1 <= int(anti.group(1)) <= 3
+    assert re.fullmatch(
+        r"fixed-POVM search stopped unconverged after 2 iterations on 6 rows \([1-6] still moving\)",
+        record.getMessage(),
+    )
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
@@ -446,7 +450,40 @@ def test_fixed_povm_search_fills_its_default_pool(monkeypatch):
         assert rows and max(rows) == optimize._FIXED_CHUNK
 
 
-def test_fixed_povm_budget_is_per_row():
+def test_fixed_povm_search_draws_only_preparations(monkeypatch):
+    # every start is kept as observables, so only the random preparations
+    # are drawn: S x restarts x X vectors
+    spec = build_witness("sic", k=0.2)
+    povms = random_extremal_povms(4, 150, RngStream(29).generator())
+    shapes = []
+
+    def spy(rng, shape):
+        shapes.append(shape)
+        return random_unit_vectors(rng, shape)
+
+    monkeypatch.setattr(optimize, "random_unit_vectors", spy)
+    maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=3)
+    assert all(shape[-1] == spec.scenario.preparations for shape in shapes)
+    assert sum(int(np.prod(shape)) for shape in shapes) == 150 * 3 * spec.scenario.preparations
+
+
+@pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
+def test_fixed_povm_search_peak_memory_is_its_starts(name, k):
+    # the (S x (restarts + 1), Y, 3) observable starts are the one array
+    # that grows with the batch; the rest is a pool's working set
+    spec = build_witness(name, k=k)
+    povms = random_extremal_povms(spec.scenario.povm_outcomes, 2000, RngStream(28).generator())
+    starts = 2000 * 9 * spec.scenario.binary_settings * 3 * 8
+    tracemalloc.start()
+    try:
+        maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=9), restarts=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * starts
+
+
+def test_fixed_povm_budget_is_per_row(monkeypatch):
     # from these starts row 0 converges in about 30 iterations and row 1
     # needs over 100; under a budget of 60 the slow row must not spend
     # the fast row's iterations
@@ -454,10 +491,10 @@ def test_fixed_povm_budget_is_per_row():
     rng = RngStream(8).generator()
     povms = random_extremal_povms(3, 2, rng)
     M = random_unit_vectors(rng, (2, 3))
-    N = random_unit_vectors(rng, (2, 2))
-    config = OptimizerConfig(max_iters=60)
-    both = _fixed_povm_ascent(spec, M, N.copy(), povms.weights, povms.blochs, 1, config)
-    alone = _fixed_povm_ascent(spec, M[:1], N[:1].copy(), povms.weights[:1], povms.blochs[:1], 1, config)
+    N = _binary_step(spec.bloch_coeffs, M, random_unit_vectors(rng, (2, 2)))
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 60)
+    both = _fixed_povm_ascent(spec, N.copy(), povms.weights, povms.blochs, 1)
+    alone = _fixed_povm_ascent(spec, N[:1].copy(), povms.weights[:1], povms.blochs[:1], 1)
     assert list(both[2]) == [True, False]
     assert both[1][1] == 60
     assert both[0][0] == alone[0][0]
@@ -729,8 +766,7 @@ def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("restarts", 0), ("restarts", -1), ("max_iters", 0), ("tol", 0.0), ("tol", -1e-9),
-     ("tol", float("nan")), ("tol", float("inf"))],
+    [("restarts", 0), ("restarts", -1)],
 )
 def test_optimizer_config_rejects_out_of_range_knobs(field, value):
     with pytest.raises(ValueError, match=field):
@@ -741,7 +777,7 @@ def test_bound_result_serializes():
     import json
 
     spec = build_witness("sic", k=0.2)
-    res = seesaw_maximize(spec, OptimizerConfig(restarts=4, max_iters=120, seed=2))
+    res = seesaw_maximize(spec, OptimizerConfig(restarts=4, seed=2))
     d = res.to_dict()
     text = json.dumps(d)
     back = json.loads(text)

@@ -30,7 +30,7 @@ from povmcert.witness import (
     trine_witness,
 )
 
-FAST = OptimizerConfig(restarts=8, max_iters=300, seed=7)
+FAST = OptimizerConfig(restarts=8, seed=7)
 
 
 def depolarized(strategy, v):
