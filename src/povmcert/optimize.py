@@ -39,11 +39,17 @@ next waiting row takes its slot at once, so the working set stays
 small and every iteration runs on a full pool.  `_MAX_ITERS` is each
 row's own budget across both stages.
 
-Every quantity of a batch of restarts advances in lock step through
-numpy array ops; a "row" below is one restart (or one restart of one
-outcome assignment).  Values come from `witness.bloch_values`, the
-evaluator the experiment layer shares, and `_multistart` sets up the
-random starts of all three bound searches.  All see-saw results are
+Every quantity of a batch advances in lock step through numpy array
+ops.  In the bound searches a "row" is one restart (of one outcome
+assignment) at one penalty weight k: `three_outcome_maxima` and
+`projective_bounds_numeric` take a whole k grid, every k climbs from
+the same starts, and each k's rows leave the batch on their own
+convergence rule, so each k gets exactly the result of a lone call.
+The single-k searches are a one-element grid, and whole k groups enter
+a batch up to `_SEESAW_CHUNK` rows at a time.  Values come from
+`witness.bloch_values`, the evaluator the experiment layer shares, and
+`_multistart` sets up the random starts of all three bound searches.
+All see-saw results are
 heuristic lower bounds on the true maximum and are labeled as such;
 the two closed-form projective bounds (the four-outcome family and the
 symmetric three-outcome family) are certified: each reduces the
@@ -56,6 +62,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +84,10 @@ _BALL_TOL = 1e-10
 # each row's iteration budget, and the value gain below which a row has converged
 _MAX_ITERS = 500
 _TOL = 1e-10
+# rows of one extremal see-saw batch: whole k groups enter it up to this
+# many rows, so a long k grid runs in bounded memory (about 2 KB a row at
+# peak); below it per-call overhead shows, and wider batches ran no faster
+_SEESAW_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -149,10 +160,11 @@ def _binary_step(D: Array, M: Array, N_old: Array) -> Array:
     return _normalize_rows(np.einsum("xy,bxi->byi", D, M), N_old)
 
 
-def _prep_step(D: Array, N: Array, k: float, PW: Array, PN: Array, M_old: Array) -> Array:
+def _prep_step(D: Array, N: Array, k: float | Array, PW: Array, PN: Array, M_old: Array) -> Array:
+    """Best preparations; k is one penalty weight or one per row (B,)."""
     H = np.einsum("xy,byi->bxi", D, N)
     O = PW.shape[1]
-    H[:, :O, :] = H[:, :O, :] - k * PW[..., None] * PN
+    H[:, :O, :] = H[:, :O, :] - np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
     return _normalize_rows(H, M_old)
 
 
@@ -249,6 +261,13 @@ def _enclosing_ball_step(
     )
 
 
+def _povm_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
+    """The exact POVM step: the projective one for T = 2 outcomes, else the enclosing ball."""
+    if subset.shape[1] == 2:
+        return _projective_povm_step(M, subset[:, 0], subset[:, 1], PW.shape[1], PN)
+    return _enclosing_ball_step(M, subset, PW, PN)
+
+
 def _run_seesaw(
     spec: WitnessSpec,
     M: Array,
@@ -256,40 +275,65 @@ def _run_seesaw(
     PW: Array,
     PN: Array,
     subset: Array,
+    k: Array,
+    group: Array,
 ) -> dict:
-    """Alternate exact steps until every row's value stalls below `_TOL`.
+    """Alternate exact steps until each k group's value stalls below `_TOL`.
 
-    subset (B, T) holds the outcomes each row's POVM may use and picks
-    the POVM step: T = 2 takes the projective step, T >= 3 the
-    enclosing ball.
+    A row is one restart at one penalty weight: k (B,) holds each row's
+    weight and group (B,) its k-group label, the rows of a group
+    contiguous.  subset (B, T) holds the outcomes each row's POVM may use
+    and picks the POVM step: T = 2 takes the projective step, T >= 3 the
+    enclosing ball; rows with k = 0 skip it.  A group leaves the batch at
+    the first iteration >= 1 where none of its rows gains `_TOL`, or
+    after `_MAX_ITERS`, and its rows stop changing there, so each group
+    ends exactly where a batch of its rows alone would.  M, N, PW and PN
+    are overwritten with the final state.  Returns them with the final
+    values (B,) and each group's iteration count and convergence flag,
+    in group order.
     """
     D = spec.bloch_coeffs
-    k = spec.k
-    O = spec.scenario.povm_outcomes
-    vals = bloch_values(spec, M[:, :, None], N, PW, PN)
-    iterations = 0
-    converged = False
+    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    size = np.diff(np.r_[first, group.size])
+    iterations = np.zeros(first.size, dtype=int)
+    converged = np.zeros(first.size, dtype=bool)
+    values = bloch_values(spec, M[:, :, None], N, PW, PN, k)
+    # the rows and groups still stepping, and their working state
+    rows, live, offsets = np.arange(group.size), np.arange(first.size), first
+    m, n, pw, pn, sub, kk, vals = M, N, PW, PN, subset, k, values
+    steps = kk > 0
     for it in range(_MAX_ITERS):
-        iterations = it + 1
-        N = _binary_step(D, M, N)
-        M = _prep_step(D, N, k, PW, PN, M)
-        if k > 0:
-            if subset.shape[1] == 2:
-                PW, PN = _projective_povm_step(M, subset[:, 0], subset[:, 1], O, PN)
-            else:
-                PW, PN = _enclosing_ball_step(M, subset, PW, PN)
-        new_vals = bloch_values(spec, M[:, :, None], N, PW, PN)
-        delta = new_vals - vals
-        vals = new_vals
-        if it >= 1 and float(np.max(delta)) < _TOL:
-            converged = True
+        n = _binary_step(D, m, n)
+        m = _prep_step(D, n, kk, pw, pn, m)
+        if steps.all():
+            pw, pn = _povm_step(m, sub, pw, pn)
+        elif steps.any():
+            pw, pn = pw.copy(), pn.copy()
+            pw[steps], pn[steps] = _povm_step(m[steps], sub[steps], pw[steps], pn[steps])
+        new = bloch_values(spec, m[:, :, None], n, pw, pn, kk)
+        settled = (np.maximum.reduceat(new - vals, offsets) < _TOL) & (it >= 1)
+        vals = new
+        stop = settled | (it + 1 == _MAX_ITERS)
+        if not stop.any():
+            continue
+        iterations[live[stop]] = it + 1
+        converged[live[stop]] = settled[stop]
+        leave = np.repeat(stop, size[live])
+        done = rows[leave]
+        M[done], N[done], PW[done], PN[done], values[done] = m[leave], n[leave], pw[leave], pn[leave], vals[leave]
+        keep = ~leave
+        if not keep.any():
             break
+        rows, live = rows[keep], live[~stop]
+        offsets = np.r_[0, np.cumsum(size[live])[:-1]]
+        m, n, pw, pn, sub, kk, vals = m[keep], n[keep], pw[keep], pn[keep], sub[keep], kk[keep], vals[keep]
+        steps = kk > 0
     return {
         "M": M,
         "N": N,
         "PW": PW,
         "PN": PN,
-        "values": vals,
+        "values": values,
         "iterations": iterations,
         "converged": converged,
     }
@@ -470,25 +514,30 @@ def _fixed_povm_ascent(
     return value, iterations, within_budget
 
 
-def _seesaw_result(kind: str, spec: WitnessSpec, state: dict, diagnostics: dict) -> BoundResult:
-    """The best row of a see-saw batch as a heuristic bound with its strategy."""
-    best = int(np.argmax(state["values"]))
-    w = np.clip(state["PW"][best], 0.0, None)
-    argmax = Strategy(state["M"][best], state["N"][best], Povm(w, state["PN"][best]))
-    return BoundResult(kind, float(state["values"][best]), spec.k, True, argmax, diagnostics)
+def _seesaw_result(kind: str, spec: WitnessSpec, run: dict, diagnostics: dict) -> BoundResult:
+    """One k's best row as a heuristic bound with its strategy."""
+    return BoundResult(kind, float(run["values"].max()), spec.k, True, run["argmax"], diagnostics)
 
 
 def _multistart(
-    spec: WitnessSpec, config: OptimizerConfig, stream: int, groups: Array
-) -> tuple[dict, Array]:
-    """See-saw from `config.restarts` random starts per outcome group.
+    specs: Sequence[WitnessSpec], config: OptimizerConfig, stream: int, groups: Array
+) -> list[dict]:
+    """See-saw from `config.restarts` random starts per outcome group, at each spec's k.
 
-    groups (G, T) lists the outcomes each group's POVMs may use.  Draws,
-    in this order from `config.stream(stream)`: preparations,
+    The specs are one family at several penalty weights.  groups (G, T)
+    lists the outcomes each group's POVMs may use.  The starts are drawn
+    once, in this order from `config.stream(stream)`: preparations,
     observables, then one random axis per row (T = 2, a projective
     pair) or random extremal T-outcome POVMs, placed on the group's
-    outcomes.  Returns the final state and its values as (G, restarts).
+    outcomes.  Every k climbs from these same G * restarts rows, so it
+    gets the result of a lone run; whole k groups enter `_run_seesaw`
+    together, at most `_SEESAW_CHUNK` rows at a time (a larger group
+    alone).  Returns per spec, in order: its values (G, restarts), its
+    iteration count and convergence flag, and its best row's strategy.
     """
+    spec = specs[0]
+    if any(not np.array_equal(s.coeffs, spec.coeffs) for s in specs):
+        raise ValueError("a k grid must share one coefficient tensor")
     R = config.restarts
     G, T = groups.shape
     B = G * R
@@ -507,8 +556,29 @@ def _multistart(
     PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
     np.put_along_axis(PW, subset, weights, axis=1)
     np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
-    state = _run_seesaw(spec, M, N, PW, PN, subset)
-    return state, state["values"].reshape(G, R)
+    ks = np.array([s.k for s in specs])
+    per = max(1, _SEESAW_CHUNK // B)  # k groups per batch
+    runs = []
+    for lo in range(0, ks.size, per):
+        block = ks[lo : lo + per]
+        n = block.size
+        # a lone k climbs the drawn starts in place, with no copy
+        starts = (M, N, PW, PN, subset)
+        if ks.size > 1:
+            starts = (np.tile(a, (n,) + (1,) * (a.ndim - 1)) for a in starts)
+        state = _run_seesaw(spec, *starts, np.repeat(block, B), np.repeat(np.arange(n), B))
+        values = state["values"].reshape(n, G, R)
+        for j in range(n):
+            best = j * B + int(np.argmax(values[j]))
+            w = np.clip(state["PW"][best], 0.0, None)
+            runs.append({
+                "values": values[j],
+                "iterations": int(state["iterations"][j]),
+                "converged": bool(state["converged"][j]),
+                "argmax": Strategy(state["M"][best], state["N"][best], Povm(w, state["PN"][best])),
+            })
+        del state  # free this batch before the next one is tiled
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +594,17 @@ def seesaw_maximize(spec: WitnessSpec, config: OptimizerConfig | None = None) ->
     """
     config = config or OptimizerConfig()
     groups = np.arange(spec.scenario.povm_outcomes)[None, :]
-    state, _ = _multistart(spec, config, 0, groups)
-    vals = state["values"]
+    (run,) = _multistart([spec], config, 0, groups)
+    vals = run["values"]
     diagnostics = {
         "witness": spec.name,
         "restarts": config.restarts,
-        "iterations": state["iterations"],
-        "converged": bool(state["converged"]),
+        "iterations": run["iterations"],
+        "converged": run["converged"],
         "value_spread": float(vals.max() - vals.min()),
         "seed": config.seed,
     }
-    return _seesaw_result("quantum-seesaw", spec, state, diagnostics)
+    return _seesaw_result("quantum-seesaw", spec, run, diagnostics)
 
 
 def maximize_given_povm_batch(
@@ -618,8 +688,17 @@ def projective_bound_numeric(
     the assigned pair), so each restart is fully deterministic given its
     start.
     """
+    return projective_bounds_numeric([spec], config, assignment)[0]
+
+
+def projective_bounds_numeric(
+    specs: Sequence[WitnessSpec],
+    config: OptimizerConfig | None = None,
+    assignment: tuple[int, int] | None = None,
+) -> list[BoundResult]:
+    """`projective_bound_numeric` at each spec of one family, in one see-saw batch."""
     config = config or OptimizerConfig()
-    O = spec.scenario.povm_outcomes
+    O = specs[0].scenario.povm_outcomes
     if assignment is None:
         pairs = list(combinations(range(O), 2))
     else:
@@ -627,19 +706,21 @@ def projective_bound_numeric(
         if not (0 <= a < b < O):
             raise ValueError("assignment must be two distinct outcomes of the scenario")
         pairs = [(a, b)]
-    state, grouped = _multistart(spec, config, 2, np.array(pairs))
-    per_pair = {f"{a},{b}": float(v) for (a, b), v in zip(pairs, grouped.max(axis=1))}
-    diagnostics = {
-        "witness": spec.name,
-        "restarts_per_pair": config.restarts,
-        "iterations": state["iterations"],
-        "converged": bool(state["converged"]),
-        "pair_values": per_pair,
-        "seed": config.seed,
-    }
-    if assignment is not None:
-        diagnostics["assignment"] = list(pairs[0])
-    return _seesaw_result("projective-numeric", spec, state, diagnostics)
+    results = []
+    for spec, run in zip(specs, _multistart(specs, config, 2, np.array(pairs))):
+        per_pair = {f"{a},{b}": float(v) for (a, b), v in zip(pairs, run["values"].max(axis=1))}
+        diagnostics = {
+            "witness": spec.name,
+            "restarts_per_pair": config.restarts,
+            "iterations": run["iterations"],
+            "converged": run["converged"],
+            "pair_values": per_pair,
+            "seed": config.seed,
+        }
+        if assignment is not None:
+            diagnostics["assignment"] = list(pairs[0])
+        results.append(_seesaw_result("projective-numeric", spec, run, diagnostics))
+    return results
 
 
 def three_outcome_max(
@@ -651,21 +732,30 @@ def three_outcome_max(
     all see-saw values; used as the threshold for claiming a genuinely
     four-outcome measurement.
     """
+    return three_outcome_maxima([spec], config)[0]
+
+
+def three_outcome_maxima(
+    specs: Sequence[WitnessSpec], config: OptimizerConfig | None = None
+) -> list[BoundResult]:
+    """`three_outcome_max` at each spec of one family, in one see-saw batch."""
     config = config or OptimizerConfig()
-    if spec.scenario.povm_outcomes != 4:
+    if specs[0].scenario.povm_outcomes != 4:
         raise ValueError("three-outcome restriction applies to four-outcome scenarios")
     trios = np.array([sorted(set(range(4)) - {z}) for z in range(4)])
-    state, grouped = _multistart(spec, config, 3, trios)
-    per_zero = {str(z): float(v) for z, v in enumerate(grouped.max(axis=1))}
-    diagnostics = {
-        "witness": spec.name,
-        "restarts_per_assignment": config.restarts,
-        "iterations": state["iterations"],
-        "converged": bool(state["converged"]),
-        "zero_assignment_values": per_zero,
-        "seed": config.seed,
-    }
-    return _seesaw_result("three-outcome-numeric", spec, state, diagnostics)
+    results = []
+    for spec, run in zip(specs, _multistart(specs, config, 3, trios)):
+        per_zero = {str(z): float(v) for z, v in enumerate(run["values"].max(axis=1))}
+        diagnostics = {
+            "witness": spec.name,
+            "restarts_per_assignment": config.restarts,
+            "iterations": run["iterations"],
+            "converged": run["converged"],
+            "zero_assignment_values": per_zero,
+            "seed": config.seed,
+        }
+        results.append(_seesaw_result("three-outcome-numeric", spec, run, diagnostics))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ and the visibility at which this drops to a bound B is
 
 Sweeping k trades the tightness of the bound against the size of the
 penalty; the sweep's minimum is the noise-robust operating point.
+`visibility_curve` computes a sweep's see-saw bounds in one batch over
+the whole k grid, where each k stops on its own rule.
 """
 from __future__ import annotations
 
@@ -26,7 +28,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .optimize import OptimizerConfig, projective_bound, three_outcome_max
+from .optimize import (
+    CLOSED_FORM_PROJECTIVE,
+    OptimizerConfig,
+    projective_bound,
+    projective_bounds_numeric,
+    three_outcome_maxima,
+)
 from .witness import WitnessSpec, build_witness
 
 log = logging.getLogger(__name__)
@@ -109,9 +117,12 @@ def visibility_curve(
 
     Per k: the requested bound (closed form where one exists, numeric
     search otherwise; `heuristic` records which), the family's quantum
-    value, and the resulting v_crit.  Numeric-bound points inherit the
-    usual caveat that a search can undershoot the true bound, which
-    makes their v_crit an underestimate.
+    value, and the resulting v_crit.  The closed forms run per k; the
+    numeric bounds of the whole grid run as one see-saw batch, where each
+    k stops on its own rule and gets the result of a lone run.  One
+    warning names every k whose search stopped unconverged.  Numeric-bound
+    points inherit the usual caveat that a search can undershoot the true
+    bound, which makes their v_crit an underestimate.
     """
     if bound_kind not in BOUND_KINDS:
         raise ValueError(f"bound_kind must be one of {BOUND_KINDS}")
@@ -121,16 +132,22 @@ def visibility_curve(
     if any(k < 0 or not np.isfinite(k) for k in grid):
         raise ValueError("k grid entries must be finite and >= 0")
     config = config or OptimizerConfig()
+    specs = [build_witness(family, k) for k in grid]
+    if specs[0].quantum_max is None:
+        raise ValueError(f"family {family!r} has no known quantum value")
+
+    if bound_kind == "three-outcome":
+        bounds = three_outcome_maxima(specs, config)
+    elif family in CLOSED_FORM_PROJECTIVE:
+        bounds = [projective_bound(spec, config) for spec in specs]
+    else:
+        bounds = projective_bounds_numeric(specs, config)
+    unconverged = [repr(k) for k, res in zip(grid, bounds) if not res.diagnostics.get("converged", True)]
+    if unconverged:
+        log.warning("%s %s bound stopped unconverged at k = %s", family, bound_kind, ", ".join(unconverged))
 
     curve: list[VisibilityResult] = []
-    for k in grid:
-        spec = build_witness(family, k)
-        if spec.quantum_max is None:
-            raise ValueError(f"family {family!r} has no known quantum value")
-        if bound_kind == "projective":
-            res = projective_bound(spec, config)
-        else:
-            res = three_outcome_max(spec, config)
+    for k, spec, res in zip(grid, specs, bounds):
         rand = a_rand(spec)
         v = critical_visibility(k, res.value, spec.quantum_max, rand)
         curve.append(

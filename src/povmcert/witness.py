@@ -212,20 +212,24 @@ def probability_table(M: Array, N: Array, weights: Array, blochs: Array) -> Prob
     return ProbabilityTable(binary, pov)
 
 
-def bloch_values(spec: WitnessSpec, M: Array, N: Array, weights: Array, blochs: Array) -> Array:
+def bloch_values(
+    spec: WitnessSpec, M: Array, N: Array, weights: Array, blochs: Array, k: float | Array | None = None
+) -> Array:
     """Witness values of a batch of qubit strategies in Bloch form.
 
     offset + sum_{xy} D_{xy} m_{xy} . n_y - k sum_x w_x (1 + p_x . m_x),
     with m_{xy} the state preparation x delivers during setting y.
     M (..., X, S, 3), N (..., Y, 3), weights (..., O), blochs (..., O, 3);
-    the leading axes broadcast and are the shape of the result.
+    the leading axes broadcast and are the shape of the result.  k
+    defaults to spec.k; an array of penalty weights broadcasts against
+    the leading axes (one k per strategy).
     """
     Y = spec.scenario.binary_settings
     O = spec.scenario.povm_outcomes
     base = np.einsum("...xyi,xy,...yi->...", M[..., :Y, :], spec.bloch_coeffs, N)
     overlap = np.einsum("...oi,...oi->...o", blochs, M[..., :O, -1, :])
     pen = np.einsum("...o,...o->...", weights, 1.0 + overlap)
-    return spec.offset + base - spec.k * pen
+    return spec.offset + base - (spec.k if k is None else k) * pen
 
 
 def bloch_linear_form(

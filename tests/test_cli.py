@@ -257,6 +257,25 @@ def test_bounds_reruns_byte_identical_across_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_visibility_curve_byte_identical_across_threads(tmp_path):
+    # the whole grid runs as one see-saw batch (9 k points x 128 rows)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **{var: threads for var in BLAS_THREAD_VARS})
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "povmcert.cli", "visibility-curve", "--witness", "sic",
+             "--kind", "three-outcome", "--kgrid", "0.05:0.45:0.05", "--format", "json",
+             "--out", "v.json", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "v.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_fidelity_curve_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

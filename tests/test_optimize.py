@@ -41,8 +41,10 @@ from povmcert.optimize import (
     projective_bound_numeric,
     projective_bound_sic,
     projective_bound_sym_trine,
+    projective_bounds_numeric,
     seesaw_maximize,
     three_outcome_max,
+    three_outcome_maxima,
 )
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.sampling import RngStream, random_extremal_povms, random_unit_vectors
@@ -108,11 +110,87 @@ def test_seesaw_trace_is_monotone(monkeypatch):
     trace = []
     for max_iters in range(1, 41):
         monkeypatch.setattr(optimize, "_MAX_ITERS", max_iters)
-        state, _ = _multistart(spec, config, 0, groups)
-        trace.append(state["values"])
-    assert state["converged"]  # the trace covers the whole run
+        (run,) = _multistart([spec], config, 0, groups)
+        trace.append(run["values"].ravel())
+    assert run["converged"]  # the trace covers the whole run
     steps = np.diff(np.array(trace), axis=0)
     assert steps.min() > -1e-9
+
+
+# ---------------------------------------------------------------------------
+# a k grid runs as one see-saw batch
+# ---------------------------------------------------------------------------
+
+# unsorted, with k = 0 (no POVM step) and a repeated k
+GRID = (0.3, 0.0, 0.1, 0.3, 0.05, 1.0)
+GRID_BOUNDS = {
+    "sic": (three_outcome_maxima, three_outcome_max),
+    "trine": (projective_bounds_numeric, projective_bound_numeric),
+}
+
+
+def assert_same_bound(got, lone):
+    assert (got.kind, got.value, got.k, got.heuristic) == (lone.kind, lone.value, lone.k, lone.heuristic)
+    assert got.diagnostics == lone.diagnostics
+    for a, b in (
+        (got.argmax.preparations, lone.argmax.preparations),
+        (got.argmax.binaries, lone.argmax.binaries),
+        (got.argmax.povm.weights, lone.argmax.povm.weights),
+        (got.argmax.povm.blochs, lone.argmax.povm.blochs),
+    ):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_BOUNDS))
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_grid_batch_matches_lone_calls(monkeypatch, name, chunk):
+    # each k stops on its own rule, so it ends bit for bit where a lone
+    # call does; a 40-row chunk splits the grid into several batches
+    if chunk is not None:
+        monkeypatch.setattr(optimize, "_SEESAW_CHUNK", chunk)
+    grid_fn, lone_fn = GRID_BOUNDS[name]
+    config = OptimizerConfig(restarts=4, seed=3)
+    batch = grid_fn([build_witness(name, k) for k in GRID], config)
+    assert [res.k for res in batch] == list(GRID)
+    for res in batch:
+        assert_same_bound(res, lone_fn(build_witness(name, res.k), config))
+    # the two k = 0.3 entries are the same run
+    assert_same_bound(batch[0], batch[3])
+
+
+def test_grid_batch_rejects_mixed_families():
+    with pytest.raises(ValueError, match="one coefficient tensor"):
+        three_outcome_maxima([build_witness("sic", 0.2), build_witness("trine", 0.2)], FAST)
+
+
+def test_grid_batch_reports_each_k_iterations(monkeypatch):
+    # alone, k = 0.1 and 0 converge in 20 and 15 iterations and k = 1
+    # and 2 need 66 and 130: under a 40-iteration budget only the slow
+    # two stop unconverged, and the fast two keep their own counts
+    config = OptimizerConfig(restarts=4, seed=7)
+    ks = (0.1, 1.0, 0.0, 2.0)
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 40)
+    batch = three_outcome_maxima([build_witness("sic", k) for k in ks], config)
+    assert [res.diagnostics["iterations"] for res in batch] == [20, 40, 15, 40]
+    assert [res.diagnostics["converged"] for res in batch] == [True, False, True, False]
+
+
+def test_grid_batch_peak_memory_does_not_grow_with_grid_length():
+    # k groups enter the batch _SEESAW_CHUNK rows at a time, so a grid
+    # four times longer reuses one batch's working set
+    config = OptimizerConfig(restarts=32, seed=1)
+    per_batch = optimize._SEESAW_CHUNK // (3 * config.restarts)  # trine: three pairs per k
+    grids = [[build_witness("trine", 0.5 + 0.01 * i) for i in range(n)] for n in (per_batch, 4 * per_batch)]
+    projective_bounds_numeric(grids[0], config)  # first-call allocations stay out of the peaks
+    peaks = []
+    for specs in grids:
+        tracemalloc.start()
+        try:
+            projective_bounds_numeric(specs, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_seesaw_sic_optimum_geometry():

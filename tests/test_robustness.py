@@ -5,10 +5,12 @@ from conftest import IDEAL_STRATEGIES, strategy_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmcert import optimize
 from povmcert.optimize import (
     OptimizerConfig,
     projective_bound,
     projective_bound_sic,
+    three_outcome_max,
 )
 from povmcert.robustness import (
     DEFAULT_K_GRID,
@@ -158,6 +160,38 @@ def test_trine_curve_uses_numeric_bounds():
         spec = build_witness("trine", p.k)
         assert p.bound_value == pytest.approx(projective_bound(spec, FAST).value, abs=1e-6)
         assert 0.0 < p.v_crit < 1.0
+
+
+@pytest.mark.parametrize("family, kind, lone", [
+    ("sic", "three-outcome", three_outcome_max),
+    ("trine", "projective", projective_bound),
+])
+def test_curve_batch_matches_lone_bounds_in_grid_order(family, kind, lone):
+    # unsorted, with k = 0 and a repeated k
+    grid = [0.3, 0.0, 0.1, 0.3, 0.05]
+    config = OptimizerConfig(restarts=4, seed=3)
+    curve = visibility_curve(family, kind, grid, config)
+    assert [p.k for p in curve] == grid
+    for p in curve:
+        assert p.bound_value == lone(build_witness(family, p.k), config).value
+
+
+def test_curve_warns_once_naming_unconverged_k_points(caplog, monkeypatch):
+    # alone, k = 0.1 and 0 converge in 20 and 15 iterations and k = 1
+    # and 2 need 66 and 130 (restarts 4, seed 7)
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 40)
+    config = OptimizerConfig(restarts=4, seed=7)
+    with caplog.at_level("WARNING", logger="povmcert.robustness"):
+        curve = visibility_curve("sic", "three-outcome", [0.1, 1.0, 0.0, 2.0], config)
+    assert len(curve) == 4  # unconverged points are reported, not dropped
+    (record,) = [r for r in caplog.records if r.name == "povmcert.robustness"]
+    assert record.levelname == "WARNING"
+    assert record.getMessage() == "sic three-outcome bound stopped unconverged at k = 1.0, 2.0"
+    caplog.clear()
+    monkeypatch.undo()
+    with caplog.at_level("WARNING", logger="povmcert.robustness"):
+        visibility_curve("sic", "three-outcome", [0.1, 1.0], config)
+    assert not [r for r in caplog.records if r.name == "povmcert.robustness"]
 
 
 def test_three_outcome_curve_rejected_for_three_outcome_witness():
