@@ -51,7 +51,7 @@ from .optimize import (
 )
 from .robustness import visibility_curve, visibility_curve_to_csv
 from .sampling import RngStream
-from .witness import WITNESS_BUILDERS, build_witness
+from .witness import WITNESS_BUILDERS, WitnessSpec, build_witness
 
 FAMILIES = sorted(WITNESS_BUILDERS)
 KINDS = ("projective", "three-outcome", "quantum")
@@ -91,12 +91,9 @@ def _emit_manifest(
     _write(primary.with_name(primary.name + ".manifest.json"), json.dumps(manifest, indent=2))
 
 
-def _parse_kinds(text: str | None, witness: str) -> list[str]:
+def _parse_kinds(text: str | None) -> list[str] | None:
     if text is None:
-        kinds = ["projective", "quantum"]
-        if witness == "sic":
-            kinds.insert(1, "three-outcome")
-        return kinds
+        return None
     kinds = [t.strip() for t in text.split(",") if t.strip()]
     bad = [t for t in kinds if t not in KINDS]
     if bad:
@@ -132,6 +129,26 @@ def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     return OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
 
+def _compute_bounds(
+    spec: WitnessSpec,
+    config: OptimizerConfig,
+    kinds: list[str] | None = None,
+    assignment: tuple[int, int] | None = None,
+) -> list[BoundResult]:
+    """Bounds of `kinds` in order; by default projective, three-outcome
+    (four-outcome witnesses only) and quantum, as `certify` needs them."""
+    if kinds is None:
+        kinds = [kind for kind in KINDS if kind != "three-outcome" or spec.scenario.povm_outcomes == 4]
+    calls = {
+        "projective": lambda: projective_bound(spec, config),
+        "three-outcome": lambda: three_outcome_max(spec, config),
+        "quantum": lambda: seesaw_maximize(spec, config),
+    }
+    if assignment is not None:
+        calls["projective"] = lambda: projective_bound_numeric(spec, config, assignment=assignment)
+    return [calls[kind]() for kind in kinds]
+
+
 def _bounds_csv(results: list[BoundResult]) -> str:
     lines = ["kind,value,k,heuristic"]
     for b in results:
@@ -157,21 +174,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = build_witness(args.witness, args.k)
     config = _optimizer_config(args)
-    kinds = _parse_kinds(args.kinds, args.witness)
-    if args.assignment is not None and "projective" not in kinds:
+    kinds = _parse_kinds(args.kinds)
+    if args.assignment is not None and kinds is not None and "projective" not in kinds:
         raise ValueError("--assignment restricts the projective bound; add projective to --kinds")
-    assignment = _parse_assignment(args.assignment)
-    results: list[BoundResult] = []
-    for kind in kinds:
-        if kind == "projective":
-            if assignment is not None:
-                results.append(projective_bound_numeric(spec, config, assignment=assignment))
-            else:
-                results.append(projective_bound(spec, config))
-        elif kind == "three-outcome":
-            results.append(three_outcome_max(spec, config))
-        else:
-            results.append(seesaw_maximize(spec, config))
+    results = _compute_bounds(spec, config, kinds, _parse_assignment(args.assignment))
     if args.format == "csv":
         text = _bounds_csv(results)
     else:
@@ -258,7 +264,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     envelope = None
     if args.envelope is not None:
-        envelope = EnvelopeCurve.from_json(Path(args.envelope).read_text())
+        try:
+            envelope = EnvelopeCurve.from_json(Path(args.envelope).read_text())
+        except ValueError as exc:
+            raise ValueError(f"envelope {args.envelope}: {exc}") from exc
         if (envelope.witness, envelope.k) != (args.witness, args.k):
             raise ValueError(
                 f"envelope {args.envelope} was sampled for witness={envelope.witness!r}, "
@@ -270,9 +279,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.bounds is not None:
         bounds = _load_bounds_file(args.bounds, args.witness, args.k)
     else:
-        bounds = [projective_bound(spec, config), seesaw_maximize(spec, config)]
-        if spec.scenario.povm_outcomes == 4:
-            bounds.insert(1, three_outcome_max(spec, config))
+        bounds = _compute_bounds(spec, config)
 
     syst = args.syst_err
     if args.syst_runs:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -117,9 +117,6 @@ class Visibilities:
     def povm_setting(self) -> float:
         return (self.x + self.y + self.z) / 3.0
 
-    def to_dict(self) -> dict:
-        return {"z": self.z, "x": self.x, "y": self.y}
-
 
 LAB_VISIBILITIES = Visibilities(z=LAB_VISIBILITY_Z, x=LAB_VISIBILITY_X, y=LAB_VISIBILITY_Y)
 
@@ -167,22 +164,6 @@ class ExperimentConfig:
 
     def scenario_shape(self) -> tuple[int, int, int]:
         return (len(self.preparations), len(self.binaries), self.povm.outcomes)
-
-    def to_dict(self) -> dict:
-        budget = self.photon_budget
-        return {
-            "preparations": [
-                {"hwp": float(h), "qwp": float(q)} for h, q in self.preparations
-            ],
-            "visibilities": self.visibilities.to_dict(),
-            "budget": int(budget) if float(budget).is_integer() else float(budget),
-            "motor_fwhm_deg": float(self.motor_fwhm_deg),
-            "binaries": [[float(c) for c in n] for n in self.binaries],
-            "povm": self.povm.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -434,7 +415,6 @@ class WitnessReport:
     heuristic: dict[str, bool]
     verdicts: dict[str, bool]
     fidelity_estimate: float | None = None
-    fidelity_basis: str = field(default="heuristic, sampling-based", repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -448,7 +428,7 @@ class WitnessReport:
             "verdicts": dict(self.verdicts),
             "fidelity_estimate": None
             if self.fidelity_estimate is None
-            else {"min_fidelity": self.fidelity_estimate, "basis": self.fidelity_basis},
+            else {"min_fidelity": self.fidelity_estimate, "basis": "heuristic, sampling-based"},
         }
 
     def to_json(self) -> str:

@@ -22,8 +22,9 @@ tetrahedron); the planar trine has one, since a planar configuration
 can always be flipped in place by a rotation about an in-plane axis.
 
 The envelope machinery scatters many random extremal POVMs into
-(witness value, fidelity) pairs and keeps per-bin minima, estimating
-the worst fidelity compatible with an observed witness value.
+(witness value, fidelity) pairs, held as one structured array, and
+keeps per-bin minima, estimating the worst fidelity compatible with an
+observed witness value.
 """
 from __future__ import annotations
 
@@ -134,15 +135,6 @@ def _kabsch(K: Array) -> tuple[Array, Array]:
 
 
 @dataclass(frozen=True)
-class SamplePoint:
-    """One sampled POVM scattered into the (witness value, fidelity) plane."""
-
-    witness_value: float
-    fidelity: float
-    povm_id: int
-
-
-@dataclass(frozen=True)
 class EnvelopeBin:
     a_lo: float
     a_hi: float
@@ -201,15 +193,22 @@ class EnvelopeCurve:
 
     @classmethod
     def from_json(cls, text: str) -> "EnvelopeCurve":
+        """Parse `to_json` output; a bin with a non-finite or reversed
+        edge, a minimum fidelity outside [0, 1] or no samples is refused."""
         d = json.loads(text)
+        width = float(d["bin_width"])
+        _check_bin_width(width)
         bins = tuple(
             EnvelopeBin(float(b["a_lo"]), float(b["a_hi"]), float(b["min_f"]), int(b["count"]))
             for b in d["bins"]
         )
+        for b in bins:
+            if not (-np.inf < b.a_lo < b.a_hi < np.inf and 0.0 <= b.min_f <= 1.0 and b.count >= 1):
+                raise ValueError(
+                    f"envelope bin {b} needs finite edges a_lo < a_hi, min_f in [0, 1] and count >= 1"
+                )
         k = d.get("k")
-        return cls(
-            float(d["bin_width"]), bins, d.get("witness"), None if k is None else float(k)
-        )
+        return cls(width, bins, d.get("witness"), None if k is None else float(k))
 
 
 def _check_bin_width(bin_width: float) -> None:
@@ -217,29 +216,37 @@ def _check_bin_width(bin_width: float) -> None:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
 
 
-def envelope_from_points(points: list[SamplePoint], bin_width: float) -> EnvelopeCurve:
+def envelope_from_points(points: Array, bin_width: float) -> EnvelopeCurve:
+    """Per-bin fidelity minima of sample points.
+
+    `points` is a structured array with fields `A` (witness value) and
+    `F` (fidelity), as `sample_fidelity_curve` returns; every value must
+    be finite.  Bin i covers [i, i + 1) times the width.
+    """
     _check_bin_width(bin_width)
-    groups: dict[int, list[SamplePoint]] = {}
-    for p in points:
-        groups.setdefault(int(np.floor(p.witness_value / bin_width)), []).append(p)
+    a, f = points["A"], points["F"]
+    if not (np.isfinite(a).all() and np.isfinite(f).all()):
+        raise ValueError("envelope points must have finite witness values and fidelities")
+    idx, inverse, counts = np.unique(
+        np.floor(a / bin_width).astype(np.int64), return_inverse=True, return_counts=True
+    )
+    min_f = np.full(len(idx), np.inf)
+    np.minimum.at(min_f, inverse, f)
     bins = tuple(
-        EnvelopeBin(
-            a_lo=idx * bin_width,
-            a_hi=(idx + 1) * bin_width,
-            min_f=min(p.fidelity for p in grp),
-            count=len(grp),
-        )
-        for idx, grp in sorted(groups.items())
+        EnvelopeBin(a_lo=i * bin_width, a_hi=(i + 1) * bin_width, min_f=m, count=c)
+        for i, m, c in zip(idx.tolist(), min_f.tolist(), counts.tolist())
     )
     return EnvelopeCurve(bin_width, bins)
 
 
-def samples_to_csv(points: list[SamplePoint]) -> str:
+def samples_to_csv(points: Array) -> str:
+    """The points as CSV: one column per field, floats in full precision."""
     out = io.StringIO()
     w = csv.writer(out)
-    w.writerow(["sample_id", "A", "F"])
-    for p in points:
-        w.writerow([p.povm_id, repr(p.witness_value), repr(p.fidelity)])
+    w.writerow(points.dtype.names)
+    # Python rows for one slice at a time: the peak stays near the text's size
+    for i in range(0, len(points), 4096):
+        w.writerows(points[i : i + 4096].tolist())
     return out.getvalue()
 
 
@@ -250,7 +257,7 @@ def sample_fidelity_curve(
     bin_width: float = 0.002,
     stream: RngStream | None = None,
     config: OptimizerConfig | None = None,
-) -> tuple[list[SamplePoint], EnvelopeCurve]:
+) -> tuple[Array, EnvelopeCurve]:
     """Scatter random extremal POVMs into (witness value, fidelity) points.
 
     Per sample: the best witness value with that POVM held fixed
@@ -258,7 +265,11 @@ def sample_fidelity_curve(
     sample, 8 without a config, and one anti-aligned start) and the best
     fidelity over rotations and target relabelings (closed form).  All
     POVMs are drawn in one batch before any search starts, and the bin
-    width is checked before the draw.
+    width is checked before the draw.  Returns the points as one
+    structured array with the samples CSV's fields `sample_id`, `A`
+    (witness value) and `F` (fidelity), one record per sample whose
+    value and fidelity are finite (the rest are dropped with a warning),
+    and their envelope.
     Deterministic for a fixed stream, sample count, and config.
     """
     if n_samples < 1:
@@ -280,13 +291,9 @@ def sample_fidelity_curve(
     f_flat, _ = _kabsch(K.reshape(n_samples * C, 3, 3))
     fids = f_flat.reshape(n_samples, C).max(axis=1)
 
-    points: list[SamplePoint] = []
-    dropped = 0
-    for i in range(n_samples):
-        if not (np.isfinite(values[i]) and np.isfinite(fids[i])):
-            dropped += 1
-            continue
-        points.append(SamplePoint(float(values[i]), float(fids[i]), i))
+    kept = np.flatnonzero(np.isfinite(values) & np.isfinite(fids))
+    dropped = n_samples - len(kept)
     if dropped:
         log.warning("dropped %d of %d samples with non-finite results", dropped, n_samples)
+    points = np.rec.fromarrays([kept, values[kept], fids[kept]], names="sample_id,A,F")
     return points, envelope_from_points(points, bin_width)

@@ -68,7 +68,8 @@ def critical_visibility(k: float, bound: float, a_q: float, a_rand: float) -> Cr
 
     Clamps to [0, 1] (flagged and logged): a bound above a_q cannot be
     violated at any visibility, one below a_rand - k is violated even by
-    noise alone.
+    noise alone.  A v within a few ulps of [0, 1] is rounding, as when a
+    see-saw bound lands on a_q to the last digit: it is clipped unflagged.
     """
     for name, val in (("k", k), ("bound", bound), ("a_q", a_q), ("a_rand", a_rand)):
         if not np.isfinite(val):
@@ -81,10 +82,11 @@ def critical_visibility(k: float, bound: float, a_q: float, a_rand: float) -> Cr
             f"a_q - a_rand + k = {denom:.6g} is not positive; no visibility scale"
         )
     v = (bound - a_rand + k) / denom
-    if 0.0 <= v <= 1.0:
-        return CriticalVisibility(float(v), False)
-    log.warning("critical visibility %.6g outside [0, 1]; clamped", v)
-    return CriticalVisibility(float(np.clip(v, 0.0, 1.0)), True)
+    ulps = 4 * np.finfo(float).eps
+    clamped = not -ulps <= v <= 1.0 + ulps
+    if clamped:
+        log.warning("critical visibility %.6g outside [0, 1]; clamped", v)
+    return CriticalVisibility(float(np.clip(v, 0.0, 1.0)), clamped)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ matrix (I + r . sigma)/2, an observable axis n the matrix n . sigma with
 outcome b's effect (I + (-1)^b n . sigma)/2, and a POVM element (w, n)
 the effect w (I + n . sigma).
 """
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -114,6 +116,27 @@ def extremal_povm(outcomes: int, rng: np.random.Generator) -> Povm:
     """One uniformly sampled extremal POVM, drawn as the library draws a batch of one."""
     sample = random_extremal_povms(outcomes, 1, rng)
     return Povm(sample.weights[0], sample.blochs[0])
+
+
+def config_json(cfg) -> str:
+    """A `--config` file for an `ExperimentConfig`, in the keys `from_dict` reads."""
+    budget = cfg.photon_budget
+    return json.dumps(
+        {
+            "preparations": [{"hwp": float(h), "qwp": float(q)} for h, q in cfg.preparations],
+            "visibilities": {"z": cfg.visibilities.z, "x": cfg.visibilities.x, "y": cfg.visibilities.y},
+            "budget": int(budget) if float(budget).is_integer() else float(budget),
+            "motor_fwhm_deg": float(cfg.motor_fwhm_deg),
+            "binaries": cfg.binaries.tolist(),
+            "povm": cfg.povm.to_dict(),
+        },
+        indent=2,
+    )
+
+
+def sample_points(*rows) -> np.ndarray:
+    """Envelope points from (sample_id, A, F) rows, typed as `sample_fidelity_curve` returns them."""
+    return np.rec.fromrecords(list(rows), dtype=[("sample_id", np.int64), ("A", float), ("F", float)])
 
 
 # ------------------------------------------------- reference systematics

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import config_json
 
 import povmcert.fidelity
 from povmcert.cli import main
@@ -187,7 +188,7 @@ def test_simulate_budget_override(tmp_path, capsys):
 
 def test_simulate_budget_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "trine.json"
-    cfg.write_text(trine_experiment().to_json())
+    cfg.write_text(config_json(trine_experiment()))
     rc = run("simulate", "--witness", "trine", "--k", 1, "--config", cfg, "--budget", 1000,
              "--out-dir", tmp_path, "--out", "c.csv")
     capsys.readouterr()
@@ -207,7 +208,7 @@ def test_simulate_sym_trine_has_no_builtin_config(capsys):
 
 def test_simulate_config_witness_mismatch(tmp_path, capsys):
     cfg = tmp_path / "trine.json"
-    cfg.write_text(trine_experiment().to_json())
+    cfg.write_text(config_json(trine_experiment()))
     rc = run("simulate", "--witness", "sic", "--k", 0.2, "--config", cfg,
              "--out-dir", tmp_path)
     assert rc == 2
@@ -237,7 +238,21 @@ def test_seeded_runs_are_byte_identical(tmp_path, capsys):
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_bounds_reruns_byte_identical_across_threads(tmp_path):
+@pytest.mark.parametrize(
+    "command, artifacts",
+    [
+        (["bounds", "--witness", "trine", "--k", "1", "--kinds", "projective,quantum",
+          "--restarts", "8", "--out", "b.json"], ["b.json"]),
+        # the whole grid runs as one see-saw batch (9 k points x 128 rows)
+        (["visibility-curve", "--witness", "sic", "--kind", "three-outcome",
+          "--kgrid", "0.05:0.45:0.05", "--format", "json", "--out", "v.json"], ["v.json"]),
+        # the witness search's batched eigh and the Kabsch SVD run through LAPACK
+        (["fidelity-curve", "--witness", "trine", "--k", "1", "--samples", "60",
+          "--restarts", "4", "--seed", "5", "--out", "f"], ["f.samples.csv", "f.envelope.json"]),
+    ],
+    ids=["bounds", "visibility-curve", "fidelity-curve"],
+)
+def test_artifacts_byte_identical_across_threads(command, artifacts, tmp_path):
     # BLAS pools size themselves when numpy loads, so the thread count
     # must be set in the environment of a fresh interpreter
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -247,32 +262,11 @@ def test_bounds_reruns_byte_identical_across_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run(
-            [sys.executable, "-m", "povmcert.cli", "bounds", "--witness", "trine", "--k", "1",
-             "--kinds", "projective,quantum", "--restarts", "8", "--out", "b.json",
-             "--out-dir", str(out)],
+            [sys.executable, "-m", "povmcert.cli", *command, "--out-dir", str(out)],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "b.json").read_bytes())
-    assert outputs[0] == outputs[1]
-
-
-def test_visibility_curve_byte_identical_across_threads(tmp_path):
-    # the whole grid runs as one see-saw batch (9 k points x 128 rows)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, **{var: threads for var in BLAS_THREAD_VARS})
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "povmcert.cli", "visibility-curve", "--witness", "sic",
-             "--kind", "three-outcome", "--kgrid", "0.05:0.45:0.05", "--format", "json",
-             "--out", "v.json", "--out-dir", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "v.json").read_bytes())
+        outputs.append([(out / name).read_bytes() for name in artifacts])
     assert outputs[0] == outputs[1]
 
 
@@ -496,6 +490,34 @@ def test_certify_rejects_unstamped_envelope(sic_counts, tmp_path, capsys):
              "--restarts", 8, "--envelope", path)
     assert rc == 2
     assert "witness=None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"bin_width": -1.0},
+        {"bin_width": float("nan")},
+        {"a_lo": float("-inf")},
+        {"a_lo": 10.0, "a_hi": 0.0},
+        {"min_f": float("nan")},
+        {"min_f": -3.0},
+        {"min_f": 1.5},
+        {"count": 0},
+    ],
+    ids=["negative-width", "nan-width", "infinite-edge", "reversed-edges", "nan-fidelity",
+         "negative-fidelity", "fidelity-above-one", "empty-bin"],
+)
+def test_certify_rejects_malformed_envelope(change, sic_counts, tmp_path, capsys):
+    width = change.get("bin_width", 10.0)
+    fields = {"a_lo": 0.0, "a_hi": 10.0, "min_f": 0.93, "count": 5}
+    fields.update((key, v) for key, v in change.items() if key in fields)
+    curve = EnvelopeCurve(width, (EnvelopeBin(**fields),), witness="sic", k=0.2)
+    path = tmp_path / "env.json"
+    path.write_text(curve.to_json())
+    rc = run("certify", "--counts", sic_counts, "--witness", "sic", "--k", 0.2,
+             "--restarts", 8, "--envelope", path)
+    assert rc == 2
+    assert f"envelope {path}" in capsys.readouterr().err
 
 
 def test_certify_syst_runs_uses_builtin_config(trine_counts, capsys):

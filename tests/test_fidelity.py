@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import extremal_povm
+from conftest import extremal_povm, sample_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
@@ -15,7 +15,6 @@ import povmcert.fidelity
 from povmcert.fidelity import (
     EnvelopeBin,
     EnvelopeCurve,
-    SamplePoint,
     TargetPovm,
     _alignment_matrices,
     _kabsch,
@@ -204,8 +203,8 @@ def test_fidelity_result_rotation_is_proper():
 
 
 def test_envelope_bins_are_anchored_and_mergeable():
-    pts_a = [SamplePoint(0.7501, 0.91, 0), SamplePoint(0.7519, 0.93, 1)]
-    pts_b = [SamplePoint(0.7503, 0.89, 2), SamplePoint(0.7542, 0.97, 3)]
+    pts_a = sample_points((0, 0.7501, 0.91), (1, 0.7519, 0.93))
+    pts_b = sample_points((2, 0.7503, 0.89), (3, 0.7542, 0.97))
     env_a = envelope_from_points(pts_a, 0.002)
     env_b = envelope_from_points(pts_b, 0.002)
     assert [b.a_lo for b in env_a.bins] == pytest.approx([0.750])
@@ -221,18 +220,13 @@ def test_envelope_bins_are_anchored_and_mergeable():
             merged[b.a_lo] = EnvelopeBin(
                 b.a_lo, b.a_hi, min(prev.min_f, b.min_f), prev.count + b.count
             )
-    pooled = envelope_from_points(pts_a + pts_b, 0.002)
+    pooled = envelope_from_points(np.concatenate([pts_a, pts_b]), 0.002)
     assert tuple(merged[k] for k in sorted(merged)) == pooled.bins
 
 
 def test_envelope_lookup_and_floor():
     env = envelope_from_points(
-        [
-            SamplePoint(0.100, 0.80, 0),
-            SamplePoint(0.1015, 0.85, 1),
-            SamplePoint(0.105, 0.95, 2),
-            SamplePoint(0.109, 0.90, 3),
-        ],
+        sample_points((0, 0.100, 0.80), (1, 0.1015, 0.85), (2, 0.105, 0.95), (3, 0.109, 0.90)),
         0.002,
     )
     # the floor scans upward: a weak measurement could still have shown
@@ -245,10 +239,7 @@ def test_envelope_lookup_and_floor():
 
 def test_envelope_floor_is_monotone():
     rng = RngStream(5).generator()
-    pts = [
-        SamplePoint(float(a), float(f), i)
-        for i, (a, f) in enumerate(zip(rng.uniform(0, 1, 200), rng.uniform(0.5, 1, 200)))
-    ]
+    pts = sample_points(*zip(range(200), rng.uniform(0, 1, 200), rng.uniform(0.5, 1, 200)))
     env = envelope_from_points(pts, 0.01)
     grid = np.linspace(-0.1, 1.1, 300)
     floors = [env.floor_at(float(v)) for v in grid]
@@ -262,19 +253,24 @@ def test_envelope_floor_is_monotone():
 
 def test_envelope_rejects_bad_width():
     with pytest.raises(ValueError, match="width"):
-        envelope_from_points([SamplePoint(0.1, 0.9, 0)], 0.0)
+        envelope_from_points(sample_points((0, 0.1, 0.9)), 0.0)
 
 
 @pytest.mark.parametrize("width", [-1.0, float("nan"), float("inf")])
 def test_envelope_rejects_negative_or_non_finite_width(width):
     with pytest.raises(ValueError, match="bin width"):
-        envelope_from_points([SamplePoint(0.1, 0.9, 0)], width)
+        envelope_from_points(sample_points((0, 0.1, 0.9)), width)
+
+
+@pytest.mark.parametrize("a, f", [(np.inf, 0.9), (-np.inf, 0.9), (np.nan, 0.9), (0.1, np.nan)])
+def test_envelope_rejects_non_finite_points(a, f):
+    # an infinite value would wrap silently in the integer bin index
+    with pytest.raises(ValueError, match="finite"):
+        envelope_from_points(sample_points((0, 0.1, 0.9), (1, a, f)), 0.002)
 
 
 def test_envelope_json_round_trip():
-    env = envelope_from_points(
-        [SamplePoint(0.75, 0.9, 0), SamplePoint(0.76, 0.95, 1)], 0.002
-    )
+    env = envelope_from_points(sample_points((0, 0.75, 0.9), (1, 0.76, 0.95)), 0.002)
     again = EnvelopeCurve.from_json(env.to_json())
     assert again == env
     # the serialized form is plain JSON with named fields
@@ -287,12 +283,14 @@ def test_envelope_json_round_trip():
 
 
 def test_samples_csv_round_trip():
-    pts = [SamplePoint(0.7512345678901234, 0.912345678901234, 3), SamplePoint(0.3, 0.5, 7)]
-    rows = list(csv.reader(io.StringIO(samples_to_csv(pts))))
+    pts = sample_points((3, 0.7512345678901234, 0.912345678901234), (7, 0.3, 0.5))
+    text = samples_to_csv(pts)
+    assert text.startswith("sample_id,A,F\r\n3,0.7512345678901234,0.912345678901234\r\n")
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["sample_id", "A", "F"]
     # repr keeps every digit, so the floats come back exactly
-    again = [SamplePoint(float(a), float(f), int(sid)) for sid, a, f in rows[1:]]
-    assert again == pts
+    again = sample_points(*[(int(sid), float(a), float(f)) for sid, a, f in rows[1:]])
+    assert again.tolist() == pts.tolist()
 
 
 # ------------------------------------------------------- sampled curves
@@ -314,9 +312,9 @@ def small_sic_curve():
 def test_curve_points_land_in_valid_ranges(small_sic_curve):
     _, pts, env = small_sic_curve
     assert len(pts) == 48
-    for p in pts:
-        assert 0.5 - 1e-9 <= p.fidelity <= 1.0 + 1e-9
-        assert p.witness_value <= SIC_QUANTUM_MAX + 1e-6
+    assert pts["sample_id"].tolist() == list(range(48))
+    assert np.all((0.5 - 1e-9 <= pts["F"]) & (pts["F"] <= 1.0 + 1e-9))
+    assert np.all(pts["A"] <= SIC_QUANTUM_MAX + 1e-6)
     assert sum(b.count for b in env.bins) == len(pts)
 
 
@@ -324,9 +322,9 @@ def test_curve_envelope_matches_points(small_sic_curve):
     _, pts, env = small_sic_curve
     assert env == envelope_from_points(pts, 0.002)
     for b in env.bins:
-        inside = [p.fidelity for p in pts if b.a_lo <= p.witness_value < b.a_hi]
+        inside = pts["F"][(b.a_lo <= pts["A"]) & (pts["A"] < b.a_hi)]
         assert len(inside) == b.count
-        assert min(inside) == b.min_f
+        assert inside.min() == b.min_f
     los = [b.a_lo for b in env.bins]
     assert los == sorted(los)
     for b in env.bins:
@@ -342,17 +340,17 @@ def test_curve_is_deterministic(small_sic_curve):
         stream=RngStream(31),
         config=OptimizerConfig(restarts=4, seed=1),
     )
-    assert again == pts
+    assert again.tolist() == pts.tolist()
 
 
 def test_curve_near_optimal_samples_have_high_fidelity(small_sic_curve):
     # a witness value close to the quantum maximum forces the POVM close
     # to the tetrahedral target, so fidelity climbs with the value
     _, pts, _ = small_sic_curve
-    top = [p.fidelity for p in pts if p.witness_value > SIC_QUANTUM_MAX - 0.01]
-    low = [p.fidelity for p in pts if p.witness_value < SIC_QUANTUM_MAX - 0.05]
-    if top and low:
-        assert min(top) > max(low) - 0.2
+    top = pts["F"][pts["A"] > SIC_QUANTUM_MAX - 0.01]
+    low = pts["F"][pts["A"] < SIC_QUANTUM_MAX - 0.05]
+    if len(top) and len(low):
+        assert top.min() > low.max() - 0.2
         assert np.mean(top) > np.mean(low)
 
 
@@ -366,9 +364,8 @@ def test_trine_curve_smoke():
         config=OptimizerConfig(restarts=4, seed=2),
     )
     assert len(pts) == 24
-    for p in pts:
-        assert 0.5 - 1e-9 <= p.fidelity <= 1.0 + 1e-9
-        assert p.witness_value <= 5.0 + 1e-6
+    assert np.all((0.5 - 1e-9 <= pts["F"]) & (pts["F"] <= 1.0 + 1e-9))
+    assert np.all(pts["A"] <= 5.0 + 1e-6)
     assert env.bin_width == 0.01
 
 

@@ -8,6 +8,7 @@ from conftest import (
     IDENTITY2,
     PAULIS,
     binary_effect,
+    config_json,
     density_matrix,
     effect_matrices,
     observable_matrix,
@@ -84,7 +85,7 @@ def test_observable_requires_unit_axis():
     with pytest.raises(ValueError, match="unit length"):
         Strategy(ideal.preparations, half, ideal.povm)
     # a config file is user input: its axes are checked on load
-    data = json.loads(sic_experiment().to_json())
+    data = json.loads(config_json(sic_experiment()))
     data["binaries"][1] = [0.0, 0.0, 0.5]
     with pytest.raises(ValueError, match="unit length"):
         ExperimentConfig.from_json(json.dumps(data))

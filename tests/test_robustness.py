@@ -85,6 +85,20 @@ def test_clamping_is_flagged_both_ways():
     assert below.value == 0.0 and below.clamped
 
 
+def test_rounding_above_the_quantum_value_is_not_clamped(caplog):
+    # at k = 0 the sic three-outcome see-saw lands one ulp above a_q, so
+    # v is 1 + 2 ulps: rounding, not a bound no visibility can violate
+    with caplog.at_level("WARNING", logger="povmcert.robustness"):
+        (point,) = visibility_curve("sic", "three-outcome", [0.0], OptimizerConfig(restarts=8, seed=0))
+    assert point.v_crit == 1.0 and not point.clamped
+    assert not caplog.records
+    # a bound clearly above a_q is still flagged and logged
+    with caplog.at_level("WARNING", logger="povmcert.robustness"):
+        above = critical_visibility(0.0, SIC_QUANTUM_MAX + 1e-12, SIC_QUANTUM_MAX, 0.5)
+    assert above.value == 1.0 and above.clamped
+    assert ["outside [0, 1]" in r.getMessage() for r in caplog.records] == [True]
+
+
 def test_degenerate_scale_rejected():
     with pytest.raises(ValueError, match="not positive"):
         critical_visibility(0.1, 0.5, 0.3, 0.5)
