@@ -6,7 +6,7 @@ are importable on their own when finer-grained access is wanted:
 - qubit: array-backed POVMs and state/axis checks, extremality
 - witness: scenarios, witness coefficient tables, the three families
 - sampling: seeded RNG streams and uniform extremal-POVM sampling
-- optimize: see-saw maxima and projective / three-outcome bounds
+- optimize: the quantum maximum, projective and three-outcome bounds
 - fidelity: sampled envelopes of the rotation fidelity to a target
 - robustness: critical depolarizing visibility of each bound
 - experiment: waveplate model, counts, systematics, certification
@@ -43,7 +43,7 @@ from .optimize import (
     projective_bound_numeric,
     projective_bound_sic,
     projective_bound_sym_trine,
-    seesaw_maximize,
+    quantum_bound,
     three_outcome_max,
 )
 from .qubit import Povm, classify_extremal, validate_povm
@@ -96,9 +96,9 @@ __all__ = [
     "projective_bound_numeric",
     "projective_bound_sic",
     "projective_bound_sym_trine",
+    "quantum_bound",
     "random_extremal_povms",
     "sample_fidelity_curve",
-    "seesaw_maximize",
     "sic_experiment",
     "sic_target",
     "sic_witness",

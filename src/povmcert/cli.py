@@ -46,7 +46,7 @@ from .optimize import (
     OptimizerConfig,
     projective_bound,
     projective_bound_numeric,
-    seesaw_maximize,
+    quantum_bound,
     three_outcome_max,
 )
 from .robustness import visibility_curve, visibility_curve_to_csv
@@ -98,6 +98,10 @@ def _parse_kinds(text: str | None) -> list[str] | None:
     bad = [t for t in kinds if t not in KINDS]
     if bad:
         raise ValueError(f"unknown bound kinds {bad}; choose from {list(KINDS)}")
+    if not kinds:
+        raise ValueError(f"--kinds names no bound; choose from {list(KINDS)}")
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"--kinds repeats a bound: {kinds}")
     return kinds
 
 
@@ -142,7 +146,7 @@ def _compute_bounds(
     calls = {
         "projective": lambda: projective_bound(spec, config),
         "three-outcome": lambda: three_outcome_max(spec, config),
-        "quantum": lambda: seesaw_maximize(spec, config),
+        "quantum": lambda: quantum_bound(spec),
     }
     if assignment is not None:
         calls["projective"] = lambda: projective_bound_numeric(spec, config, assignment=assignment)
@@ -226,16 +230,21 @@ def _load_bounds_file(path: str, witness: str, k: float) -> list[BoundResult]:
             f"bounds {path} were computed for witness={stamp[0]!r}, k={stamp[1]!r}; "
             f"this run is witness={witness!r}, k={k!r}"
         )
+    entries = data.get("bounds")
+    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+        raise ValueError(f"bounds {path}: 'bounds' must be a list of objects")
+    if not all(isinstance(d.get("kind"), str) and isinstance(d.get("heuristic"), bool) for d in entries):
+        raise ValueError(f"bounds {path}: every bound needs a string 'kind' and a true/false 'heuristic'")
     return [
         BoundResult(
             kind=d["kind"],
             value=float(d["value"]),
             k=float(d["k"]),
-            heuristic=bool(d["heuristic"]),
+            heuristic=d["heuristic"],
             argmax=d.get("argmax"),
             diagnostics=d.get("diagnostics", {}),
         )
-        for d in data["bounds"]
+        for d in entries
     ]
 
 

@@ -69,7 +69,7 @@ def _rotation_classes(weights: Array, blochs: Array) -> tuple[tuple[int, ...], .
         config = blochs[p]
         if rep_configs:
             K = np.einsum("o,oi,coj->cij", weights, config, np.array(rep_configs))
-            if np.any(_kabsch(K)[0] > 1.0 - RELABEL_TOL):
+            if np.any(_kabsch(K) > 1.0 - RELABEL_TOL):
                 continue
         reps.append(perm)
         rep_configs.append(config)
@@ -118,20 +118,16 @@ def _alignment_matrices(
     return np.einsum("so,soi,coj->scij", weights, blochs, v)
 
 
-def _kabsch(K: Array) -> tuple[Array, Array]:
+def _kabsch(K: Array) -> Array:
     """Max of 1/2 + Tr(R K)/2 over proper rotations R for each K in a batch.
 
     K = U S V^T and d = sign(det U det V) give the maximum
     1/2 + (s1 + s2 + d s3)/2 at R = V diag(1, 1, d) U^T.  Returns the
-    fidelities (B,) and the rotations (B, 3, 3).
+    fidelities (B,).
     """
     U, s, Vt = np.linalg.svd(K)
     d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    f = 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2])
-    D = np.ones_like(s)
-    D[:, 2] = d
-    R = (Vt.swapaxes(-1, -2) * D[:, None, :]) @ U.swapaxes(-1, -2)
-    return f, R
+    return 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2])
 
 
 @dataclass(frozen=True)
@@ -288,8 +284,7 @@ def sample_fidelity_curve(
     C = len(target.relabel_classes)
     perms = np.array(target.relabel_classes)
     K = _alignment_matrices(sample.weights, sample.blochs, target, perms)  # (S, C, 3, 3)
-    f_flat, _ = _kabsch(K.reshape(n_samples * C, 3, 3))
-    fids = f_flat.reshape(n_samples, C).max(axis=1)
+    fids = _kabsch(K.reshape(n_samples * C, 3, 3)).reshape(n_samples, C).max(axis=1)
 
     kept = np.flatnonzero(np.isfinite(values) & np.isfinite(fids))
     dropped = n_samples - len(kept)

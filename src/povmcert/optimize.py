@@ -1,4 +1,4 @@
-"""Witness maximization: see-saw heuristics and certified projective bounds.
+"""Witness maximization: see-saw heuristics and closed-form bounds.
 
 The see-saw alternates three exact coordinate maximizations in Bloch
 form.  With coupling D_{xy} = (c_{xy0} - c_{xy1})/2 the witness reads
@@ -48,14 +48,16 @@ convergence rule, so each k gets exactly the result of a lone call.
 The single-k searches are a one-element grid, and whole k groups enter
 a batch up to `_SEESAW_CHUNK` rows at a time.  Values come from
 `witness.bloch_values`, the evaluator the experiment layer shares, and
-`_multistart` sets up the random starts of all three bound searches.
-All see-saw results are
-heuristic lower bounds on the true maximum and are labeled as such;
-the two closed-form projective bounds (the four-outcome family and the
-symmetric three-outcome family) are certified: each reduces the
-projective maximum to a smooth one-parameter profile whose stationary
-points are the roots of one quartic, so its maximum is the best value
-at the interval's ends and those roots.
+`_multistart` sets up the random starts of both see-saw bound
+searches.  All see-saw results are heuristic lower bounds on the true
+maximum and are labeled as such; the two closed-form projective bounds
+(the four-outcome family and the symmetric three-outcome family) are
+certified: each reduces the projective maximum to a smooth
+one-parameter profile whose stationary points are the roots of one
+quartic, so its maximum is the best value at the interval's ends and
+those roots.  The quantum bound is exact too: it is the family's known
+maximum (`WitnessSpec.quantum_max`), which the ideal strategy attains
+at every k with no penalty.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ import numpy as np
 
 from .qubit import Povm
 from .sampling import RngStream, random_extremal_povms, random_unit_vectors
-from .witness import Strategy, WitnessSpec, bloch_values
+from .witness import TETRAHEDRON, TRINE, Strategy, WitnessSpec, bloch_values
 
 log = logging.getLogger(__name__)
 
@@ -586,27 +588,6 @@ def _multistart(
 # ---------------------------------------------------------------------------
 
 
-def seesaw_maximize(spec: WitnessSpec, config: OptimizerConfig | None = None) -> BoundResult:
-    """Multistart see-saw over unrestricted qubit strategies.
-
-    Returns the best value across restarts as a heuristic lower bound on
-    the quantum maximum, with the achieving strategy attached.
-    """
-    config = config or OptimizerConfig()
-    groups = np.arange(spec.scenario.povm_outcomes)[None, :]
-    (run,) = _multistart([spec], config, 0, groups)
-    vals = run["values"]
-    diagnostics = {
-        "witness": spec.name,
-        "restarts": config.restarts,
-        "iterations": run["iterations"],
-        "converged": run["converged"],
-        "value_spread": float(vals.max() - vals.min()),
-        "seed": config.seed,
-    }
-    return _seesaw_result("quantum-seesaw", spec, run, diagnostics)
-
-
 def maximize_given_povm_batch(
     spec: WitnessSpec,
     weights: Array,
@@ -759,7 +740,7 @@ def three_outcome_maxima(
 
 
 # ---------------------------------------------------------------------------
-# certified closed-form projective bounds
+# certified closed-form bounds
 # ---------------------------------------------------------------------------
 
 
@@ -843,3 +824,21 @@ def projective_bound(spec: WitnessSpec, config: OptimizerConfig | None = None) -
     if fn is not None:
         return fn(spec.k)
     return projective_bound_numeric(spec, config)
+
+
+def quantum_bound(spec: WitnessSpec) -> BoundResult:
+    """The family's known quantum maximum, attained at every k by its ideal strategy.
+
+    The POVM has equal weights along the tetrahedron (four outcomes) or
+    the trine (three), each preparation is anti-aligned with its effect,
+    so the penalty vanishes, and each observable aligns with its field.
+    """
+    if spec.quantum_max is None:
+        raise ValueError(f"witness {spec.name!r} has no known quantum maximum")
+    O = spec.scenario.povm_outcomes
+    blochs = TETRAHEDRON if O == 4 else TRINE
+    M = _anti_aligned(blochs[None], spec.scenario.preparations)
+    N = _binary_step(spec.bloch_coeffs, M, np.array([0.0, 0.0, 1.0]))
+    argmax = Strategy(M[0], N[0], Povm(np.full(O, 1.0 / O), blochs))
+    diagnostics = {"witness": spec.name, "method": "closed-form"}
+    return BoundResult("quantum-closed-form", float(spec.quantum_max), float(spec.k), False, argmax, diagnostics)

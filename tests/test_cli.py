@@ -14,9 +14,11 @@ import pytest
 from conftest import config_json
 
 import povmcert.fidelity
+import povmcert.optimize
 from povmcert.cli import main
 from povmcert.experiment import counts_from_csv, trine_experiment
 from povmcert.fidelity import EnvelopeBin, EnvelopeCurve
+from povmcert.witness import build_witness
 
 
 def run(*args):
@@ -40,19 +42,20 @@ def test_bounds_sic_default_kinds(capsys):
     assert set(by_kind) == {
         "projective-closed-form",
         "three-outcome-numeric",
-        "quantum-seesaw",
+        "quantum-closed-form",
     }
     assert by_kind["projective-closed-form"]["value"] == pytest.approx(0.7738, abs=5e-4)
     assert by_kind["three-outcome-numeric"]["value"] == pytest.approx(0.7836, abs=1e-3)
-    assert by_kind["quantum-seesaw"]["value"] == pytest.approx(0.788675, abs=1e-3)
+    assert by_kind["quantum-closed-form"]["value"] == pytest.approx(0.788675, abs=1e-3)
     assert by_kind["projective-closed-form"]["heuristic"] is False
+    assert by_kind["quantum-closed-form"]["heuristic"] is False
 
 
 def test_bounds_trine_default_kinds(capsys):
     rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective,quantum", "--restarts", 8)
     assert rc == 0
     kinds = [b["kind"] for b in read_json(capsys)["bounds"]]
-    assert kinds == ["projective-numeric", "quantum-seesaw"]
+    assert kinds == ["projective-numeric", "quantum-closed-form"]
 
 
 def test_bounds_trine_assignment_restriction(capsys):
@@ -115,6 +118,48 @@ def test_unknown_kind_exits_two(capsys):
     rc = run("bounds", "--witness", "sic", "--k", 0.2, "--kinds", "projective,bogus")
     assert rc == 2
     assert "unknown bound kinds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kinds, reason",
+    [(",", "names no bound"), (" , ", "names no bound"), ("quantum,quantum", "repeats a bound"),
+     ("projective,quantum,projective", "repeats a bound")],
+)
+def test_empty_or_repeated_kinds_exit_two(kinds, reason, tmp_path, capsys):
+    rc = run("bounds", "--witness", "sic", "--k", 0.2, "--kinds", kinds,
+             "--out", "b.json", "--out-dir", tmp_path)
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_quantum_bound_runs_no_search(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quantum bound ran a see-saw")
+
+    monkeypatch.setattr(povmcert.optimize, "_multistart", refuse)
+    rc = run("bounds", "--witness", "trine", "--k", 4.5, "--kinds", "quantum")
+    assert rc == 0
+    (quantum,) = read_json(capsys)["bounds"]
+    assert quantum["kind"] == "quantum-closed-form"
+    assert quantum["value"] == 5.0
+    assert quantum["heuristic"] is False
+    assert quantum["diagnostics"] == {"witness": "trine", "method": "closed-form"}
+
+
+@pytest.mark.parametrize(
+    "witness, k", [("sic", 0.2), ("trine", 1.0), ("trine", 4.5), ("sym-trine", 0.5)]
+)
+def test_bounds_file_quantum_entry_is_the_known_maximum(witness, k, tmp_path, capsys):
+    rc = run("bounds", "--witness", witness, "--k", k, "--kinds", "quantum",
+             "--out", "b.json", "--out-dir", tmp_path)
+    assert rc == 0
+    text = (tmp_path / "b.json").read_text()
+    (entry,) = json.loads(text)["bounds"]
+    assert entry["kind"] == "quantum-closed-form"
+    assert entry["heuristic"] is False
+    assert f'"value": {float(build_witness(witness, k).quantum_max)!r},' in text
+    assert "preparations" in entry["argmax"]
 
 
 def test_bad_assignment_exits_two(capsys):
@@ -636,6 +681,28 @@ def test_certify_malformed_bounds_file_exits_two(trine_counts, tmp_path, capsys)
              "--bounds", path)
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "bounds, reason",
+    [
+        ({"a": 1}, "must be a list of objects"),
+        ([4.8], "must be a list of objects"),
+        ([{"kind": 7, "value": 4.8, "k": 4.5, "heuristic": True}], "string 'kind'"),
+        ([{"kind": "projective-numeric", "value": 4.8, "k": 4.5, "heuristic": "false"}],
+         "true/false 'heuristic'"),
+    ],
+    ids=["bounds-object", "bound-number", "kind-number", "heuristic-string"],
+)
+def test_certify_malformed_bound_entries_exit_two(bounds, reason, trine_counts, tmp_path, capsys):
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps({"witness": "trine", "k": 4.5, "bounds": bounds}))
+    rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 4.5,
+             "--bounds", path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert reason in err
 
 
 def test_certify_uniform_counts_all_verdicts_false(tmp_path, capsys):

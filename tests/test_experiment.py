@@ -402,7 +402,7 @@ def sic_bounds(k=0.2):
     return [
         bound("projective-closed-form", 0.7738, k),
         bound("three-outcome-numeric", 0.7836, k, heuristic=True),
-        bound("quantum-seesaw", SIC_QUANTUM_MAX, k, heuristic=True),
+        bound("quantum-closed-form", SIC_QUANTUM_MAX, k),
     ]
 
 

@@ -48,23 +48,39 @@ def procrustes_fidelity(e: Povm, target: TargetPovm, perm) -> float:
     return 0.5 + 0.5 * (s[0] + s[1] + np.sign(np.linalg.det(K)) * s[2])
 
 
-def fidelities(e: Povm, target: TargetPovm, perms):
-    """Kabsch fidelities (C,) and rotations (C, 3, 3) of one POVM for C pairings.
+def alignment(e: Povm, target: TargetPovm, perms) -> np.ndarray:
+    """K matrices (C, 3, 3) of one POVM for C pairings."""
+    return _alignment_matrices(e.weights[None], e.blochs[None], target, np.array(perms))[0]
+
+
+def fidelities(e: Povm, target: TargetPovm, perms) -> np.ndarray:
+    """Kabsch fidelities (C,) of one POVM for C pairings.
 
     This is the route `sample_fidelity_curve` takes.
     """
-    K = _alignment_matrices(e.weights[None], e.blochs[None], target, np.array(perms))
-    return _kabsch(K[0])
+    return _kabsch(alignment(e, target, perms))
+
+
+def kabsch_rotations(K: np.ndarray) -> np.ndarray:
+    """Reference Kabsch rotations (B, 3, 3) that maximize Tr(R K) over proper R.
+
+    K = U S V^T and d = sign(det U det V) give R = V diag(1, 1, d) U^T.
+    """
+    U, s, Vt = np.linalg.svd(K)
+    d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    D = np.ones_like(s)
+    D[:, 2] = d
+    return (Vt.swapaxes(-1, -2) * D[:, None, :]) @ U.swapaxes(-1, -2)
 
 
 def fidelity(e: Povm, target: TargetPovm, relabeling=None) -> float:
     perm = range(target.outcomes) if relabeling is None else relabeling
-    return float(fidelities(e, target, [perm])[0][0])
+    return float(fidelities(e, target, [perm])[0])
 
 
 def best_fidelity(e: Povm, target: TargetPovm) -> float:
     """Max over the target's relabeling classes."""
-    return float(fidelities(e, target, target.relabel_classes)[0].max())
+    return float(fidelities(e, target, target.relabel_classes).max())
 
 
 def rotated(e: Povm, rotvec) -> Povm:
@@ -117,8 +133,10 @@ def test_target_rejects_invalid_povm():
 @pytest.mark.parametrize("target_fn", [sic_target, trine_target])
 def test_self_fidelity_is_one(target_fn):
     t = target_fn()
-    f, R = fidelities(t.povm, t, [range(t.outcomes)])
+    K = alignment(t.povm, t, [range(t.outcomes)])
+    f = _kabsch(K)
     assert f[0] == pytest.approx(1.0, abs=1e-9)
+    R = kabsch_rotations(K)
     assert np.allclose(R[0] @ R[0].T, np.eye(3), atol=1e-9)
 
 
@@ -189,11 +207,11 @@ def test_fidelity_outcome_mismatch_rejected():
 
 def test_fidelity_result_rotation_is_proper():
     e = extremal_povm(4, RngStream(23, 11).generator())
-    f, R = fidelities(e, sic_target(), [range(4)])
-    f, R = f[0], R[0]
+    f = fidelities(e, sic_target(), [range(4)])[0]
+    R = kabsch_rotations(alignment(e, sic_target(), [range(4)]))[0]
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-10)
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
-    # the returned rotation actually realizes the reported fidelity
+    # the reference rotation realizes the fidelity `_kabsch` reports
     v = sic_target().povm.blochs
     K = np.einsum("o,oi,oj->ij", e.weights, e.blochs, v)
     assert 0.5 + 0.5 * np.trace(R @ K) == pytest.approx(f, abs=1e-12)

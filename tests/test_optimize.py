@@ -16,10 +16,12 @@ from conftest import (
     IDENTITY2,
     PAULIS,
     binary_effect,
+    born_strategy_value,
     density_matrix,
     effect_matrices,
     extremal_povm,
     observable_matrix,
+    seesaw_reference,
     strategy_value,
 )
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ from povmcert.optimize import (
     projective_bound_sic,
     projective_bound_sym_trine,
     projective_bounds_numeric,
-    seesaw_maximize,
+    quantum_bound,
     three_outcome_max,
     three_outcome_maxima,
 )
@@ -80,25 +82,42 @@ def trine_symmetric_pair_closed_form(k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# see-saw reaches the known maxima
+# the quantum bound, and the see-saw over all outcomes reaching it
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sic", "trine", "sym-trine"])
+@pytest.mark.parametrize("k", [0.0, 0.2, 1.0, 4.5])
+def test_quantum_bound_is_the_known_maximum(name, k):
+    spec = build_witness(name, k=k)
+    res = quantum_bound(spec)
+    assert res.kind == "quantum-closed-form"
+    assert res.heuristic is False
+    assert res.value == spec.quantum_max
+    assert res.diagnostics == {"witness": name, "method": "closed-form"}
+    assert validate_povm(res.argmax.povm).ok
+    assert born_strategy_value(spec, res.argmax) == pytest.approx(res.value, abs=1e-12)
+
+
+def test_quantum_bound_needs_a_known_maximum():
+    custom = build_witness("trine", k=1.0)
+    spec = WitnessSpec("custom", custom.scenario, custom.coeffs, 1.0)
+    with pytest.raises(ValueError, match="no known quantum maximum"):
+        quantum_bound(spec)
 
 
 @pytest.mark.parametrize("name", ["sic", "trine", "sym-trine"])
 @pytest.mark.parametrize("k", [0.0, 0.2, 1.0])
 def test_seesaw_reaches_quantum_maximum(name, k):
-    spec = build_witness(name, k=k)
-    res = seesaw_maximize(spec, FAST)
-    assert res.kind == "quantum-seesaw"
-    assert res.heuristic is True
-    assert res.value == pytest.approx(QUANTUM_MAXIMA[name], abs=1e-7)
+    value, _ = seesaw_reference(build_witness(name, k=k), FAST)
+    assert value == pytest.approx(QUANTUM_MAXIMA[name], abs=1e-7)
 
 
 def test_seesaw_argmax_value_consistent():
     spec = build_witness("sic", k=0.3)
-    res = seesaw_maximize(spec, FAST)
-    assert strategy_value(spec, res.argmax) == pytest.approx(res.value, abs=1e-9)
-    assert validate_povm(res.argmax.povm).ok
+    value, argmax = seesaw_reference(spec, FAST)
+    assert strategy_value(spec, argmax) == pytest.approx(value, abs=1e-9)
+    assert validate_povm(argmax.povm).ok
 
 
 def test_seesaw_trace_is_monotone(monkeypatch):
@@ -196,26 +215,24 @@ def test_grid_batch_peak_memory_does_not_grow_with_grid_length():
 def test_seesaw_sic_optimum_geometry():
     # at the optimum the preparations form a regular tetrahedron
     # (pairwise Gram -1/3) and the povm anti-aligns with them
-    spec = build_witness("sic", k=0.5)
-    res = seesaw_maximize(spec, FAST)
-    m = res.argmax.preparations
+    _, argmax = seesaw_reference(build_witness("sic", k=0.5), FAST)
+    m = argmax.preparations
     gram = m @ m.T
     off = gram[~np.eye(4, dtype=bool)]
     assert np.allclose(off, -1.0 / 3.0, atol=1e-6)
-    n = res.argmax.povm.blochs
+    n = argmax.povm.blochs
     assert np.allclose(n, -m, atol=1e-5)
-    assert np.allclose(res.argmax.povm.weights, 0.25, atol=1e-6)
+    assert np.allclose(argmax.povm.weights, 0.25, atol=1e-6)
 
 
 def test_seesaw_trine_optimum_geometry():
     # preparations end up as a planar trine: Gram -1/2 off-diagonal
-    spec = build_witness("trine", k=0.5)
-    res = seesaw_maximize(spec, FAST)
-    m = res.argmax.preparations
+    _, argmax = seesaw_reference(build_witness("trine", k=0.5), FAST)
+    m = argmax.preparations
     gram = m @ m.T
     off = gram[~np.eye(3, dtype=bool)]
     assert np.allclose(off, -0.5, atol=1e-6)
-    assert classify_extremal(res.argmax.povm) == "extremal-3"
+    assert classify_extremal(argmax.povm) == "extremal-3"
 
 
 def test_ideal_strategy_is_seesaw_fixed_point():
@@ -376,7 +393,7 @@ def test_bound_ordering_chain():
         spec = build_witness("sic", k=k)
         proj = projective_bound_sic(k).value
         three = three_outcome_max(spec, FAST).value
-        quantum = seesaw_maximize(spec, FAST).value
+        quantum = quantum_bound(spec).value
         assert proj <= three + 1e-6
         assert three <= quantum + 1e-6
 
@@ -855,14 +872,18 @@ def test_bound_result_serializes():
     import json
 
     spec = build_witness("sic", k=0.2)
-    res = seesaw_maximize(spec, OptimizerConfig(restarts=4, seed=2))
+    res = quantum_bound(spec)
     d = res.to_dict()
     text = json.dumps(d)
     back = json.loads(text)
-    assert back["kind"] == "quantum-seesaw"
-    assert back["heuristic"] is True
-    assert back["value"] == pytest.approx(res.value)
+    assert back["kind"] == "quantum-closed-form"
+    assert back["heuristic"] is False
+    assert back["value"] == res.value
     assert "preparations" in back["argmax"]
+
+    searched = json.loads(json.dumps(three_outcome_max(spec, OptimizerConfig(restarts=4, seed=2)).to_dict()))
+    assert searched["heuristic"] is True
+    assert "preparations" in searched["argmax"]
 
     closed = projective_bound_sic(0.2).to_dict()
     assert closed["heuristic"] is False
