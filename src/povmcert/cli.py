@@ -37,9 +37,9 @@ from .experiment import (
 from .fidelity import (
     EnvelopeCurve,
     sample_fidelity_curve,
-    samples_to_csv,
     sic_target,
     trine_target,
+    write_samples_csv,
 )
 from .optimize import (
     BoundResult,
@@ -212,7 +212,9 @@ def cmd_fidelity_curve(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     samples_path = out / f"{stem}.samples.csv"
     envelope_path = out / f"{stem}.envelope.json"
-    _write(samples_path, samples_to_csv(points))
+    samples_path.parent.mkdir(parents=True, exist_ok=True)
+    with samples_path.open("w", newline="") as fh:
+        write_samples_csv(points, fh)
     envelope = dataclasses.replace(envelope, witness=args.witness, k=args.k)
     _write(envelope_path, envelope.to_json() + "\n")
     _emit_manifest(samples_path, "fidelity-curve", args, [samples_path, envelope_path], t0)

@@ -428,7 +428,11 @@ class WitnessReport:
             "verdicts": dict(self.verdicts),
             "fidelity_estimate": None
             if self.fidelity_estimate is None
-            else {"min_fidelity": self.fidelity_estimate, "basis": "heuristic, sampling-based"},
+            else {
+                "min_fidelity": self.fidelity_estimate,
+                "basis": "heuristic, sampling-based",
+                "read_at": self.value - self.stat_err - self.syst_err,
+            },
         }
 
     def to_json(self) -> str:
@@ -454,7 +458,10 @@ def certify(
     A verdict passes only when value minus both error bars clears its
     bound.  The four-outcome verdict needs the three-outcome bound and
     only exists for four-outcome scenarios.  The fidelity estimate is
-    the envelope's floor at the measured value, when a curve is given.
+    the envelope's floor at the same lower confidence point, the value
+    minus both error bars, when a curve is given: the floor does not
+    decrease with the value, so reading it at the value itself would be
+    the optimistic end.
     """
     if syst_err < 0 or not np.isfinite(syst_err):
         raise ValueError("systematic error must be finite and >= 0")
@@ -488,7 +495,7 @@ def certify(
             O == 4 and margin > slots["three-outcome"].value
         ),
     }
-    estimate = envelope.floor_at(measured.value) if envelope is not None else None
+    estimate = envelope.floor_at(margin) if envelope is not None else None
     return WitnessReport(
         witness=spec.name,
         k=spec.k,

@@ -29,11 +29,11 @@ observed witness value.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 from dataclasses import dataclass
 from itertools import permutations
+from typing import TextIO
 
 import numpy as np
 
@@ -48,6 +48,9 @@ Array = np.ndarray
 
 # rotation-equivalence threshold for grouping target relabelings
 RELABEL_TOL = 1e-9
+# samples per slice of the batched SVD and of the samples CSV, which
+# bounds their working memory; numpy's per-call overhead is small at this size
+_SLICE = 4096
 
 
 def _rotation_classes(weights: Array, blochs: Array) -> tuple[tuple[int, ...], ...]:
@@ -122,12 +125,17 @@ def _kabsch(K: Array) -> Array:
     """Max of 1/2 + Tr(R K)/2 over proper rotations R for each K in a batch.
 
     K = U S V^T and d = sign(det U det V) give the maximum
-    1/2 + (s1 + s2 + d s3)/2 at R = V diag(1, 1, d) U^T.  Returns the
-    fidelities (B,).
+    1/2 + (s1 + s2 + d s3)/2 at R = V diag(1, 1, d) U^T.  The SVD runs
+    `_SLICE` matrices at a time, so its factors stay small whatever the
+    batch; each matrix is its own LAPACK call either way, so the values
+    do not depend on the slicing.  Returns the fidelities (B,).
     """
-    U, s, Vt = np.linalg.svd(K)
-    d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    return 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2])
+    F = np.empty(len(K))
+    for lo in range(0, len(K), _SLICE):
+        U, s, Vt = np.linalg.svd(K[lo : lo + _SLICE])
+        d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+        F[lo : lo + _SLICE] = 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2])
+    return F
 
 
 @dataclass(frozen=True)
@@ -235,15 +243,17 @@ def envelope_from_points(points: Array, bin_width: float) -> EnvelopeCurve:
     return EnvelopeCurve(bin_width, bins)
 
 
-def samples_to_csv(points: Array) -> str:
-    """The points as CSV: one column per field, floats in full precision."""
-    out = io.StringIO()
+def write_samples_csv(points: Array, out: TextIO) -> None:
+    """Write the points as CSV to a text stream: one column per field, floats in full precision.
+
+    Python rows are built for one `_SLICE` of points at a time and
+    written straight to the stream, so the peak stays near one slice's
+    text whatever the sample count.  Open a file with newline="".
+    """
     w = csv.writer(out)
     w.writerow(points.dtype.names)
-    # Python rows for one slice at a time: the peak stays near the text's size
-    for i in range(0, len(points), 4096):
-        w.writerows(points[i : i + 4096].tolist())
-    return out.getvalue()
+    for i in range(0, len(points), _SLICE):
+        w.writerows(points[i : i + _SLICE].tolist())
 
 
 def sample_fidelity_curve(

@@ -15,9 +15,12 @@ preparation Bloch vectors {m_x : x in S}.  The optimal weights are the
 centre's barycentric coordinates and each effect points from its m_x
 towards the centre (the SDP dual of state exclusion, Bandyopadhyay et
 al., PRA 89, 022336 (2014); the qubit geometry of Bae, NJP 15, 073037
-(2013)).  With at most four points the ball is found by enumerating
-pairs, triangle circumcircles and the tetrahedron's circumsphere.  A
-row whose ball is not lower keeps its current POVM, so the see-saw
+(2013)).  With at most four points the ball is the smallest valid one
+among the pairs' midpoint balls, the triangles' circumcircles and the
+tetrahedron's circumsphere, each in closed form: the circumcentre's
+barycentric weights come from the squared edge lengths, and the
+circumsphere from cross products, so the step solves no linear system.
+A row whose ball is not lower keeps its current POVM, so the see-saw
 value never decreases.
 
 With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
@@ -187,44 +190,98 @@ def _projective_povm_step(
     return PW, PN
 
 
+def _pair_balls(P: Array) -> tuple[Array, Array, Array, Array]:
+    """Smallest balls through (C, 2, 3, B) point pairs: the midpoints.
+
+    The weights are 1/2 each and r^2 = |p_1 - p_0|^2 / 4; a pair is
+    degenerate when its points coincide.
+    """
+    q = P[:, 1] - P[:, 0]
+    a = np.einsum("cib,cib->cb", q, q)
+    return np.full((len(P), 2, P.shape[-1]), 0.5), P[:, 0] + 0.5 * q, 0.25 * a, a > 0.0
+
+
+def _trio_balls(P: Array) -> tuple[Array, Array, Array, Array]:
+    """Circumcircles of (C, 3, 3, B) triangles.
+
+    With a_i the squared length of the edge opposite p_i, the
+    circumcentre's barycentric weights are proportional to
+    alpha_i = a_i (a_j + a_k - a_i), whose sum is 16 area^2 = 4 det G
+    (G the Gram matrix of p_1 - p_0 and p_2 - p_0), and
+    r^2 = a_0 a_1 a_2 / sum alpha.  A triangle is degenerate when
+    det G <= `_DEGENERATE` a_1 a_2.
+    """
+    e = P[:, [1, 2, 0]] - P[:, [2, 0, 1]]
+    a = np.einsum("ctib,ctib->ctb", e, e)
+    alpha = a * (a.sum(axis=1, keepdims=True) - 2.0 * a)
+    total = alpha.sum(axis=1)
+    ok = total > 4.0 * _DEGENERATE * a[:, 1] * a[:, 2]
+    total = np.where(ok, total, 1.0)
+    lam = alpha / total[:, None]
+    centre = np.einsum("ctb,ctib->cib", lam, P)
+    return lam, centre, a[:, 0] * a[:, 1] * a[:, 2] / total, ok
+
+
+def _quad_balls(P: Array) -> tuple[Array, Array, Array, Array]:
+    """Circumspheres of (C, 4, 3, B) tetrahedra.
+
+    With q_i = p_i - p_0, b_i = |q_i|^2, the cofactor vectors
+    c_i = q_j x q_k ((i, j, k) cyclic) and V = q_1 . c_1 = det Q, the
+    centre p_0 + x with q_i . x = b_i / 2 is x = sum_i b_i c_i / (2V),
+    and x = sum_i mu_i q_i with mu_i = x . c_i / V.  The tetrahedron is
+    degenerate when det G = V^2 <= `_DEGENERATE` b_1 b_2 b_3.
+    """
+    q = P[:, 1:] - P[:, :1]  # (C, 3, 3, B)
+    b = np.einsum("ctib,ctib->ctb", q, q)
+    c = np.cross(q[:, [1, 2, 0]], q[:, [2, 0, 1]], axis=2)
+    V = np.einsum("cib,cib->cb", q[:, 0], c[:, 0])
+    ok = V * V > _DEGENERATE * b[:, 0] * b[:, 1] * b[:, 2]
+    V = np.where(ok, V, 1.0)
+    x = np.einsum("ctb,ctib->cib", b, c) / (2.0 * V[:, None])
+    mu = np.einsum("cib,ctib->ctb", x, c) / V[:, None]
+    lam = np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
+    return lam, P[:, 0] + x, np.einsum("cib,cib->cb", x, x), ok
+
+
+# the 2..T-point subsets of a block of T points, pairs first, for each T
+_SUBSETS = {T: [np.array(list(combinations(range(T), t))) for t in range(2, T + 1)] for T in (2, 3, 4)}
+_CIRCUMBALLS = {2: _pair_balls, 3: _trio_balls, 4: _quad_balls}
+
+
 def _ball_candidates(M_S: Array) -> tuple[Array, Array, Array]:
     """Equidistant centres of every 2..T-point subset of (B, T, 3) blocks.
 
-    For points p_1..p_t with q_i = p_i - p_1 and Gram matrix G of the
-    q_i, the centre c = p_1 + sum_i mu_i q_i equidistant from all of them
-    solves 2 G mu = diag(G); its barycentric weights are
-    (1 - sum mu, mu).  Returns centres (B, C, 3), squared radii (B, C)
-    and weights (B, C, T) placed on the block's points; a candidate that
-    is degenerate, needs a negative weight or leaves a point of the block
-    outside its ball gets radius inf.
+    Every subset's smallest ball through its points is closed form: the
+    midpoint of a pair, the circumcircle of a triangle and the
+    circumsphere of a tetrahedron (`_pair_balls`, `_trio_balls`,
+    `_quad_balls`).  They work with the batch axis last, so each array
+    op runs over B values at a time, not over one 3-vector.  Candidates
+    are ordered pairs, then trios, then the quadruple, each in
+    `combinations` order.  Returns centres (B, C, 3), squared radii
+    (B, C) and weights (B, C, T) placed on the block's points; a
+    candidate that is degenerate, needs a weight below -`_BALL_TOL` or
+    leaves a point of the block outside r^2 + `_BALL_TOL` gets radius inf.
     """
     B, T, _ = M_S.shape
-    centres, radii2, weights = [], [], []
-    for t in range(2, T + 1):
-        idx = np.array(list(combinations(range(T), t)))  # (C, t)
-        C = len(idx)
-        P = M_S[:, idx]  # (B, C, t, 3)
-        Q = P[:, :, 1:] - P[:, :, :1]
-        G = Q @ Q.swapaxes(-1, -2)
-        diag = np.diagonal(G, axis1=-2, axis2=-1)
-        ok = np.linalg.det(G) > _DEGENERATE * np.prod(diag, axis=-1)
-        G = np.where(ok[..., None, None], G, np.eye(t - 1))
-        mu = np.linalg.solve(2.0 * G, diag[..., None])[..., 0]
-        lam = np.concatenate([1.0 - mu.sum(axis=-1, keepdims=True), mu], axis=-1)
-        c = P[:, :, 0] + np.einsum("bcj,bcji->bci", mu, Q)
-        r2 = np.sum((c - P[:, :, 0]) ** 2, axis=-1)
-        d2 = np.sum((M_S[:, None] - c[:, :, None]) ** 2, axis=-1)  # (B, C, T)
-        ok &= np.all(lam >= -_BALL_TOL, axis=-1)
-        ok &= np.all(d2 <= r2[..., None] + _BALL_TOL, axis=-1)
-        w = np.zeros((B, C, T))
-        w[:, np.arange(C)[:, None], idx] = np.clip(lam, 0.0, None)
-        centres.append(c)
-        radii2.append(np.where(ok, r2, np.inf))
-        weights.append(w)
+    P = np.ascontiguousarray(M_S.transpose(1, 2, 0))  # (T, 3, B)
+    subsets = _SUBSETS[T]
+    C = sum(len(idx) for idx in subsets)
+    centres, radii2 = np.empty((C, 3, B)), np.empty((C, B))
+    weights, ok = np.zeros((C, T, B)), np.empty((C, B), dtype=bool)
+    lo = 0
+    for idx in subsets:
+        hi = lo + len(idx)
+        lam, centres[lo:hi], radii2[lo:hi], ok[lo:hi] = _CIRCUMBALLS[idx.shape[1]](P[idx])
+        weights[np.arange(lo, hi)[:, None], idx] = lam
+        lo = hi
+    diff = P - centres[:, None]
+    d2 = np.einsum("ctib,ctib->ctb", diff, diff)  # (C, T, B)
+    ok &= np.all(weights >= -_BALL_TOL, axis=1)
+    ok &= np.all(d2 <= radii2[:, None] + _BALL_TOL, axis=1)
     return (
-        np.concatenate(centres, axis=1),
-        np.concatenate(radii2, axis=1),
-        np.concatenate(weights, axis=1),
+        centres.transpose(2, 0, 1),
+        np.where(ok, radii2, np.inf).T,
+        np.clip(weights, 0.0, None).transpose(2, 0, 1),
     )
 
 
@@ -244,19 +301,19 @@ def _enclosing_ball_step(
     """
     B, O = PW.shape
     rows = np.arange(B)
-    M_S = np.take_along_axis(M, subset[:, :, None], axis=1)
-    PN_S = np.take_along_axis(PN, subset[:, :, None], axis=1)
+    slots = (rows[:, None], subset)
+    M_S, PN_S = M[slots], PN[slots]
     centres, radii2, weights = _ball_candidates(M_S)
     pick = np.argmin(radii2, axis=1)
     w = weights[rows, pick]
     dirs = _normalize_rows(centres[rows, pick][:, None, :] - M_S, PN_S)
-    current = _penalty_of(np.take_along_axis(PW, subset, axis=1), PN_S, M_S)
+    current = _penalty_of(PW[slots], PN_S, M_S)
     better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < current)
 
     PW_new = np.zeros((B, O))
-    np.put_along_axis(PW_new, subset, w, axis=1)
+    PW_new[slots] = w
     PN_new = PN.copy()
-    np.put_along_axis(PN_new, subset[:, :, None], dirs, axis=1)
+    PN_new[slots] = dirs
     return (
         np.where(better[:, None], PW_new, PW),
         np.where(better[:, None, None], PN_new, PN),

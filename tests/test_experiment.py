@@ -438,6 +438,22 @@ def test_certify_full_sic_pipeline(sic_lab_table):
     assert data["fidelity_estimate"]["basis"] == "heuristic, sampling-based"
 
 
+def test_certify_reads_the_envelope_at_the_lower_confidence_point(sic_lab_table):
+    # the floor never decreases with the witness value, so it is read at
+    # value - stat - syst, not at the value: a low-fidelity bin between
+    # the two points must set the estimate
+    table, spec = sic_lab_table
+    syst = 0.01
+    measured = evaluate_witness(spec, table)
+    low = measured.value - measured.stderr - syst
+    env = envelope_from_points(sample_points((0, low, 0.90), (1, measured.value, 0.99)), 0.002)
+    assert env.floor_at(measured.value) == 0.99
+    report = certify(table, spec, sic_bounds(), envelope=env, syst_err=syst)
+    assert report.fidelity_estimate == 0.90
+    estimate = json.loads(report.to_json())["fidelity_estimate"]
+    assert estimate == {"min_fidelity": 0.90, "basis": "heuristic, sampling-based", "read_at": low}
+
+
 def test_certify_trine_non_projective():
     spec = trine_witness(4.5)
     table = ingest_counts(simulate_counts(trine_experiment(), spec, RngStream(72)))

@@ -20,9 +20,9 @@ from povmcert.fidelity import (
     _kabsch,
     envelope_from_points,
     sample_fidelity_curve,
-    samples_to_csv,
     sic_target,
     trine_target,
+    write_samples_csv,
 )
 from povmcert.optimize import OptimizerConfig
 from povmcert.qubit import Povm
@@ -138,6 +138,15 @@ def test_self_fidelity_is_one(target_fn):
     assert f[0] == pytest.approx(1.0, abs=1e-9)
     R = kabsch_rotations(K)
     assert np.allclose(R[0] @ R[0].T, np.eye(3), atol=1e-9)
+
+
+def test_sliced_kabsch_matches_one_unsliced_svd():
+    # each matrix is its own LAPACK call, so slicing changes no bit
+    K = np.random.default_rng(6).normal(size=(10_000, 3, 3))
+    U, s, Vt = np.linalg.svd(K)
+    d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    assert len(K) > 2 * povmcert.fidelity._SLICE
+    assert np.array_equal(_kabsch(K), 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2]))
 
 
 @pytest.mark.parametrize("target_fn", [sic_target, trine_target])
@@ -302,7 +311,9 @@ def test_envelope_json_round_trip():
 
 def test_samples_csv_round_trip():
     pts = sample_points((3, 0.7512345678901234, 0.912345678901234), (7, 0.3, 0.5))
-    text = samples_to_csv(pts)
+    out = io.StringIO()
+    write_samples_csv(pts, out)
+    text = out.getvalue()
     assert text.startswith("sample_id,A,F\r\n3,0.7512345678901234,0.912345678901234\r\n")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["sample_id", "A", "F"]

@@ -8,6 +8,7 @@ evaluation, and dense grids.
 """
 import re
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -852,6 +853,117 @@ def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
             "po,po->p", probes.weights, 1.0 + np.einsum("poi,oi->po", probes.blochs, m[r])
         )
         assert val <= probe_vals.min() + 1e-12
+
+
+def gram_ball_candidates(M_S):
+    """Reference enumerator: each subset's centre from its Gram system, solved by LAPACK.
+
+    For points p_1..p_t with q_i = p_i - p_1 and Gram matrix G of the
+    q_i, the centre c = p_1 + sum_i mu_i q_i solves 2 G mu = diag(G),
+    with barycentric weights (1 - sum mu, mu).  Same candidate order,
+    degeneracy, sign and enclosure rules as `_ball_candidates`.
+    """
+    B, T, _ = M_S.shape
+    centres, radii2, weights = [], [], []
+    for t in range(2, T + 1):
+        idx = np.array(list(combinations(range(T), t)))
+        C = len(idx)
+        P = M_S[:, idx]
+        Q = P[:, :, 1:] - P[:, :, :1]
+        G = Q @ Q.swapaxes(-1, -2)
+        diag = np.diagonal(G, axis1=-2, axis2=-1)
+        ok = np.linalg.det(G) > optimize._DEGENERATE * np.prod(diag, axis=-1)
+        G = np.where(ok[..., None, None], G, np.eye(t - 1))
+        mu = np.linalg.solve(2.0 * G, diag[..., None])[..., 0]
+        lam = np.concatenate([1.0 - mu.sum(axis=-1, keepdims=True), mu], axis=-1)
+        c = P[:, :, 0] + np.einsum("bcj,bcji->bci", mu, Q)
+        r2 = np.sum((c - P[:, :, 0]) ** 2, axis=-1)
+        d2 = np.sum((M_S[:, None] - c[:, :, None]) ** 2, axis=-1)
+        ok &= np.all(lam >= -optimize._BALL_TOL, axis=-1)
+        ok &= np.all(d2 <= r2[..., None] + optimize._BALL_TOL, axis=-1)
+        w = np.zeros((B, C, T))
+        w[:, np.arange(C)[:, None], idx] = np.clip(lam, 0.0, None)
+        centres.append(c)
+        radii2.append(np.where(ok, r2, np.inf))
+        weights.append(w)
+    return tuple(np.concatenate(a, axis=1) for a in (centres, radii2, weights))
+
+
+def special_blocks(rng, T, rows=64):
+    """(rows, T, 3) preparation blocks of each kind the ball step meets."""
+    unit = random_unit_vectors(rng, (rows, T))
+    line = random_unit_vectors(rng, rows)[:, None]
+    u, v = random_unit_vectors(rng, (2, rows, 1))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=(rows, T, 1))
+    coplanar = unit.copy()  # with four points, the last inside the triangle of the first three
+    coplanar[:, 3:] = unit[:, :1] + 0.4 * (unit[:, 1:2] - unit[:, :1]) + 0.3 * (unit[:, 2:3] - unit[:, :1])
+    coincident = unit.copy()
+    coincident[:, 1] = coincident[:, 0]
+    antipodal = unit.copy()
+    antipodal[:, 1] = -antipodal[:, 0]
+    inner = antipodal.copy()
+    inner[:, 2:] *= rng.uniform(0.0, 0.9, size=(rows, T - 2, 1))
+    return {
+        "unit": unit,
+        "mixed": unit * rng.uniform(0.0, 1.0, size=(rows, T, 1)),
+        "coplanar": coplanar,
+        "great circle": np.cos(angle) * u + np.sin(angle) * v,
+        "collinear": line * rng.uniform(-1.0, 1.0, size=(rows, T, 1)),
+        "coincident": coincident,
+        "all coincident": np.repeat(unit[:, :1], T, axis=1),
+        "antipodal": antipodal,
+        "antipodal, others inside": inner,
+    }
+
+
+@pytest.mark.parametrize("T", [3, 4])
+def test_closed_form_balls_match_the_gram_reference(T):
+    blocks = special_blocks(RngStream(T, 11).generator(), T)
+    for kind, M_S in blocks.items():
+        _, radii2, weights = optimize._ball_candidates(M_S)
+        _, ref_radii2, ref_weights = gram_ball_candidates(M_S)
+        rows = np.arange(len(M_S))
+        pick, ref_pick = np.argmin(radii2, axis=1), np.argmin(ref_radii2, axis=1)
+        if kind == "antipodal":
+            # every point of the sphere lies on the antipodal pair's ball
+            # (Thales), so the pair and each trio through it tie, and
+            # roundoff picks among equal balls with equal weights
+            assert np.all(np.abs(ref_radii2[rows, pick] - ref_radii2[rows, ref_pick]) <= 1e-12)
+        else:
+            assert np.array_equal(pick, ref_pick), kind
+        r2, ref_r2 = radii2[rows, pick], ref_radii2[rows, ref_pick]
+        assert np.array_equal(np.isfinite(r2), np.isfinite(ref_r2)), kind
+        found = np.isfinite(ref_r2)
+        assert np.allclose(r2[found], ref_r2[found], rtol=0.0, atol=1e-12), kind
+        w, ref_w = weights[rows, pick], ref_weights[rows, ref_pick]
+        assert np.allclose(w[found], ref_w[found], rtol=0.0, atol=1e-12), kind
+    assert np.isinf(optimize._ball_candidates(blocks["all coincident"])[1]).all()
+
+
+def test_three_outcome_search_solves_no_linear_system(monkeypatch):
+    grid = [build_witness("sic", k) for k in (0.1, 0.2, 0.3)]
+    config = OptimizerConfig(restarts=4, seed=3)
+    expected = three_outcome_maxima(grid, config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the see-saw called a LAPACK solver")
+
+    real = {name: getattr(np.linalg, name) for name in ("solve", "det")}
+    draw = optimize.random_extremal_povms
+
+    def draw_starts(*args):
+        # the start sampler solves its completeness system; the see-saw must not
+        with monkeypatch.context() as m:
+            for name, fn in real.items():
+                m.setattr(np.linalg, name, fn)
+            return draw(*args)
+
+    monkeypatch.setattr(optimize, "random_extremal_povms", draw_starts)
+    for name in real:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = three_outcome_maxima(grid, config)
+    assert [r.value for r in got] == [r.value for r in expected]
+    assert [r.diagnostics for r in got] == [r.diagnostics for r in expected]
 
 
 # ---------------------------------------------------------------------------

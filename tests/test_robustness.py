@@ -1,7 +1,7 @@
 """Critical visibility formula, noise curves, and their consistency."""
 import numpy as np
 import pytest
-from conftest import IDEAL_STRATEGIES, strategy_value
+from conftest import IDEAL_STRATEGIES, born_strategy_value, strategy_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,9 @@ from povmcert.optimize import (
     OptimizerConfig,
     projective_bound,
     projective_bound_sic,
+    projective_bounds_numeric,
     three_outcome_max,
+    three_outcome_maxima,
 )
 from povmcert.robustness import (
     DEFAULT_K_GRID,
@@ -188,6 +190,26 @@ def test_curve_batch_matches_lone_bounds_in_grid_order(family, kind, lone):
     assert [p.k for p in curve] == grid
     for p in curve:
         assert p.bound_value == lone(build_witness(family, p.k), config).value
+
+
+@pytest.mark.parametrize("family, search", [
+    ("sic", three_outcome_maxima),
+    ("trine", projective_bounds_numeric),
+])
+def test_grid_bounds_dominate_every_argmax_on_the_grid(family, search):
+    # each k's argmax is feasible at every k', so no k' may score below
+    # it; a maximum of functions affine in k is convex in k.  The Born
+    # value of a fixed strategy is base - k' penalty, scored from k = 0 and 1
+    specs = [build_witness(family, k) for k in DEFAULT_K_GRID]
+    results = search(specs, OptimizerConfig(restarts=8, seed=0))
+    values = np.array([res.value for res in results])
+    argmaxes = [res.argmax for res in results]
+    at0, at1 = build_witness(family, 0.0), build_witness(family, 1.0)
+    base = np.array([born_strategy_value(at0, s) for s in argmaxes])
+    penalty = base - np.array([born_strategy_value(at1, s) for s in argmaxes])
+    scores = base[:, None] - np.array(DEFAULT_K_GRID)[None, :] * penalty[:, None]  # (argmax k, scored k')
+    assert np.all(scores <= values[None, :] + 1e-9)
+    assert np.diff(values, 2).min() >= -1e-9
 
 
 def test_curve_warns_once_naming_unconverged_k_points(caplog, monkeypatch):
