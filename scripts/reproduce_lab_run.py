@@ -2,11 +2,11 @@
 """Recreate the full modeled lab analysis into ./lab-run/.
 
 Simulates counts for both built-in optical setups at the published
-photon budget, computes every bound, estimates angle-jitter systematics
-by Monte Carlo, and certifies. Prints the three report paths.
+photon budget, computes every bound, subtracts the exact angle-jitter
+systematic, and certifies. Prints the three report paths.
 
     python3 scripts/reproduce_lab_run.py [--out-dir lab-run] [--seed 1]
-          [--mc-runs 10000] [--fast]
+          [--fast]
 """
 import argparse
 import sys
@@ -29,7 +29,7 @@ def case(tag, witness, k, opts, extra_certify=()):
     run(["certify", "--counts", f"{opts.out_dir}/{counts}",
          "--witness", witness, "--k", str(k),
          "--bounds", f"{opts.out_dir}/bounds-{tag}.json",
-         "--syst-runs", str(opts.mc_runs),
+         "--syst-runs",
          "--out", f"report-{tag}.json", *extra_certify] + base)
 
 
@@ -37,12 +37,10 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out-dir", default="lab-run")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--mc-runs", type=int, default=10_000)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--fast", action="store_true", help="small Monte Carlo, few restarts")
+    p.add_argument("--fast", action="store_true", help="few restarts")
     opts = p.parse_args()
     if opts.fast:
-        opts.mc_runs = 500
         opts.restarts = 8
 
     case("sic-k0.2", "sic", 0.2, opts)

@@ -9,7 +9,8 @@ are importable on their own when finer-grained access is wanted:
 - optimize: the quantum maximum, projective and three-outcome bounds
 - fidelity: sampled envelopes of the rotation fidelity to a target
 - robustness: critical depolarizing visibility of each bound
-- experiment: waveplate model, counts, systematics, certification
+- experiment: waveplate model, counts, exact plate-jitter systematic,
+  certification
 - cli: the `povmcert` command
 """
 
@@ -23,7 +24,7 @@ from .experiment import (
     counts_to_csv,
     expected_probabilities,
     ingest_counts,
-    monte_carlo_systematic,
+    plate_systematic,
     sic_experiment,
     simulate_counts,
     trine_experiment,
@@ -89,8 +90,8 @@ __all__ = [
     "evaluate_witness",
     "expected_probabilities",
     "ingest_counts",
-    "monte_carlo_systematic",
     "most_robust_point",
+    "plate_systematic",
     "probability_table",
     "projective_bound",
     "projective_bound_numeric",

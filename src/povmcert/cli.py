@@ -29,7 +29,7 @@ from .experiment import (
     counts_from_csv,
     counts_to_csv,
     ingest_counts,
-    monte_carlo_systematic,
+    plate_systematic,
     sic_experiment,
     simulate_counts,
     trine_experiment,
@@ -267,8 +267,10 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    if args.syst_runs < 0:
+        raise ValueError("--syst-runs must be >= 0")
     if args.config is not None and not args.syst_runs:
-        raise ValueError("--config only feeds the --syst-runs Monte Carlo; pass --syst-runs too")
+        raise ValueError("--config only feeds the --syst-runs plate systematic; pass --syst-runs too")
     spec = build_witness(args.witness, args.k)
     records = counts_from_csv(Path(args.counts).read_text())
     table = ingest_counts(records)
@@ -294,8 +296,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     syst = args.syst_err
     if args.syst_runs:
-        cfg = _experiment_config(args)
-        syst = monte_carlo_systematic(cfg, spec, args.syst_runs, RngStream(args.seed))
+        syst = plate_systematic(_experiment_config(args), spec)
 
     report = certify(table, spec, bounds, envelope=envelope, syst_err=syst)
     _emit(args, "certify", report.to_json() + "\n", args.out, t0)
@@ -378,8 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope", default=None, help="envelope JSON from fidelity-curve with the same witness and k")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--syst-err", type=float, default=0.0, help="systematic error to subtract")
-    group.add_argument("--syst-runs", type=int, default=0, help="estimate systematics by Monte Carlo with this many runs")
-    p.add_argument("--config", default=None, help="experiment config JSON for --syst-runs")
+    group.add_argument(
+        "--syst-runs", type=int, nargs="?", const=1, default=0,
+        help="subtract the exact plate-jitter systematic; an optional positive count "
+        "is accepted and does not change the result",
+    )
+    p.add_argument("--config", default=None, help="experiment config JSON whose plates --syst-runs models")
     p.add_argument("--out", default=None, help="write report JSON instead of stdout")
     p.set_defaults(func=cmd_certify)
 

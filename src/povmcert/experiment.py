@@ -29,11 +29,21 @@ errors (the quoted 0.02 degree figure is a FWHM, converted to sigma by
 the (preparation, setting) groups (`witness.bloch_linear_form`), and
 the plate model projects onto each group's C in closed form:
 
-    C . m = cos2q R sin(4h - 2q + phi) + C_y sin2q,
-    R = hypot(C_x, C_z),  phi = atan2(C_z, C_x),
+    C . m = cos2q R sin(4h - 2q + phi) + C_y sin2q
+          = R/2 sin(4h + phi) + R/2 sin(4h - 4q + phi) + C_y sin2q,
+    R = hypot(C_x, C_z),  phi = atan2(C_z, C_x).
 
-so the Monte Carlo scores a run with three sines or cosines per group
-and never builds its Bloch vectors.
+With (h, q) = nominal + sigma z, z ~ N(0, I_2), a group's term is
+sum_i w_i sin(c_i + u_i . z), w = (R/2, R/2, C_y), and the covariance
+of two such sines is exact:
+
+    Cov_ij = 1/2 exp(-(|u_i|^2 + |u_j|^2) / 2)
+             [cos(c_i - c_j) expm1(u_i . u_j) - cos(c_i + c_j) expm1(-u_i . u_j)].
+
+Groups draw independently, so the spread is sqrt(sum_g w^T Cov w).
+The expm1 form keeps full precision at small sigma, where
+E[f^2] - E[f]^2 would cancel; it agrees with a 60 x 60 Gauss-Hermite
+quadrature of the full Bloch plate model to about 1e-13 relative.
 """
 from __future__ import annotations
 
@@ -77,8 +87,6 @@ SIC_PLATE_ANGLES = (
 )
 # and for the trine preps (QWP at zero: linear polarization only)
 TRINE_PLATE_ANGLES = ((0.0, 0.0), (30.0, 0.0), (-30.0, 0.0))
-
-_MC_CHUNK = 4_096
 
 
 def _blochs_from_angles(hwp_deg: Array, qwp_deg: Array) -> Array:
@@ -343,63 +351,44 @@ def ingest_counts(records: Iterable[CountsRecord]) -> ProbabilityTable:
     return ProbabilityTable(p_bin, p_povm, err_bin, err_povm)
 
 
-def monte_carlo_systematic(
-    cfg: ExperimentConfig, spec: WitnessSpec, runs: int, stream: RngStream
-) -> float:
-    """Spread of the noiseless witness under plate-angle jitter.
+def plate_systematic(cfg: ExperimentConfig, spec: WitnessSpec) -> float:
+    """Standard deviation of the noiseless witness under plate-angle jitter.
 
     Plates are re-positioned for every (preparation, setting) group, so
-    each group draws its own independent normal angle errors with
+    each group has its own independent normal angle errors with
     sigma = motor FWHM / 2.355.  That independence matters: with one
-    draw per preparation shared across settings, the first-order terms
+    error per preparation shared across settings, the first-order terms
     cancel at the ideal configuration (the witness maximum is critical
     in every shared angle) and the spread collapses by three orders of
     magnitude.  The measurement side is left untouched (its
-    imperfections live in the visibility model).  Returns the sample
-    standard deviation of the witness value over the runs.
+    imperfections live in the visibility model).
 
-    Each run is scored through the projected plate model of the module
-    docstring: R, phi, C_y and the nominal angles (in radians) are set
-    up once, and a chunk of runs costs its normal draws and three
-    sines or cosines per group, the same values as `_blochs_from_angles`
-    scored by `bloch_values` up to rounding.
+    The value is exact, from the Gaussian covariance of the module
+    docstring; one 3 x 3 kernel in the error directions u serves every
+    group.
     """
-    if runs < 100:
-        raise ValueError("need at least 100 Monte Carlo runs")
     _check_scenario(cfg, spec)
-    const, C = bloch_linear_form(spec, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
+    _, C = bloch_linear_form(spec, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
     settings = C.shape[1]
     C = C.reshape(-1, 3)  # one row per (preparation, setting) group
-    amp = np.hypot(C[:, 0], C[:, 2])
     h, q = np.repeat(np.deg2rad(cfg.plate_angles), settings, axis=0).T
-    two_q0 = 2 * q
-    # plane angle plus phase, less 2q: the jittered 2q is subtracted per run
-    plane0 = 4 * h + np.arctan2(C[:, 2], C[:, 0])
+    phase = 4 * h + np.arctan2(C[:, 2], C[:, 0])
+    c = np.stack([phase, phase - 4 * q, 2 * q], axis=1)
+    half = np.hypot(C[:, 0], C[:, 2]) / 2
+    w = np.stack([half, half, C[:, 1]], axis=1)
     sigma = np.deg2rad(cfg.motor_fwhm_deg / _FWHM_TO_SIGMA)
-    # draws are taken chunk by chunk from one generator: the normal
-    # stream does not depend on how it is split, and each run's sum
-    # runs over its own row in the same order (a BLAS product would
-    # round rows differently by their place in the chunk), so the
-    # values do not depend on _MC_CHUNK
-    gen = stream.generator()
-    values = np.empty(runs)
-    for lo in range(0, runs, _MC_CHUNK):
-        hi = min(lo + _MC_CHUNK, runs)
-        draws = gen.standard_normal(size=(hi - lo, len(C), 2))  # (hwp, qwp) errors
-        two_q = draws[..., 1] * (2 * sigma)
-        two_q += two_q0
-        plane = draws[..., 0] * (4 * sigma)
-        plane += plane0
-        plane -= two_q
-        np.sin(plane, out=plane)
-        plane *= amp
-        plane *= np.cos(two_q)
-        np.sin(two_q, out=two_q)
-        two_q *= C[:, 1]
-        plane += two_q
-        values[lo:hi] = plane.sum(axis=1)
-    values += const
-    return float(np.std(values, ddof=1))
+    u = sigma * np.array([[4.0, 0.0], [4.0, -4.0], [0.0, 2.0]])  # per (hwp, qwp) error
+    dot = u @ u.T
+    norms = np.diag(dot)
+    damp = 0.5 * np.exp(-(norms[:, None] + norms) / 2)
+    cov = damp * (
+        np.cos(c[:, :, None] - c[:, None, :]) * np.expm1(dot)
+        - np.cos(c[:, :, None] + c[:, None, :]) * np.expm1(-dot)
+    )
+    var = np.einsum("gi,gij,gj->", w, cov, w)
+    # a group whose C is aligned with its prep has an O(sigma^4) variance,
+    # which rounding may leave a hair below zero
+    return float(np.sqrt(max(var, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -413,6 +402,7 @@ class WitnessReport:
     syst_err: float
     bounds: dict[str, float]
     heuristic: dict[str, bool]
+    qubit_consistent: bool | None
     verdicts: dict[str, bool]
     fidelity_estimate: float | None = None
 
@@ -425,6 +415,7 @@ class WitnessReport:
             "syst_err": self.syst_err,
             "bounds": dict(self.bounds),
             "heuristic": dict(self.heuristic),
+            "qubit_consistent": self.qubit_consistent,
             "verdicts": dict(self.verdicts),
             "fidelity_estimate": None
             if self.fidelity_estimate is None
@@ -456,8 +447,11 @@ def certify(
     """Evaluate a table against bounds and issue go/no-go verdicts.
 
     A verdict passes only when value minus both error bars clears its
-    bound.  The four-outcome verdict needs the three-outcome bound and
-    only exists for four-outcome scenarios.  The fidelity estimate is
+    bound.  Every verdict rests on the qubit assumption, so none passes
+    when that lower point lies above the family's quantum maximum
+    (`qubit_consistent` false; None for a family with no known
+    maximum).  The four-outcome verdict needs the three-outcome bound
+    and only exists for four-outcome scenarios.  The fidelity estimate is
     the envelope's floor at the same lower confidence point, the value
     minus both error bars, when a curve is given: the floor does not
     decrease with the value, so reading it at the value itself would be
@@ -495,6 +489,9 @@ def certify(
             O == 4 and margin > slots["three-outcome"].value
         ),
     }
+    consistent = None if spec.quantum_max is None else bool(margin <= spec.quantum_max)
+    if consistent is False:
+        verdicts = dict.fromkeys(verdicts, False)
     estimate = envelope.floor_at(margin) if envelope is not None else None
     return WitnessReport(
         witness=spec.name,
@@ -504,6 +501,7 @@ def certify(
         syst_err=float(syst_err),
         bounds={slot: float(b.value) for slot, b in slots.items()},
         heuristic={slot: bool(b.heuristic) for slot, b in slots.items()},
+        qubit_consistent=consistent,
         verdicts=verdicts,
         fidelity_estimate=estimate,
     )

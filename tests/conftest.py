@@ -1,6 +1,7 @@
 """Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies,
-the value of an explicit strategy, the all-outcome see-saw and the
-reference Monte Carlo systematics.
+the value of an explicit strategy, the all-outcome see-saw and two
+references for the plate-jitter systematic (a Monte Carlo and a
+Gauss-Hermite quadrature).
 
 The library works on Bloch vectors only; the Pauli matrices here are the
 independent route the tests check it against: a state r is the density
@@ -23,6 +24,7 @@ from povmcert.witness import (
     TRINE,
     Strategy,
     WitnessSpec,
+    bloch_linear_form,
     bloch_values,
     evaluate_witness,
     probability_table,
@@ -170,10 +172,9 @@ def sample_points(*rows) -> np.ndarray:
 def reference_monte_carlo_systematic(cfg, spec, runs, stream) -> float:
     """The plate-jitter spread through full Bloch vectors, all runs at once.
 
-    The same normal draws as `monte_carlo_systematic` (one (hwp, qwp)
-    error pair per run, preparation and setting), the plate model
-    `_blochs_from_angles` in degrees, and `bloch_values` on the jittered
-    per-setting vectors.
+    One normal (hwp, qwp) error pair per run, preparation and setting,
+    the plate model `_blochs_from_angles` in degrees, and `bloch_values`
+    on the jittered per-setting vectors; the sample standard deviation.
     """
     X, Y = len(cfg.preparations), len(cfg.binaries)
     draws = stream.generator().normal(0.0, 1.0, size=(runs, X, Y + 1, 2))
@@ -181,3 +182,26 @@ def reference_monte_carlo_systematic(cfg, spec, runs, stream) -> float:
     M = _blochs_from_angles(angles[..., 0], angles[..., 1])
     values = bloch_values(spec, M, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
     return float(np.std(values, ddof=1))
+
+
+def gauss_hermite_plate_systematic(cfg, spec) -> float:
+    """The exact plate-jitter spread by a 60 x 60 (hwp, qwp) Gauss-Hermite rule.
+
+    Groups are independent, so each (preparation, setting) group is
+    integrated on its own: `_blochs_from_angles` at the jittered angles,
+    scored by the group's coefficient from `bloch_linear_form`, and its
+    variance taken about its mean in a second pass (E[f^2] - E[f]^2
+    would cancel at small spreads).
+    """
+    z, w = np.polynomial.hermite_e.hermegauss(60)
+    weights = np.outer(w, w) / w.sum() ** 2
+    _, C = bloch_linear_form(spec, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
+    sigma = cfg.motor_fwhm_deg / _FWHM_TO_SIGMA
+    var = 0.0
+    for x, (h, q) in enumerate(cfg.plate_angles):
+        hwp, qwp = np.meshgrid(h + sigma * z, q + sigma * z, indexing="ij")
+        M = _blochs_from_angles(hwp, qwp)
+        for coeff in C[x]:
+            f = M @ coeff
+            var += np.sum(weights * (f - np.sum(weights * f)) ** 2)
+    return float(np.sqrt(var))

@@ -18,7 +18,7 @@ from povmcert import (
     certify,
     critical_visibility,
     ingest_counts,
-    monte_carlo_systematic,
+    plate_systematic,
     projective_bound,
     projective_bound_numeric,
     projective_bound_sic,
@@ -191,7 +191,7 @@ def test_criterion_7_end_to_end_pipeline():
     spec = build_witness("sic", 0.2)
     cfg = sic_experiment()
     table = ingest_counts(simulate_counts(cfg, spec, RngStream(42)))
-    syst = monte_carlo_systematic(cfg, spec, 10_000, RngStream(44))
+    syst = plate_systematic(cfg, spec)
     bounds = [
         projective_bound(spec, config),
         three_outcome_max(spec, config),
@@ -199,21 +199,23 @@ def test_criterion_7_end_to_end_pipeline():
     ]
     report = certify(table, spec, bounds, syst_err=syst)
     assert 0.780 <= report.value <= 0.789
+    assert report.qubit_consistent is True
     assert report.verdicts["genuine_four_outcome_certified"] is True
     assert 1.0e-4 / 3 <= syst <= 1.0e-4 * 3
-    note(f"SIC: witness {report.value:.5f}, MC systematic {syst:.2e} (published 1.0e-4)")
+    note(f"SIC: witness {report.value:.5f}, plate systematic {syst:.2e} (published 1.0e-4)")
 
     spec = build_witness("trine", 4.5)
     cfg = trine_experiment()
     table = ingest_counts(simulate_counts(cfg, spec, RngStream(43)))
-    syst = monte_carlo_systematic(cfg, spec, 10_000, RngStream(45))
+    syst = plate_systematic(cfg, spec)
     bounds = [projective_bound(spec, config), quantum_bound(spec)]
     report = certify(table, spec, bounds, syst_err=syst)
+    assert report.qubit_consistent is True
     assert report.verdicts["non_projective_certified"] is True
     assert 1.7e-3 / 3 <= syst <= 1.7e-3 * 3
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
-    note(f"trine: witness {report.value:.5f}, MC systematic {syst:.2e} (published 1.7e-3)")
+    note(f"trine: witness {report.value:.5f}, plate systematic {syst:.2e} (published 1.7e-3)")
     note(f"pipeline in {elapsed:.0f}s")
     note("criterion 7 end-to-end pipeline: PASS")
 

@@ -16,7 +16,7 @@ from conftest import config_json
 import povmcert.fidelity
 import povmcert.optimize
 from povmcert.cli import main
-from povmcert.experiment import counts_from_csv, trine_experiment
+from povmcert.experiment import counts_from_csv, plate_systematic, trine_experiment
 from povmcert.fidelity import EnvelopeBin, EnvelopeCurve
 from povmcert.witness import build_witness
 
@@ -442,6 +442,7 @@ def test_certify_sic_end_to_end(sic_counts, tmp_path, capsys):
     assert report["witness"] == "sic"
     assert report["value"] == pytest.approx(0.78615, abs=2e-3)
     assert report["syst_err"] == 1e-4
+    assert report["qubit_consistent"] is True
     assert report["verdicts"]["non_projective_certified"] is True
     assert report["verdicts"]["genuine_four_outcome_certified"] is True
     assert set(report["bounds"]) >= {"projective", "three-outcome"}
@@ -570,12 +571,54 @@ def test_certify_syst_runs_uses_builtin_config(trine_counts, capsys):
              "--restarts", 8, "--syst-runs", 200, "--seed", 2)
     assert rc == 0
     report = read_json(capsys)
-    # angle-jitter Monte Carlo on the modeled trine setup
+    # the exact angle-jitter spread of the modeled trine setup
+    assert report["syst_err"] == plate_systematic(trine_experiment(), build_witness("trine", 4.5))
     assert 5e-4 < report["syst_err"] < 2.5e-3
+    assert report["qubit_consistent"] is True
+
+
+@pytest.fixture(scope="module")
+def trine_bounds(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bounds")
+    rc = main(["bounds", "--witness", "trine", "--k", "4.5", "--kinds", "projective,quantum",
+               "--restarts", "8", "--out", "b.json", "--out-dir", str(out)])
+    assert rc == 0
+    return out / "b.json"
+
+
+def _certify_report(counts, bounds, tmp_path, name, *extra):
+    rc = run("certify", "--counts", counts, "--witness", "trine", "--k", 4.5,
+             "--bounds", bounds, "--out", name, "--out-dir", tmp_path, *extra)
+    assert rc == 0
+    return (tmp_path / name).read_bytes()
+
+
+def test_certify_syst_runs_count_does_not_change_the_report(trine_counts, trine_bounds, tmp_path, capsys):
+    # the count is accepted for old command lines; the systematic takes no draws
+    bare = _certify_report(trine_counts, trine_bounds, tmp_path, "bare.json", "--syst-runs")
+    for count in (200, 100_000):
+        again = _certify_report(trine_counts, trine_bounds, tmp_path, f"n{count}.json", "--syst-runs", count)
+        assert again == bare, count
+    assert json.loads(bare)["syst_err"] > 0
+
+
+def test_certify_report_does_not_depend_on_the_seed_with_bounds(trine_counts, trine_bounds, tmp_path, capsys):
+    reports = [
+        _certify_report(trine_counts, trine_bounds, tmp_path, f"s{seed}.json", "--syst-runs", "--seed", seed)
+        for seed in (1, 2)
+    ]
+    assert reports[0] == reports[1]
+
+
+def test_certify_negative_syst_runs_exits_two(trine_counts, trine_bounds, capsys):
+    rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 4.5,
+             "--bounds", trine_bounds, "--syst-runs", -1)
+    assert rc == 2
+    assert "--syst-runs" in capsys.readouterr().err
 
 
 def test_certify_config_without_syst_runs_exits_two(trine_counts, tmp_path, capsys):
-    # --config only feeds the Monte Carlo: alone it would be silently ignored
+    # --config only feeds the plate systematic: alone it would be silently ignored
     rc = run("certify", "--counts", trine_counts, "--witness", "trine", "--k", 1,
              "--config", tmp_path / "missing.json")
     assert rc == 2

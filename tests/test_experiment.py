@@ -1,14 +1,18 @@
-"""Wave-plate preparations, count simulation and ingestion, MC systematics, certify."""
+"""Wave-plate preparations, count simulation and ingestion, plate systematics, certify."""
 import dataclasses
 import json
 
 import numpy as np
 import pytest
-from conftest import config_json, reference_monte_carlo_systematic, sample_points
+from conftest import (
+    config_json,
+    gauss_hermite_plate_systematic,
+    reference_monte_carlo_systematic,
+    sample_points,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmcert import experiment
 from povmcert.experiment import (
     LAB_VISIBILITIES,
     TRINE_PLATE_ANGLES,
@@ -22,7 +26,7 @@ from povmcert.experiment import (
     counts_to_csv,
     expected_probabilities,
     ingest_counts,
-    monte_carlo_systematic,
+    plate_systematic,
     sic_experiment,
     simulate_counts,
     trine_experiment,
@@ -35,6 +39,7 @@ from povmcert.witness import (
     SIC_QUANTUM_MAX,
     TETRAHEDRON,
     TRINE,
+    ProbabilityTable,
     evaluate_witness,
     sic_witness,
     sym_trine_witness,
@@ -309,41 +314,32 @@ def test_ingest_rejects_bad_counts():
         )
 
 
-# ---------------------------------------------------------- monte carlo
+# ------------------------------------------------------- plate systematic
 
 
 def test_systematic_error_matches_published_magnitudes():
-    sic_syst = monte_carlo_systematic(
-        sic_experiment(), sic_witness(0.2), 20_000, RngStream(60)
-    )
+    sic_syst = plate_systematic(sic_experiment(), sic_witness(0.2))
     assert 1.0e-4 / 3 < sic_syst < 1.0e-4 * 3
-    tri_syst = monte_carlo_systematic(
-        trine_experiment(), trine_witness(1.0), 20_000, RngStream(61)
-    )
+    tri_syst = plate_systematic(trine_experiment(), trine_witness(1.0))
     assert 1.7e-3 / 3 < tri_syst < 1.7e-3 * 3
 
 
 def test_systematic_error_is_deterministic_and_scales_with_fwhm():
     cfg = sic_experiment()
     spec = sic_witness(0.2)
-    a = monte_carlo_systematic(cfg, spec, 5_000, RngStream(62))
-    b = monte_carlo_systematic(cfg, spec, 5_000, RngStream(62))
-    assert a == b
+    a = plate_systematic(cfg, spec)
+    assert plate_systematic(cfg, spec) == a
     doubled = dataclasses.replace(cfg, motor_fwhm_deg=cfg.motor_fwhm_deg * 2)
-    assert monte_carlo_systematic(doubled, spec, 5_000, RngStream(62)) == pytest.approx(
-        2 * a, rel=0.05
-    )
+    assert plate_systematic(doubled, spec) == pytest.approx(2 * a, rel=0.05)
 
 
 @pytest.mark.parametrize(
     "cfg, spec", [(sic_experiment(), sic_witness(0.2)), (trine_experiment(), trine_witness(1.0))]
 )
-def test_systematic_error_does_not_depend_on_chunk_size(cfg, spec, monkeypatch):
-    whole = monte_carlo_systematic(cfg, spec, 5_000, RngStream(64))
-    # 1, 7 and 999 leave a partial last chunk
-    for chunk in (1, 7, 999, 1_000):
-        monkeypatch.setattr(experiment, "_MC_CHUNK", chunk)
-        assert monte_carlo_systematic(cfg, spec, 5_000, RngStream(64)) == whole, chunk
+def test_systematic_error_matches_the_monte_carlo_reference(cfg, spec):
+    # 40,000 runs put the sample standard deviation within about 0.4% (1 sigma)
+    sampled = reference_monte_carlo_systematic(cfg, spec, 40_000, RngStream(64))
+    assert plate_systematic(cfg, spec) == pytest.approx(sampled, rel=0.03)
 
 
 def _sym_trine_experiment():
@@ -377,22 +373,19 @@ def _sym_trine_experiment():
     ids=["sic", "trine-k1", "trine-k4.5", "sym-trine", "sic-moved-plates", "sic-5deg", "trine-5deg"],
 )
 def test_systematic_error_matches_the_full_bloch_reference(cfg, spec):
-    # the projected plate model against the Bloch vectors of _blochs_from_angles
-    # scored by bloch_values; a 5 degree FWHM rules out small-angle shortcuts
-    got = monte_carlo_systematic(cfg, spec, 3_000, RngStream(65))
-    assert got == pytest.approx(reference_monte_carlo_systematic(cfg, spec, 3_000, RngStream(65)), rel=1e-12)
+    # the closed form against a 60 x 60 quadrature of _blochs_from_angles
+    # scored by the linear form; a 5 degree FWHM rules out small-angle shortcuts
+    assert plate_systematic(cfg, spec) == pytest.approx(gauss_hermite_plate_systematic(cfg, spec), rel=1e-12)
 
 
 def test_zero_motor_spread_means_zero_systematic():
     cfg = dataclasses.replace(sic_experiment(), motor_fwhm_deg=0.0)
-    assert monte_carlo_systematic(cfg, sic_witness(0.2), 1_000, RngStream(63)) < 1e-12
+    assert plate_systematic(cfg, sic_witness(0.2)) == 0.0
 
 
-def test_monte_carlo_input_checks():
-    with pytest.raises(ValueError, match="100"):
-        monte_carlo_systematic(sic_experiment(), sic_witness(0.2), 50, RngStream(0))
+def test_plate_systematic_input_checks():
     with pytest.raises(ValueError, match="scenario"):
-        monte_carlo_systematic(sic_experiment(), trine_witness(1.0), 500, RngStream(0))
+        plate_systematic(sic_experiment(), trine_witness(1.0))
 
 
 # --------------------------------------------------------------- certify
@@ -414,7 +407,7 @@ def sic_lab_table():
 
 def test_certify_full_sic_pipeline(sic_lab_table):
     table, spec = sic_lab_table
-    syst = monte_carlo_systematic(sic_experiment(), spec, 20_000, RngStream(71))
+    syst = plate_systematic(sic_experiment(), spec)
     env = envelope_from_points(
         sample_points((0, 0.7871, 0.971), (1, 0.7881, 0.995)), 0.002
     )
@@ -423,6 +416,7 @@ def test_certify_full_sic_pipeline(sic_lab_table):
     assert 0.780 <= report.value <= 0.789
     assert 0 < report.stat_err < 2e-4
     assert report.syst_err == syst
+    assert report.qubit_consistent is True
     assert report.verdicts["non_projective_certified"]
     assert report.verdicts["genuine_four_outcome_certified"]
     assert report.bounds == {
@@ -535,3 +529,49 @@ def test_report_without_errors_uses_zero_stat(sic_lab_table):
     report = certify(table, spec, sic_bounds())
     assert report.stat_err == 0.0
     assert isinstance(report, WitnessReport)
+
+
+def _supra_quantum_table(spec, err=1e-3):
+    """A table no qubit gives: each binary setting always returns its
+    rewarded outcome, and no POVM click falls on its own preparation."""
+    X, O = spec.scenario.preparations, spec.scenario.povm_outcomes
+    binary = np.eye(2)[np.argmax(spec.coeffs, axis=2)]
+    povm = (1.0 - np.eye(X, O)) / (O - 1)
+    return ProbabilityTable(binary, povm, np.full(binary.shape, err), np.full(povm.shape, err))
+
+
+def test_certify_certifies_nothing_above_the_quantum_maximum():
+    spec = sic_witness(0.2)
+    report = certify(_supra_quantum_table(spec), spec, sic_bounds(), syst_err=1e-4)
+    assert report.value == pytest.approx(1.0)
+    assert report.value - report.stat_err - report.syst_err > SIC_QUANTUM_MAX
+    assert report.qubit_consistent is False
+    assert report.verdicts == {
+        "non_projective_certified": False,
+        "genuine_four_outcome_certified": False,
+    }
+    assert json.loads(report.to_json())["qubit_consistent"] is False
+
+
+def test_qubit_consistency_is_read_at_the_lower_confidence_point():
+    # the same table with a systematic that brings value - stat - syst
+    # under the quantum maximum: consistent, and the bounds decide again
+    spec = sic_witness(0.2)
+    table = _supra_quantum_table(spec)
+    measured = evaluate_witness(spec, table)
+    syst = measured.value - measured.stderr - SIC_QUANTUM_MAX + 1e-9
+    report = certify(table, spec, sic_bounds(), syst_err=syst)
+    assert report.qubit_consistent is True
+    assert report.verdicts["non_projective_certified"]
+    assert report.verdicts["genuine_four_outcome_certified"]
+
+
+def test_qubit_consistency_is_null_without_a_known_maximum(sic_lab_table):
+    table, spec = sic_lab_table
+    custom = dataclasses.replace(spec, quantum_max=None)
+    report = certify(table, custom, sic_bounds()[:2])
+    assert report.qubit_consistent is None
+    assert json.loads(report.to_json())["qubit_consistent"] is None
+    assert report.verdicts["non_projective_certified"]
+    # with no maximum to check against, even a supra-quantum table is judged by its bounds
+    assert certify(_supra_quantum_table(custom), custom, sic_bounds()[:2]).verdicts["non_projective_certified"]
