@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -344,7 +345,14 @@ def _add_common(
         p.add_argument("--restarts", type=int, default=restarts, help="optimizer restarts")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The povmcert argument parser, built on first use and kept for the process.
+
+    Reuse is safe: `parse_args` returns a fresh Namespace each call, no
+    default is mutable, each subparser owns its actions (`_add_common`),
+    and the commands look their helpers up when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="povmcert",
         description="Certify and self-test qubit POVMs from prepare-and-measure statistics.",

@@ -48,8 +48,8 @@ Array = np.ndarray
 
 # rotation-equivalence threshold for grouping target relabelings
 RELABEL_TOL = 1e-9
-# samples per slice of the batched SVD and of the samples CSV, which
-# bounds their working memory; numpy's per-call overhead is small at this size
+# matrices per slice of the batched SVD, and rows per slice of the samples
+# CSV: it bounds their working memory, and numpy's per-call overhead is small
 _SLICE = 4096
 
 
@@ -71,8 +71,8 @@ def _rotation_classes(weights: Array, blochs: Array) -> tuple[tuple[int, ...], .
             continue
         config = blochs[p]
         if rep_configs:
-            K = np.einsum("o,oi,coj->cij", weights, config, np.array(rep_configs))
-            if np.any(_kabsch(K) > 1.0 - RELABEL_TOL):
+            F = _kabsch(weights[None], config[None], np.array(rep_configs))
+            if np.any(F > 1.0 - RELABEL_TOL):
                 continue
         reps.append(perm)
         rep_configs.append(config)
@@ -113,28 +113,24 @@ def trine_target() -> TargetPovm:
     return TargetPovm.from_povm(Povm(np.full(3, 1.0 / 3.0), TRINE))
 
 
-def _alignment_matrices(
-    weights: Array, blochs: Array, target: TargetPovm, perms: Array
-) -> Array:
-    """K matrices for a batch: K[s,c] = sum_i w_si n_si v_{perm_c(i)}^T."""
-    v = target.povm.blochs[perms]  # (C, O, 3)
-    return np.einsum("so,soi,coj->scij", weights, blochs, v)
+def _kabsch(weights: Array, blochs: Array, targets: Array) -> Array:
+    """Max of 1/2 + Tr(R K)/2 over proper rotations R, for each POVM and target.
 
-
-def _kabsch(K: Array) -> Array:
-    """Max of 1/2 + Tr(R K)/2 over proper rotations R for each K in a batch.
-
-    K = U S V^T and d = sign(det U det V) give the maximum
-    1/2 + (s1 + s2 + d s3)/2 at R = V diag(1, 1, d) U^T.  The SVD runs
-    `_SLICE` matrices at a time, so its factors stay small whatever the
-    batch; each matrix is its own LAPACK call either way, so the values
-    do not depend on the slicing.  Returns the fidelities (B,).
+    weights (S, O) and blochs (S, O, 3) hold the POVMs, targets (C, O, 3)
+    the target directions, and K[s,c] = sum_i w_si n_si t_ci^T.  K = U S V^T
+    and d = sign(det U det V) give the maximum 1/2 + (s1 + s2 + d s3)/2 at
+    R = V diag(1, 1, d) U^T.  K is built and decomposed `_SLICE` matrices
+    at a time, so the working set stays small whatever the batch; each
+    matrix is its own LAPACK call either way, so the values do not depend
+    on the slicing.  Returns the fidelities (S, C).
     """
-    F = np.empty(len(K))
-    for lo in range(0, len(K), _SLICE):
-        U, s, Vt = np.linalg.svd(K[lo : lo + _SLICE])
+    F = np.empty((len(weights), len(targets)))
+    step = max(1, _SLICE // len(targets))
+    for lo in range(0, len(weights), step):
+        K = np.einsum("so,soi,coj->scij", weights[lo : lo + step], blochs[lo : lo + step], targets)
+        U, s, Vt = np.linalg.svd(K)
         d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-        F[lo : lo + _SLICE] = 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2])
+        F[lo : lo + step] = 0.5 + 0.5 * (s[..., 0] + s[..., 1] + d * s[..., 2])
     return F
 
 
@@ -291,10 +287,8 @@ def sample_fidelity_curve(
         spec, sample.weights, sample.blochs, config, restarts=config.restarts
     )
 
-    C = len(target.relabel_classes)
-    perms = np.array(target.relabel_classes)
-    K = _alignment_matrices(sample.weights, sample.blochs, target, perms)  # (S, C, 3, 3)
-    fids = _kabsch(K.reshape(n_samples * C, 3, 3)).reshape(n_samples, C).max(axis=1)
+    targets = target.povm.blochs[np.array(target.relabel_classes)]  # (C, O, 3)
+    fids = _kabsch(sample.weights, sample.blochs, targets).max(axis=1)
 
     kept = np.flatnonzero(np.isfinite(values) & np.isfinite(fids))
     dropped = n_samples - len(kept)

@@ -43,7 +43,9 @@ small and every iteration runs on a full pool.  `_MAX_ITERS` is each
 row's own budget across both stages.
 
 Every quantity of a batch advances in lock step through numpy array
-ops.  In the bound searches a "row" is one restart (of one outcome
+ops.  The field steps are matmuls: D^T M gives the observables' fields
+and D N the preparations', the product the fixed-POVM search shares for
+h = D n - K.  In the bound searches a "row" is one restart (of one outcome
 assignment) at one penalty weight k: `three_outcome_maxima` and
 `projective_bounds_numeric` take a whole k grid, every k climbs from
 the same starts, and each k's rows leave the batch on their own
@@ -105,6 +107,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        self.stream()  # checks the seed
 
     def stream(self, index: int = 0) -> RngStream:
         return RngStream(self.seed, index)
@@ -143,9 +146,14 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 
+def _norms(v: Array) -> Array:
+    """Norms over the last axis, kept as a length-1 axis: np.linalg.norm's operations, unwrapped."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+
+
 def _normalize_rows(v: Array, fallback: Array) -> Array:
     """Row-normalize (..., 3); rows with (near) zero norm keep the fallback."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    n = _norms(v)
     ok = n > 1e-14
     safe = np.where(ok, n, 1.0)
     return np.where(ok, v / safe, fallback)
@@ -162,14 +170,13 @@ def _penalty_of(PW: Array, PN: Array, M_S: Array) -> Array:
 
 
 def _binary_step(D: Array, M: Array, N_old: Array) -> Array:
-    return _normalize_rows(np.einsum("xy,bxi->byi", D, M), N_old)
+    return _normalize_rows(D.T @ M, N_old)
 
 
 def _prep_step(D: Array, N: Array, k: float | Array, PW: Array, PN: Array, M_old: Array) -> Array:
     """Best preparations; k is one penalty weight or one per row (B,)."""
-    H = np.einsum("xy,byi->bxi", D, N)
-    O = PW.shape[1]
-    H[:, :O, :] = H[:, :O, :] - np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
+    H = D @ N
+    H[:, : PW.shape[1]] -= np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
     return _normalize_rows(H, M_old)
 
 
@@ -290,8 +297,9 @@ def _enclosing_ball_step(
 ) -> tuple[Array, Array]:
     """Exact penalty-minimizing POVM step on the `subset` outcomes.
 
-    subset is (B, T): the outcomes allowed a nonzero weight (others are
-    forced to zero).  Over POVMs supported on S the minimum of
+    subset is (B, T): the outcomes allowed a nonzero weight.  The others
+    must have zero weight already, as `_multistart` sets them, so only the
+    subset is rewritten.  Over POVMs supported on S the minimum of
     sum_x w_x (1 + n_x . m_x) is 1 - R_S, with R_S the radius of the
     smallest ball enclosing {m_x : x in S}; the weights are the centre's
     barycentric coordinates and each effect points from m_x to the
@@ -299,25 +307,18 @@ def _enclosing_ball_step(
     instance coincident preparations, where every candidate is
     degenerate) keep their POVM, so the step never increases the penalty.
     """
-    B, O = PW.shape
-    rows = np.arange(B)
+    rows = np.arange(PW.shape[0])
     slots = (rows[:, None], subset)
-    M_S, PN_S = M[slots], PN[slots]
+    M_S, PW_S, PN_S = M[slots], PW[slots], PN[slots]
     centres, radii2, weights = _ball_candidates(M_S)
     pick = np.argmin(radii2, axis=1)
     w = weights[rows, pick]
     dirs = _normalize_rows(centres[rows, pick][:, None, :] - M_S, PN_S)
-    current = _penalty_of(PW[slots], PN_S, M_S)
-    better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < current)
-
-    PW_new = np.zeros((B, O))
-    PW_new[slots] = w
-    PN_new = PN.copy()
-    PN_new[slots] = dirs
-    return (
-        np.where(better[:, None], PW_new, PW),
-        np.where(better[:, None, None], PN_new, PN),
-    )
+    better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < _penalty_of(PW_S, PN_S, M_S))
+    PW_new, PN_new = PW.copy(), PN.copy()
+    PW_new[slots] = np.where(better[:, None], w, PW_S)
+    PN_new[slots] = np.where(better[:, None, None], dirs, PN_S)
+    return PW_new, PN_new
 
 
 def _povm_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
@@ -413,13 +414,13 @@ _SADDLE_FLOOR = 1e-4
 
 def _reduced_objective(D: Array, N: Array, K: Array) -> Array:
     """sum_x |h_x| with h_x = sum_y D_xy n_y - K_x, for (..., B, Y, 3) observables."""
-    return np.linalg.norm(D @ N - K, axis=-1).sum(axis=-1)
+    return _norms(D @ N - K)[..., 0].sum(axis=-1)
 
 
 def _unit_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
     """u_x = unit(h_x) and |h_x| (B, X, 1), a zero field giving u_x = 0."""
     H = D @ N - K
-    r = np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), 1e-300)
+    r = np.maximum(_norms(H), 1e-300)
     return H / r, r
 
 

@@ -37,6 +37,10 @@ class RngStream:
     seed: int
     index: int = 0
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.index,)))
 

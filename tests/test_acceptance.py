@@ -33,7 +33,7 @@ from povmcert import (
     trine_target,
 )
 from povmcert.cli import main as cli_main
-from povmcert.fidelity import _alignment_matrices, _kabsch
+from povmcert.fidelity import _kabsch
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.robustness import a_rand, visibility_curve
 
@@ -138,10 +138,8 @@ def test_criterion_4_critical_visibility():
 def test_criterion_5_fidelity_anchors():
     # Kabsch fidelities over the target's relabelings, as in the envelopes
     def fidelities(povm, target):
-        K = _alignment_matrices(
-            povm.weights[None], povm.blochs[None], target, np.array(target.relabel_classes)
-        )
-        return _kabsch(K[0])
+        targets = target.povm.blochs[np.array(target.relabel_classes)]
+        return _kabsch(povm.weights[None], povm.blochs[None], targets)[0]
 
     for target in (sic_target(), trine_target()):
         self_fid = fidelities(target.povm, target)[0]  # identity pairing

@@ -3,6 +3,7 @@
 Everything runs in-process through main() so exit codes and streams are
 checked directly; subprocess tests cover the `python3 -m` paths.
 """
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from conftest import config_json
 
 import povmcert.fidelity
 import povmcert.optimize
-from povmcert.cli import main
+from povmcert.cli import build_parser, main
 from povmcert.experiment import counts_from_csv, plate_systematic, trine_experiment
 from povmcert.fidelity import EnvelopeBin, EnvelopeCurve
 from povmcert.witness import build_witness
@@ -199,6 +200,77 @@ def test_package_invocation_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert "povmcert" in proc.stdout
+
+
+# ------------------------------------------------------------- parser reuse
+
+
+def _parser_round(out: Path) -> list[tuple[str, ...]]:
+    """One of each command, run with each command's own defaults where a leak would show."""
+    return [
+        ("bounds", "--witness", "trine", "--k", "1", "--out", "bounds.json"),
+        ("fidelity-curve", "--witness", "trine", "--k", "1", "--samples", "12", "--bin-width", "0.01",
+         "--out", "fid"),
+        ("simulate", "--witness", "trine", "--k", "1", "--out", "counts.csv"),
+        ("certify", "--witness", "trine", "--k", "1", "--counts", str(out / "counts.csv"),
+         "--bounds", str(out / "bounds.json"), "--envelope", str(out / "fid.envelope.json"),
+         "--syst-runs", "--out", "report.json"),
+        ("visibility-curve", "--witness", "trine", "--kind", "projective", "--kgrid", "0.5,1",
+         "--restarts", "4", "--out", "vis.csv"),
+    ]
+
+
+def _run_parser_round(out: Path, fresh: argparse.ArgumentParser, capsys) -> dict[str, bytes]:
+    """Run a round into `out`: checks each manifest's parameters against
+    those of a parser used for nothing else, and returns the data
+    artifacts' bytes."""
+    for argv in _parser_round(out):
+        argv = [*argv, "--out-dir", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        expected = {k: v for k, v in vars(fresh.parse_args(argv)).items() if k != "func" and v is not None}
+        name = {"fidelity-curve": "fid.samples.csv"}.get(argv[0], argv[argv.index("--out") + 1])
+        manifest = json.loads((out / f"{name}.manifest.json").read_text())
+        assert manifest["parameters"] == expected, argv[0]
+    capsys.readouterr()
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if not p.name.endswith(".manifest.json")}
+
+
+def test_cached_parser_leaks_no_state_between_commands(monkeypatch, tmp_path, capsys):
+    fresh = build_parser.__wrapped__()
+    build_parser.cache_clear()
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", spy)
+        first = _run_parser_round(tmp_path / "a", fresh, capsys)
+        second = _run_parser_round(tmp_path / "b", fresh, capsys)
+    # one top-level parser for all ten commands
+    assert builds.count("povmcert") == 1
+    build_parser.cache_clear()
+    rebuilt = _run_parser_round(tmp_path / "c", fresh, capsys)
+    assert len(first) == 6
+    assert first == second == rebuilt
+    # each subcommand keeps its own defaults after another's
+    params = {
+        name: json.loads((tmp_path / "b" / f"{name}.manifest.json").read_text())["parameters"]
+        for name in ("bounds.json", "fid.samples.csv", "counts.csv")
+    }
+    assert params["bounds.json"]["restarts"] == 32
+    assert params["fid.samples.csv"]["restarts"] == 8
+    assert "restarts" not in params["counts.csv"]
+
+
+@pytest.mark.parametrize("command, extra", [("bounds", ()), ("simulate", ()), ("fidelity-curve", ("--samples", 10))])
+def test_negative_seed_exits_two_naming_the_option(command, extra, tmp_path, capsys):
+    rc = run(command, "--witness", "trine", "--k", 1, "--seed", -1, "--out-dir", tmp_path, *extra)
+    assert rc == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------- simulate

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from povmcert.fidelity import (
     EnvelopeBin,
     EnvelopeCurve,
     TargetPovm,
-    _alignment_matrices,
     _kabsch,
     envelope_from_points,
     sample_fidelity_curve,
@@ -50,7 +50,7 @@ def procrustes_fidelity(e: Povm, target: TargetPovm, perm) -> float:
 
 def alignment(e: Povm, target: TargetPovm, perms) -> np.ndarray:
     """K matrices (C, 3, 3) of one POVM for C pairings."""
-    return _alignment_matrices(e.weights[None], e.blochs[None], target, np.array(perms))[0]
+    return np.einsum("o,oi,coj->cij", e.weights, e.blochs, target.povm.blochs[np.array(perms)])
 
 
 def fidelities(e: Povm, target: TargetPovm, perms) -> np.ndarray:
@@ -58,7 +58,7 @@ def fidelities(e: Povm, target: TargetPovm, perms) -> np.ndarray:
 
     This is the route `sample_fidelity_curve` takes.
     """
-    return _kabsch(alignment(e, target, perms))
+    return _kabsch(e.weights[None], e.blochs[None], target.povm.blochs[np.array(perms)])[0]
 
 
 def kabsch_rotations(K: np.ndarray) -> np.ndarray:
@@ -133,20 +133,42 @@ def test_target_rejects_invalid_povm():
 @pytest.mark.parametrize("target_fn", [sic_target, trine_target])
 def test_self_fidelity_is_one(target_fn):
     t = target_fn()
-    K = alignment(t.povm, t, [range(t.outcomes)])
-    f = _kabsch(K)
+    f = fidelities(t.povm, t, [range(t.outcomes)])
     assert f[0] == pytest.approx(1.0, abs=1e-9)
-    R = kabsch_rotations(K)
+    R = kabsch_rotations(alignment(t.povm, t, [range(t.outcomes)]))
     assert np.allclose(R[0] @ R[0].T, np.eye(3), atol=1e-9)
 
 
+def _random_alignment_inputs(S: int, C: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """weights (S, 4), blochs (S, 4, 3) and targets (C, 4, 3); `_kabsch` needs no valid POVM."""
+    rng = np.random.default_rng(seed)
+    return rng.random((S, 4)), rng.normal(size=(S, 4, 3)), rng.normal(size=(C, 4, 3))
+
+
 def test_sliced_kabsch_matches_one_unsliced_svd():
-    # each matrix is its own LAPACK call, so slicing changes no bit
-    K = np.random.default_rng(6).normal(size=(10_000, 3, 3))
+    # K is built and decomposed a slice at a time; each matrix is its own
+    # LAPACK call, so a batch of several slices (the last one partial)
+    # gets the bits of one unsliced call
+    w, n, v = _random_alignment_inputs(5_000, 2, 6)
+    K = np.einsum("so,soi,coj->scij", w, n, v)
     U, s, Vt = np.linalg.svd(K)
     d = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    assert len(K) > 2 * povmcert.fidelity._SLICE
-    assert np.array_equal(_kabsch(K), 0.5 + 0.5 * (s[:, 0] + s[:, 1] + d * s[:, 2]))
+    assert K.size // 9 > 2 * povmcert.fidelity._SLICE
+    assert np.array_equal(_kabsch(w, n, v), 0.5 + 0.5 * (s[..., 0] + s[..., 1] + d * s[..., 2]))
+
+
+def test_rotation_step_peak_stays_below_the_whole_batch_of_alignment_matrices():
+    # 80,000 sic samples with two relabeling classes: all K at once would
+    # be 11.5 MB; built a slice at a time the peak is about the output
+    S, C = 80_000, 2
+    w, n, v = _random_alignment_inputs(S, C, 7)
+    tracemalloc.start()
+    try:
+        _kabsch(w, n, v).max(axis=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S * C * 9 * 8 / 2
 
 
 @pytest.mark.parametrize("target_fn", [sic_target, trine_target])

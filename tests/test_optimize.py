@@ -178,6 +178,80 @@ def test_grid_batch_matches_lone_calls(monkeypatch, name, chunk):
     assert_same_bound(batch[0], batch[3])
 
 
+# ---------------------------------------------------------------------------
+# the matmul field steps against their einsum forms
+# ---------------------------------------------------------------------------
+
+
+def einsum_binary_step(D, M, N_old):
+    """Reference binary step: the observable fields as a generic einsum."""
+    return _normalize_rows(np.einsum("xy,bxi->byi", D, M), N_old)
+
+
+def einsum_prep_step(D, N, k, PW, PN, M_old):
+    """Reference preparation step: h = D n - k w p as a generic einsum."""
+    H = np.einsum("xy,byi->bxi", D, N)
+    O = PW.shape[1]
+    H[:, :O, :] = H[:, :O, :] - np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
+    return _normalize_rows(H, M_old)
+
+
+def assert_close_bounds(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.value == pytest.approx(b.value, rel=0, abs=1e-13)
+        for key in ("iterations", "converged"):
+            assert a.diagnostics[key] == b.diagnostics[key]
+
+
+def _with_einsum_steps(monkeypatch, search):
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_binary_step", einsum_binary_step)
+        patch.setattr(optimize, "_prep_step", einsum_prep_step)
+        return search()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matmul_steps_match_the_einsum_reference_on_the_lab_bounds(monkeypatch, seed):
+    config = OptimizerConfig(restarts=32, seed=seed)
+
+    def search():
+        return [
+            three_outcome_max(build_witness("sic", 0.2), config),
+            projective_bound_numeric(build_witness("trine", 1.0), config),
+            projective_bound_numeric(build_witness("trine", 4.5), config),
+        ]
+
+    assert_close_bounds(search(), _with_einsum_steps(monkeypatch, search))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matmul_steps_match_the_einsum_reference_on_the_sweep_grid(monkeypatch, seed):
+    config = OptimizerConfig(restarts=8, seed=seed)
+    grid = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+
+    def search():
+        return [
+            *three_outcome_maxima([build_witness("sic", k) for k in grid], config),
+            *projective_bounds_numeric([build_witness("trine", k) for k in grid], config),
+        ]
+
+    assert_close_bounds(search(), _with_einsum_steps(monkeypatch, search))
+
+
+def test_normalize_rows_keeps_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(21)
+    v = rng.normal(size=(300, 4, 3)) * 10.0 ** rng.uniform(-12, 3, size=(300, 4, 1))
+    v[::7, 1] = 0.0
+    v[::11, 2] = 1e-16
+    fallback = rng.normal(size=(300, 4, 3))
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    ok = n > 1e-14
+    got = _normalize_rows(v, fallback)
+    assert np.array_equal(got, np.where(ok, v / np.where(ok, n, 1.0), fallback))
+    assert np.array_equal(got[::7, 1], fallback[::7, 1])
+    assert np.array_equal(got[::11, 2], fallback[::11, 2])
+
+
 def test_grid_batch_rejects_mixed_families():
     with pytest.raises(ValueError, match="one coefficient tensor"):
         three_outcome_maxima([build_witness("sic", 0.2), build_witness("trine", 0.2)], FAST)

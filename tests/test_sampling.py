@@ -9,6 +9,7 @@ import pytest
 from conftest import extremal_povm
 from scipy.spatial.transform import Rotation
 
+from povmcert.optimize import OptimizerConfig
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.sampling import (
     RngStream,
@@ -26,6 +27,14 @@ def test_rng_stream_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_rng_stream_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        RngStream(seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        OptimizerConfig(seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
