@@ -405,6 +405,8 @@ class WitnessReport:
     qubit_consistent: bool | None
     verdicts: dict[str, bool]
     fidelity_estimate: float | None = None
+    # why fidelity_estimate is None; None when there is an estimate
+    fidelity_missing: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -424,6 +426,7 @@ class WitnessReport:
                 "basis": "heuristic, sampling-based",
                 "read_at": self.value - self.stat_err - self.syst_err,
             },
+            "fidelity_missing": self.fidelity_missing,
         }
 
     def to_json(self) -> str:
@@ -455,7 +458,9 @@ def certify(
     the envelope's floor at the same lower confidence point, the value
     minus both error bars, when a curve is given: the floor does not
     decrease with the value, so reading it at the value itself would be
-    the optimistic end.
+    the optimistic end.  A qubit-inconsistent report gives none, since
+    no qubit POVM reaches its read point, and `fidelity_missing` names
+    the reason whenever the estimate is None.
     """
     if syst_err < 0 or not np.isfinite(syst_err):
         raise ValueError("systematic error must be finite and >= 0")
@@ -492,7 +497,13 @@ def certify(
     consistent = None if spec.quantum_max is None else bool(margin <= spec.quantum_max)
     if consistent is False:
         verdicts = dict.fromkeys(verdicts, False)
-    estimate = envelope.floor_at(margin) if envelope is not None else None
+    if envelope is None:
+        estimate, missing = None, "no envelope given"
+    elif consistent is False:
+        estimate, missing = None, "qubit-inconsistent: value - stat - syst exceeds the quantum maximum"
+    else:
+        estimate = envelope.floor_at(margin)
+        missing = None if estimate is not None else "no sampled envelope bin at or above the read point"
     return WitnessReport(
         witness=spec.name,
         k=spec.k,
@@ -504,4 +515,5 @@ def certify(
         qubit_consistent=consistent,
         verdicts=verdicts,
         fidelity_estimate=estimate,
+        fidelity_missing=missing,
     )

@@ -25,22 +25,15 @@ value never decreases.
 
 With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
 envelope's witness search) the preparation step is closed form, which
-leaves the reduced objective
-
-    A(N) = offset - k sum_x w_x + sum_x |h_x|,  h_x = sum_y D_xy n_y - k w_x p_x,
-
-a function of the Y observable axes alone: a start is kept only as
-observables.  Each row first takes see-saw steps until it gains less
-than 1e-4, which settles it in the basin the see-saw climbs, then
-batched saddle-free Riemannian Newton steps on the product of spheres
-(the Hessian's eigenvalues taken by modulus: Newton near a maximum,
-away from saddles elsewhere), with three step lengths and the see-saw
-step as a fallback; a row keeps its point when nothing ascends.  Each
-stage runs a pool of 64 rows: a row leaves it once its gain falls
-below the stage's tolerance (`_TOL` for the Newton stage), and the
-next waiting row takes its slot at once, so the working set stays
-small and every iteration runs on a full pool.  `_MAX_ITERS` is each
-row's own budget across both stages.
+leaves A(N) = offset - k sum_x w_x + sum_x |h_x|, h_x = sum_y D_xy n_y -
+k w_x p_x, a function of the observable axes alone.  Each row takes
+see-saw steps in a pool of `_SEESAW_POOL` rows until it gains less than
+1e-4, then queues for a pool of `_NEWTON_POOL` rows taking saddle-free
+Riemannian Newton steps (the Hessian's eigenvalues taken by modulus;
+three step lengths, the see-saw step as a fallback).  That pool steps
+when full or when nothing is left upstream, and no start is drawn while
+its queue holds a full pool, so memory is the pools and one value per
+POVM.  `_MAX_ITERS` is each row's budget across both stages.
 
 Every quantity of a batch advances in lock step through numpy array
 ops.  The field steps are matmuls: D^T M gives the observables' fields
@@ -68,6 +61,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -146,17 +140,23 @@ class BoundResult:
 # ---------------------------------------------------------------------------
 
 
+def _sum_last(p: Array) -> Array:
+    """np.sum over a short last axis, in its order (p_0 + p_1) + ..., without its per-row reduction cost."""
+    return reduce(np.add, (p[..., i] for i in range(p.shape[-1])))
+
+
 def _norms(v: Array) -> Array:
-    """Norms over the last axis, kept as a length-1 axis: np.linalg.norm's operations, unwrapped."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    """Norms over the last axis, kept as a length-1 axis: np.linalg.norm's operations, in its order."""
+    return np.sqrt(_sum_last(v * v))[..., None]
 
 
 def _normalize_rows(v: Array, fallback: Array) -> Array:
     """Row-normalize (..., 3); rows with (near) zero norm keep the fallback."""
     n = _norms(v)
     ok = n > 1e-14
-    safe = np.where(ok, n, 1.0)
-    return np.where(ok, v / safe, fallback)
+    if ok.all():
+        return v / n
+    return np.where(ok, v / np.where(ok, n, 1.0), fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +399,10 @@ def _run_seesaw(
     }
 
 
-# rows of a fixed-POVM search that advance together; a row's working set is
-# a few hundred bytes, so the width is set by the per-call numpy overhead
-_FIXED_CHUNK = 64
+# rows of the fixed-POVM search's see-saw and Newton pools: wide enough that
+# per-call numpy overhead fades, no wider than the 300-POVM peak allows
+_SEESAW_POOL = 512
+_NEWTON_POOL = 128
 # see-saw steps run until a row gains less than this: by then the row has
 # settled in the basin the see-saw climbs, and Newton steps finish it
 _SEESAW_TOL = 1e-4
@@ -414,7 +415,7 @@ _SADDLE_FLOOR = 1e-4
 
 def _reduced_objective(D: Array, N: Array, K: Array) -> Array:
     """sum_x |h_x| with h_x = sum_y D_xy n_y - K_x, for (..., B, Y, 3) observables."""
-    return _norms(D @ N - K)[..., 0].sum(axis=-1)
+    return _sum_last(_norms(D @ N - K)[..., 0])
 
 
 def _unit_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
@@ -454,12 +455,12 @@ def _reduced_derivatives(D: Array, N: Array, K: Array) -> tuple[Array, Array, Ar
     U, r = _unit_fields(D, N, K)
     G = D.T @ U
     E = _tangent_bases(N).reshape(B, 2 * Y, 3)
-    g = np.sum(E * G.repeat(2, axis=1), axis=-1)
+    g = _sum_last(E * G.repeat(2, axis=1))
     Q = (U @ E.swapaxes(1, 2)) * (D.repeat(2, axis=1) / np.sqrt(r))  # (B, X, 2Y)
     C = ((D.T / r.swapaxes(1, 2)) @ D).repeat(2, axis=1).repeat(2, axis=2)
     hess = C * (E @ E.swapaxes(1, 2)) - Q.swapaxes(1, 2) @ Q
     diag = np.arange(2 * Y)
-    hess[:, diag, diag] -= np.sum(N * G, axis=-1).repeat(2, axis=1)
+    hess[:, diag, diag] -= _sum_last(N * G).repeat(2, axis=1)
     return G, E, g, hess
 
 
@@ -482,8 +483,9 @@ def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
     lam, V = np.linalg.eigh(hess[ok])
     gv = (g[ok, None, :] @ V)[:, 0] / np.maximum(np.abs(lam), _SADDLE_FLOOR)
     t[ok] = (V @ gv[..., None])[..., 0]
+    del hess, lam, V, gv  # freed before the candidates are built
     T = (t.reshape(B, Y, 1, 2) @ E.reshape(B, Y, 2, 3))[:, :, 0]
-    longest = np.linalg.norm(T, axis=-1).max(axis=-1)
+    longest = _norms(T)[..., 0].max(axis=-1)
     T *= (_NEWTON_CAP / np.maximum(longest, _NEWTON_CAP))[:, None, None]
     points = _normalize_rows(N + _NEWTON_SCALES[:, None, None, None] * T, N)
     return np.concatenate([points, _normalize_rows(G, N)[None]])
@@ -494,84 +496,82 @@ def _anti_aligned(blochs: Array, X: int) -> Array:
     return -blochs[:, np.minimum(np.arange(X), blochs.shape[1] - 1)]
 
 
-def _fixed_povm_ascent(
-    spec: WitnessSpec, N: Array, weights: Array, blochs: Array, per_povm: int
-) -> tuple[Array, Array, Array]:
-    """Best witness value of each row with its POVM held fixed.
+def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, rows: int, starts):
+    """Climb `rows` start rows, POVMs held fixed, through the two pools the module docstring describes.
 
-    N (B, Y, 3) holds the rows' starting observables, and row i holds
-    POVM i // per_povm of weights (S, O) and blochs (S, O, 3).  A row
-    maximizes sum_x |sum_y D_xy n_y - K_x|, with penalty fields
-    K_x = k w_x p_x (zero for x >= O), in two stages: see-saw steps
-    until it gains less than `_SEESAW_TOL`, then moves to the best of its
-    `_ascent_candidates`.  A row keeps its point if nothing ascends, so
-    no value decreases, and leaves a stage once its gain falls below the
-    stage's tolerance.  Each stage runs a pool of `_FIXED_CHUNK` rows;
-    as rows leave, the next rows waiting for the stage take their slots,
-    so the working set stays small and every iteration runs on a full
-    pool until no row is left waiting.  `_MAX_ITERS` is each row's
-    budget across both stages.  N is overwritten with the final
-    observables.  Returns the rows' values from `bloch_values` at the
-    optimal preparations (the anti-aligned ones where a field is zero),
-    their iteration counts, and whether each finished the Newton stage
-    within its budget.
+    starts(free) returns the POVM indices (n,) and starting observables
+    (n, Y, 3) of the next n <= free rows, fewer once it runs out.  A row's
+    fields K_x = k w_x p_x (zero for x >= O) come from its POVM in weights
+    (S, O) and blochs (S, O, 3).  Yields the POVM indices, `bloch_values`
+    at the optimal preparations, iteration counts and convergence flags
+    of each batch of finished rows.
     """
-    D = spec.bloch_coeffs
-    B, X = N.shape[0], spec.scenario.preparations
-    O = weights.shape[1]
+    D, O, X, Y = spec.bloch_coeffs, weights.shape[1], spec.scenario.preparations, spec.scenario.binary_settings
+    # each row's POVM, observables, value and iteration count
+    layout = (((), np.intp), ((Y, 3), float), ((), float), ((), np.min_scalar_type(_MAX_ITERS)))
 
-    def fields(rows: Array) -> Array:
-        p = rows // per_povm
-        K = np.zeros((rows.size, X, 3))
-        K[:, :O] = spec.k * weights[p][..., None] * blochs[p]
-        return K
+    def fields(p: Array) -> Array:
+        K = spec.k * weights[p][..., None] * blochs[p]
+        return K if X == O else np.concatenate([K, np.zeros((p.size, X - O, 3))], axis=1)
 
-    value = np.empty(B)
-    for lo in range(0, B, _FIXED_CHUNK):
-        rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
-        value[rows] = _reduced_objective(D, N[rows], fields(rows))
-    # per-row budgets in the smallest integer type that holds _MAX_ITERS
-    iterations = np.zeros(B, dtype=np.min_scalar_type(_MAX_ITERS))
-    # rows that have not run out of budget while still moving; a row
-    # with no budget left cannot take the Newton stage either
-    within_budget = np.ones(B, dtype=bool)
-    for newton, tol in ((False, _SEESAW_TOL), (True, _TOL)):
-        within_budget &= iterations < _MAX_ITERS
-        pool, K = np.empty(0, dtype=int), np.empty((0, X, 3))
-        cursor = 0
-        while cursor < B or pool.size:
-            # the free slots go to the next rows in order that take this stage
-            free = _FIXED_CHUNK - pool.size
-            new = cursor + np.flatnonzero(within_budget[cursor : cursor + free])
-            cursor += free
-            if new.size:
-                pool, K = np.concatenate([pool, new]), np.concatenate([K, fields(new)])
-            if not pool.size:
-                continue
-            n = N[pool]
-            if newton:
-                points = _ascent_candidates(D, n, K)
-            else:
-                points = _normalize_rows(D.T @ _unit_fields(D, n, K)[0], n)[None]
+    def put(dst: list[Array], at: int, src: list[Array], count: int, pick: Array) -> int:
+        # copies the picked rows of src's first `count` to dst from row `at`
+        end = at + int(np.count_nonzero(pick))
+        for a, b in zip(src, dst):
+            b[at:end] = a[:count][pick]
+        return end
+
+    def step(pool: list[Array], count: int, newton: bool) -> tuple[Array, Array]:
+        # one ascent step of the pool's first `count` rows: which stay, and which still moved
+        p, n, value, iterations = (a[:count] for a in pool)
+        K = fields(p)
+        if newton:
+            points = _ascent_candidates(D, n, K)
             scores = _reduced_objective(D, points, K)
-            best = np.argmax(scores, axis=0)
-            rows = np.arange(pool.size)
-            score = scores[best, rows]
-            gain = score - value[pool]
-            up = gain > 0
-            N[pool[up]] = points[best[up], rows[up]]
-            value[pool[up]] = score[up]
-            iterations[pool] += 1
-            moving = gain >= tol
-            stay = moving & (iterations[pool] < _MAX_ITERS)
-            within_budget[pool[moving & ~stay]] = False
-            pool, K = pool[stay], K[stay]
-    for lo in range(0, B, _FIXED_CHUNK):
-        rows = np.arange(lo, min(lo + _FIXED_CHUNK, B))
-        PW, PN = weights[rows // per_povm], blochs[rows // per_povm]
-        m = _prep_step(D, N[rows], spec.k, PW, PN, _anti_aligned(PN, X))
-        value[rows] = bloch_values(spec, m[:, :, None], N[rows], PW, PN)
-    return value, iterations, within_budget
+            best, index = np.argmax(scores, axis=0), np.arange(count)
+            points, score = points[best, index], scores[best, index]
+        else:
+            points = _normalize_rows(D.T @ _unit_fields(D, n, K)[0], n)
+            score = _reduced_objective(D, points, K)
+        gain = score - value
+        up = gain > 0
+        n[up], value[up] = points[up], score[up]
+        iterations += 1
+        moving = gain >= (_TOL if newton else _SEESAW_TOL)
+        return moving & (iterations < _MAX_ITERS), moving
+
+    def finish(pool: list[Array], count: int, pick: Array, converged: Array):
+        p, n, _, iterations = (a[:count][pick] for a in pool)
+        PW, PN = weights[p], blochs[p]
+        m = _prep_step(D, n, spec.k, PW, PN, _anti_aligned(PN, X))
+        return p, bloch_values(spec, m[:, :, None], n, PW, PN), iterations, converged
+
+    sizes = (min(_SEESAW_POOL, rows), min(2 * _NEWTON_POOL + _SEESAW_POOL, rows))
+    seesaw, newton = ([np.empty((size, *tail), dtype) for tail, dtype in layout] for size in sizes)
+    held, queued, drained = 0, 0, False  # see-saw rows, Newton rows (pool and queue), starts run out
+    while not drained or held or queued:
+        free = _SEESAW_POOL - held
+        if free and not drained and queued < 2 * _NEWTON_POOL:
+            p, n = starts(free)
+            drained, new = p.size < free, slice(held, held + p.size)
+            seesaw[0][new], seesaw[1][new], seesaw[3][new] = p, n, 0
+            seesaw[2][new] = _reduced_objective(D, n, fields(p))
+            held += p.size
+        if held:
+            stay, moving = step(seesaw, held, False)
+            if not stay.all():  # else no row leaves
+                settled = ~moving & (seesaw[3][:held] < _MAX_ITERS)
+                queued = put(newton, queued, seesaw, held, settled)
+                lost = ~(stay | settled)
+                if lost.any():
+                    yield finish(seesaw, held, lost, np.zeros(np.count_nonzero(lost), dtype=bool))
+                held = put(seesaw, 0, seesaw, held, stay)
+        if queued >= _NEWTON_POOL or (queued and drained and not held):
+            count = min(queued, _NEWTON_POOL)
+            stay, moving = step(newton, count, True)
+            if not stay.all():
+                yield finish(newton, count, ~stay, ~moving[~stay])
+                queued = put(newton, 0, newton, queued, np.concatenate([stay, np.ones(queued - count, dtype=bool)]))
 
 
 def _seesaw_result(kind: str, spec: WitnessSpec, run: dict, diagnostics: dict) -> BoundResult:
@@ -656,14 +656,11 @@ def maximize_given_povm_batch(
     """Best witness value for each fixed POVM in a batch.
 
     weights (S, O) and blochs (S, O, 3); returns (S,) values.  Each
-    sample gets `restarts` random preparations from `config.stream(1)`
-    and then the anti-aligned ones (`_anti_aligned`), a strategy with no
-    penalty that the random starts can miss.  The starts are built
-    `_FIXED_CHUNK` samples at a time and kept as the observables of one
-    see-saw step.  One `_fixed_povm_ascent` call climbs all
-    S (restarts + 1) rows, and a sample's value is the best of its
-    block.  Rows still moving when their `_MAX_ITERS` budget runs out
-    are reported by a warning.
+    sample gets `restarts` random preparations from `config.stream(1)`,
+    then the anti-aligned ones (`_anti_aligned`), a penalty-free strategy
+    the random starts can miss, each kept as the observables of one
+    see-saw step; its value is the best of these rows' `_fixed_povm_climb`
+    results.  Rows still moving after `_MAX_ITERS` are reported by a warning.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -675,30 +672,33 @@ def maximize_given_povm_batch(
     S, O = weights.shape
     if O != spec.scenario.povm_outcomes:
         raise ValueError("POVM outcome count does not match the witness scenario")
-    X, Y = spec.scenario.preparations, spec.scenario.binary_settings
-    R = restarts + 1
-    rng = config.stream(1).generator()
-    N = np.empty((S * R, Y, 3))
-    for lo in range(0, S, _FIXED_CHUNK):
-        hi = min(lo + _FIXED_CHUNK, S)
-        M = np.concatenate(
-            [random_unit_vectors(rng, (hi - lo, restarts, X)), _anti_aligned(blochs[lo:hi], X)[:, None]],
-            axis=1,
-        )
-        # a start with an exactly zero field takes the z axis
-        N[lo * R : hi * R] = _binary_step(
-            spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0])
-        )
-    values, iterations, converged = _fixed_povm_ascent(spec, N, weights, blochs, R)
-    moving = values.size - int(np.count_nonzero(converged))
+    X, R, rng = spec.scenario.preparations, restarts + 1, config.stream(1).generator()
+    drawn, waiting = 0, (np.empty(0, dtype=np.intp), np.empty((0, spec.scenario.binary_settings, 3)))
+
+    def starts(free: int) -> tuple[Array, Array]:
+        # draws, in sample order, for just enough samples to fill `free` rows
+        nonlocal drawn, waiting
+        p, N = waiting
+        if p.size < free and drawn < S:
+            hi = min(S, drawn - (p.size - free) // R)
+            M = random_unit_vectors(rng, (hi - drawn, restarts, X))
+            M = np.concatenate([M, _anti_aligned(blochs[drawn:hi], X)[:, None]], axis=1)
+            # a start with an exactly zero field takes the z axis
+            N = np.concatenate([N, _binary_step(spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0]))])
+            p, drawn = np.concatenate([p, np.arange(drawn, hi).repeat(R)]), hi
+        waiting = p[free:], N[free:]
+        return p[:free], N[:free]
+
+    best, top, moving = np.full(S, -np.inf), 0, 0
+    for p, values, iterations, converged in _fixed_povm_climb(spec, weights, blochs, S * R, starts):
+        np.maximum.at(best, p, values)
+        top = max(top, int(iterations.max()))
+        moving += converged.size - int(np.count_nonzero(converged))
     if moving:
         log.warning(
-            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)",
-            iterations.max(),
-            values.size,
-            moving,
+            "fixed-POVM search stopped unconverged after %d iterations on %d rows (%d still moving)", top, S * R, moving
         )
-    return values.reshape(S, R).max(axis=1)
+    return best
 
 
 def projective_bound_numeric(

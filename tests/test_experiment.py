@@ -430,6 +430,7 @@ def test_certify_full_sic_pipeline(sic_lab_table):
     data = json.loads(report.to_json())
     assert data["verdicts"]["genuine_four_outcome_certified"] is True
     assert data["fidelity_estimate"]["basis"] == "heuristic, sampling-based"
+    assert data["fidelity_missing"] is None
 
 
 def test_certify_reads_the_envelope_at_the_lower_confidence_point(sic_lab_table):
@@ -551,6 +552,44 @@ def test_certify_certifies_nothing_above_the_quantum_maximum():
         "genuine_four_outcome_certified": False,
     }
     assert json.loads(report.to_json())["qubit_consistent"] is False
+
+
+def _missing_estimate(report) -> str:
+    """The report's reason for having no fidelity estimate, checked in its JSON too."""
+    data = json.loads(report.to_json())
+    assert report.fidelity_estimate is None and data["fidelity_estimate"] is None
+    assert data["fidelity_missing"] == report.fidelity_missing
+    return report.fidelity_missing
+
+
+def test_certify_names_a_missing_envelope(sic_lab_table):
+    table, spec = sic_lab_table
+    report = certify(table, spec, sic_bounds())
+    assert _missing_estimate(report) == "no envelope given"
+
+
+def test_certify_names_an_envelope_with_no_bin_at_the_read_point(sic_lab_table):
+    # every sampled bin lies below value - stat - syst, so none bounds the read point from above
+    table, spec = sic_lab_table
+    env = envelope_from_points(sample_points((0, 0.700, 0.90), (1, 0.750, 0.95)), 0.002)
+    report = certify(table, spec, sic_bounds(), envelope=env)
+    assert report.value - report.stat_err > 0.752
+    assert _missing_estimate(report) == "no sampled envelope bin at or above the read point"
+
+
+def test_certify_gives_no_estimate_for_a_qubit_inconsistent_report():
+    # the read point lies 3e-4 above the quantum maximum, inside a sampled
+    # bin [0.788, 0.790): no qubit POVM reaches it, so the bin's floor is
+    # no estimate of this device's fidelity
+    spec = sic_witness(0.2)
+    table = _supra_quantum_table(spec)
+    measured = evaluate_witness(spec, table)
+    syst = measured.value - measured.stderr - (SIC_QUANTUM_MAX + 3e-4)
+    env = envelope_from_points(sample_points((0, 0.7885, 0.995)), 0.002)
+    assert env.floor_at(SIC_QUANTUM_MAX + 3e-4) == 0.995
+    report = certify(table, spec, sic_bounds(), envelope=env, syst_err=syst)
+    assert report.qubit_consistent is False
+    assert _missing_estimate(report) == "qubit-inconsistent: value - stat - syst exceeds the quantum maximum"
 
 
 def test_qubit_consistency_is_read_at_the_lower_confidence_point():

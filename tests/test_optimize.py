@@ -31,14 +31,17 @@ from hypothesis import strategies as st
 from povmcert import optimize
 from povmcert.optimize import (
     OptimizerConfig,
+    _anti_aligned,
+    _ascent_candidates,
     _binary_step,
     _enclosing_ball_step,
-    _fixed_povm_ascent,
+    _fixed_povm_climb,
     _multistart,
     _normalize_rows,
     _prep_step,
     _reduced_derivatives,
     _reduced_objective,
+    _unit_fields,
     maximize_given_povm_batch,
     projective_bound,
     projective_bound_numeric,
@@ -57,10 +60,14 @@ from povmcert.witness import (
     TETRAHEDRON,
     TRINE,
     TRINE_QUANTUM_MAX,
+    Scenario,
     Strategy,
     WitnessSpec,
     bloch_values,
     build_witness,
+    sic_witness,
+    sym_trine_witness,
+    trine_witness,
 )
 
 QUANTUM_MAXIMA = {
@@ -573,30 +580,41 @@ def _no_draw(*args, **kwargs):
 @pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
 def test_fixed_povm_values_do_not_depend_on_pool_width(monkeypatch, name, k):
     # each row's search depends on its own start alone, so the rows that
-    # share its pool, and the order they enter it, change nothing
+    # share its pools, and the order they enter them, change nothing
     spec = build_witness(name, k=k)
     povms = random_extremal_povms(spec.scenario.povm_outcomes, 50, RngStream(26).generator())
-    values = []
-    for width in (1, 5, 32, 64, 128, 10_000):
-        monkeypatch.setattr("povmcert.optimize._FIXED_CHUNK", width)
-        values.append(
-            maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=4), restarts=8)
-        )
-    for v in values[1:]:
-        assert np.array_equal(v, values[0])
+
+    def values(seesaw, newton):
+        monkeypatch.setattr(optimize, "_SEESAW_POOL", seesaw)
+        monkeypatch.setattr(optimize, "_NEWTON_POOL", newton)
+        return maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=4), restarts=8)
+
+    default = values(optimize._SEESAW_POOL, optimize._NEWTON_POOL)
+    for width in (1, 5, 10_000):
+        assert np.array_equal(values(width, optimize._NEWTON_POOL), default)
+        assert np.array_equal(values(optimize._SEESAW_POOL, width), default)
 
 
 def _pool_sizes(monkeypatch) -> dict:
-    """Record how many rows each pooled call of the fixed-POVM search sees."""
-    seen = {"candidates": [], "objective": []}
-    for name, key in (("_ascent_candidates", "candidates"), ("_reduced_objective", "objective")):
-        original = getattr(optimize, name)
+    """Record how many rows each pooled call of the fixed-POVM search sees, by stage.
 
-        def spy(D, N, K, original=original, key=key):
-            seen[key].append(N.shape[-3])
-            return original(D, N, K)
+    `_ascent_candidates` and the scoring of its (4, B, Y, 3) candidates
+    run in the Newton pool; every other objective call (a see-saw step,
+    or the first value of newly admitted rows) in the see-saw pool.
+    """
+    seen = {"seesaw": [], "newton": []}
+    candidates, objective = optimize._ascent_candidates, optimize._reduced_objective
 
-        monkeypatch.setattr(optimize, name, spy)
+    def candidates_spy(D, N, K):
+        seen["newton"].append(N.shape[0])
+        return candidates(D, N, K)
+
+    def objective_spy(D, N, K):
+        seen["newton" if N.ndim == 4 else "seesaw"].append(N.shape[-3])
+        return objective(D, N, K)
+
+    monkeypatch.setattr(optimize, "_ascent_candidates", candidates_spy)
+    monkeypatch.setattr(optimize, "_reduced_objective", objective_spy)
     return seen
 
 
@@ -604,20 +622,21 @@ def test_fixed_povm_search_never_exceeds_its_pool(monkeypatch):
     spec = build_witness("trine", k=1.0)
     povms = random_extremal_povms(3, 20, RngStream(27).generator())
     seen = _pool_sizes(monkeypatch)
-    monkeypatch.setattr(optimize, "_FIXED_CHUNK", 5)
+    monkeypatch.setattr(optimize, "_SEESAW_POOL", 7)
+    monkeypatch.setattr(optimize, "_NEWTON_POOL", 5)
     maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
-    for rows in seen.values():
-        assert rows and max(rows) == 5
+    assert seen["seesaw"] and max(seen["seesaw"]) == 7
+    assert seen["newton"] and max(seen["newton"]) == 5
 
 
 def test_fixed_povm_search_fills_its_default_pool(monkeypatch):
-    # 100 POVMs x 4 random starts are 400 rows, several default pools
+    # 150 POVMs x 5 starts are 750 rows, more than either default pool
     spec = build_witness("trine", k=1.0)
-    povms = random_extremal_povms(3, 100, RngStream(27).generator())
+    povms = random_extremal_povms(3, 150, RngStream(27).generator())
     seen = _pool_sizes(monkeypatch)
     maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=6), restarts=4)
-    for rows in seen.values():
-        assert rows and max(rows) == optimize._FIXED_CHUNK
+    assert seen["seesaw"] and max(seen["seesaw"]) == optimize._SEESAW_POOL
+    assert seen["newton"] and max(seen["newton"]) == optimize._NEWTON_POOL
 
 
 def test_fixed_povm_search_draws_only_preparations(monkeypatch):
@@ -638,19 +657,130 @@ def test_fixed_povm_search_draws_only_preparations(monkeypatch):
 
 
 @pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
-def test_fixed_povm_search_peak_memory_is_its_starts(name, k):
-    # the (S x (restarts + 1), Y, 3) observable starts are the one array
-    # that grows with the batch; the rest is a pool's working set
+def test_fixed_povm_search_peak_memory_is_its_pools(name, k):
+    # rows stream through two fixed-width pools, so from 250 to 2,000
+    # POVMs the peak may grow only by the per-POVM results: one float per
+    # POVM for the best value, with as much again for slack
     spec = build_witness(name, k=k)
-    povms = random_extremal_povms(spec.scenario.povm_outcomes, 2000, RngStream(28).generator())
-    starts = 2000 * 9 * spec.scenario.binary_settings * 3 * 8
-    tracemalloc.start()
-    try:
-        maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=9), restarts=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * starts
+
+    def peak(samples):
+        povms = random_extremal_povms(spec.scenario.povm_outcomes, samples, RngStream(28).generator())
+        tracemalloc.start()
+        try:
+            maximize_given_povm_batch(spec, povms.weights, povms.blochs, OptimizerConfig(seed=9), restarts=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(250) <= 2 * 8 * 2000
+
+
+def _climb_rows(spec, N, weights, blochs):
+    """Values, iteration counts and convergence flags of one start row per POVM, in POVM order."""
+    rows = np.arange(len(N))
+    fed = []
+
+    def starts(free):
+        p = rows[len(fed) : len(fed) + free]
+        fed.extend(p)
+        return p, N[p]
+
+    out = [np.empty(len(N)), np.empty(len(N), dtype=int), np.empty(len(N), dtype=bool)]
+    for p, *batch in _fixed_povm_climb(spec, weights, blochs, len(N), starts):
+        for a, b in zip(out, batch):
+            a[p] = b
+    return out
+
+
+# the two-sweep fixed-POVM search that the streaming pipeline replaced,
+# kept as a reference: every start row climbs the same steps in both, so
+# the values must agree bit for bit
+_REFERENCE_CHUNK = 64
+
+
+def _two_sweep_ascent(spec, N, weights, blochs, per_povm):
+    D = spec.bloch_coeffs
+    B, X = N.shape[0], spec.scenario.preparations
+    O = weights.shape[1]
+
+    def fields(rows):
+        p = rows // per_povm
+        K = np.zeros((rows.size, X, 3))
+        K[:, :O] = spec.k * weights[p][..., None] * blochs[p]
+        return K
+
+    value = np.empty(B)
+    for lo in range(0, B, _REFERENCE_CHUNK):
+        rows = np.arange(lo, min(lo + _REFERENCE_CHUNK, B))
+        value[rows] = _reduced_objective(D, N[rows], fields(rows))
+    iterations = np.zeros(B, dtype=np.min_scalar_type(optimize._MAX_ITERS))
+    within_budget = np.ones(B, dtype=bool)
+    for newton, tol in ((False, optimize._SEESAW_TOL), (True, optimize._TOL)):
+        within_budget &= iterations < optimize._MAX_ITERS
+        pool, K = np.empty(0, dtype=int), np.empty((0, X, 3))
+        cursor = 0
+        while cursor < B or pool.size:
+            free = _REFERENCE_CHUNK - pool.size
+            new = cursor + np.flatnonzero(within_budget[cursor : cursor + free])
+            cursor += free
+            if new.size:
+                pool, K = np.concatenate([pool, new]), np.concatenate([K, fields(new)])
+            if not pool.size:
+                continue
+            n = N[pool]
+            if newton:
+                points = _ascent_candidates(D, n, K)
+            else:
+                points = _normalize_rows(D.T @ _unit_fields(D, n, K)[0], n)[None]
+            scores = _reduced_objective(D, points, K)
+            best = np.argmax(scores, axis=0)
+            rows = np.arange(pool.size)
+            score = scores[best, rows]
+            gain = score - value[pool]
+            up = gain > 0
+            N[pool[up]] = points[best[up], rows[up]]
+            value[pool[up]] = score[up]
+            iterations[pool] += 1
+            moving = gain >= tol
+            stay = moving & (iterations[pool] < optimize._MAX_ITERS)
+            within_budget[pool[moving & ~stay]] = False
+            pool, K = pool[stay], K[stay]
+    for lo in range(0, B, _REFERENCE_CHUNK):
+        rows = np.arange(lo, min(lo + _REFERENCE_CHUNK, B))
+        PW, PN = weights[rows // per_povm], blochs[rows // per_povm]
+        m = _prep_step(D, N[rows], spec.k, PW, PN, _anti_aligned(PN, X))
+        value[rows] = bloch_values(spec, m[:, :, None], N[rows], PW, PN)
+    return value
+
+
+def _two_sweep_search(spec, weights, blochs, config, restarts):
+    S, X, R = len(weights), spec.scenario.preparations, restarts + 1
+    rng = config.stream(1).generator()
+    N = np.empty((S * R, spec.scenario.binary_settings, 3))
+    for lo in range(0, S, _REFERENCE_CHUNK):
+        hi = min(lo + _REFERENCE_CHUNK, S)
+        M = np.concatenate(
+            [random_unit_vectors(rng, (hi - lo, restarts, X)), _anti_aligned(blochs[lo:hi], X)[:, None]], axis=1
+        )
+        N[lo * R : hi * R] = _binary_step(spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0]))
+    return _two_sweep_ascent(spec, N, weights, blochs, R).reshape(S, R).max(axis=1)
+
+
+def _x_above_o_witness(k):
+    # a custom tensor whose preparation 3 has no POVM partner, so its penalty field is zero
+    return WitnessSpec("custom", Scenario(4, 2, 3), np.random.default_rng(3).normal(size=(4, 2, 2)), k)
+
+
+@pytest.mark.parametrize(
+    "build, k", [(sic_witness, 0.2), (trine_witness, 1.0), (sym_trine_witness, 0.5), (_x_above_o_witness, 0.7)]
+)
+def test_fixed_povm_pipeline_matches_the_two_sweep_search(build, k):
+    # 120 POVMs x 9 starts overflow the see-saw pool, so rows stream in
+    spec = build(k)
+    povms = random_extremal_povms(spec.scenario.povm_outcomes, 120, RngStream(31).generator())
+    config = OptimizerConfig(seed=31)
+    got = maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=8)
+    assert np.array_equal(got, _two_sweep_search(spec, povms.weights, povms.blochs, config, 8))
 
 
 def test_fixed_povm_budget_is_per_row(monkeypatch):
@@ -663,8 +793,8 @@ def test_fixed_povm_budget_is_per_row(monkeypatch):
     M = random_unit_vectors(rng, (2, 3))
     N = _binary_step(spec.bloch_coeffs, M, random_unit_vectors(rng, (2, 2)))
     monkeypatch.setattr(optimize, "_MAX_ITERS", 60)
-    both = _fixed_povm_ascent(spec, N.copy(), povms.weights, povms.blochs, 1)
-    alone = _fixed_povm_ascent(spec, N[:1].copy(), povms.weights[:1], povms.blochs[:1], 1)
+    both = _climb_rows(spec, N, povms.weights, povms.blochs)
+    alone = _climb_rows(spec, N[:1], povms.weights[:1], povms.blochs[:1])
     assert list(both[2]) == [True, False]
     assert both[1][1] == 60
     assert both[0][0] == alone[0][0]
