@@ -399,8 +399,8 @@ def _run_seesaw(
     }
 
 
-# rows of the fixed-POVM search's see-saw and Newton pools: wide enough that
-# per-call numpy overhead fades, no wider than the 300-POVM peak allows
+# rows of the fixed-POVM search's see-saw and Newton pools: wider pools cut
+# per-call numpy overhead but raise the peak, which these keep under 0.5 MB
 _SEESAW_POOL = 512
 _NEWTON_POOL = 128
 # see-saw steps run until a row gains less than this: by then the row has
