@@ -30,7 +30,10 @@ k w_x p_x, a function of the observable axes alone.  Each row takes
 see-saw steps in a pool of `_SEESAW_POOL` rows until it gains less than
 1e-4, then queues for a pool of `_NEWTON_POOL` rows taking saddle-free
 Riemannian Newton steps (the Hessian's eigenvalues taken by modulus;
-three step lengths, the see-saw step as a fallback).  That pool steps
+three step lengths, the see-saw step as a fallback).  A row whose
+Hessian is concave beyond the eigenvalue floor, as most are near an
+optimum, takes that same step as one linear solve; only indefinite rows
+take an eigendecomposition.  That pool steps
 when full or when nothing is left upstream, and no start is drawn while
 its queue holds a full pool, so memory is the pools and one value per
 POVM.  `_MAX_ITERS` is each row's budget across both stages.
@@ -464,6 +467,27 @@ def _reduced_derivatives(D: Array, N: Array, K: Array) -> tuple[Array, Array, Ar
     return G, E, g, hess
 
 
+def _concave_beyond_floor(hess: Array) -> Array:
+    """Whether every eigenvalue of each finite symmetric (B, n, n) H is below -`_SADDLE_FLOOR`: (B,).
+
+    That is, whether A = -H - floor I is positive definite, which holds
+    exactly when every pivot of Gaussian elimination on A without row
+    exchanges is positive: the pivots are the ratios of A's leading
+    principal minors (Nocedal & Wright, Numerical Optimization, 3.4).
+    """
+    n = hess.shape[-1]
+    A = -np.ascontiguousarray(hess.transpose(1, 2, 0))  # batch axis last: each op runs over B values
+    diag = np.arange(n)
+    A[diag, diag] -= _SADDLE_FLOOR
+    ok = A[0, 0] > 0.0
+    for j in range(n - 1):
+        # a failed row stops eliminating: its verdict is already set
+        row = np.divide(A[j, j + 1 :], A[j, j], out=np.zeros((n - j - 1, len(ok))), where=ok)
+        A[j + 1 :, j + 1 :] -= A[j + 1 :, j, None] * row
+        ok &= A[j + 1, j + 1] > 0.0
+    return ok
+
+
 def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
     """Saddle-free Newton points at each scale of `_NEWTON_SCALES`, then the see-saw point.
 
@@ -471,15 +495,22 @@ def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
     H taken by the modulus of its eigenvalues (floored at
     `_SADDLE_FLOOR`): the Newton step where H is negative definite, and
     a step that climbs away from saddles where it is not (Dauphin et
-    al., NeurIPS 2014); a plain Newton step would converge to them.  A
-    step is shrunk, direction kept, until no axis moves more than
-    `_NEWTON_CAP`.  The see-saw point is unit(G_y).  Returns
-    (len(_NEWTON_SCALES) + 1, B, Y, 3).
+    al., NeurIPS 2014); a plain Newton step would converge to them.
+    Where every eigenvalue is below -`_SADDLE_FLOOR` (`_concave_beyond_floor`,
+    most rows near an optimum) |H| = -H, so those rows take one batched
+    solve of -H t = g; only the other finite rows take an eigendecomposition,
+    and a row with a non-finite Hessian takes no step.  Both give the same
+    saddle-free step, which is continuous where they meet.  A step is
+    shrunk, direction kept, until no axis moves more than `_NEWTON_CAP`.
+    The see-saw point is unit(G_y).  Returns (len(_NEWTON_SCALES) + 1, B, Y, 3).
     """
     B, Y, _ = N.shape
     G, E, g, hess = _reduced_derivatives(D, N, K)
     t = np.zeros_like(g)
     ok = np.isfinite(hess).all(axis=(1, 2))
+    concave = np.flatnonzero(ok)[_concave_beyond_floor(hess[ok])]
+    t[concave] = np.linalg.solve(-hess[concave], g[concave, :, None])[..., 0]
+    ok[concave] = False  # the finite rows left need the eigendecomposition
     lam, V = np.linalg.eigh(hess[ok])
     gv = (g[ok, None, :] @ V)[:, 0] / np.maximum(np.abs(lam), _SADDLE_FLOOR)
     t[ok] = (V @ gv[..., None])[..., 0]
@@ -813,7 +844,7 @@ def _closed_form_bound(name: str, k: float, quartic: list[float], profile) -> Bo
     the closed form's argument x in [-1, 1].
     """
     if not np.isfinite(k) or k < 0:
-        raise ValueError("penalty weight k must be >= 0")
+        raise ValueError(f"penalty weight k must be finite and >= 0, got {k}")
     u = np.clip(np.concatenate([[0.0, SQ2], np.roots(quartic).real]), 0.0, SQ2)
     values, x = profile(u)
     best = int(np.argmax(values))

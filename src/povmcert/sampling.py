@@ -28,6 +28,10 @@ Array = np.ndarray
 
 WEIGHT_FLOOR = 1e-6
 MAX_REJECTIONS = 1_000_000
+# most four-outcome candidates drawn at once: each holds its directions and a
+# (4, 4) completeness system, so this bounds the sampler's working set at a
+# few MB whatever the count; the draws are the same for any block size
+_FOUR_OUTCOME_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,16 @@ def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -
         raise ValueError("extremal sampling supports 3 or 4 outcomes")
     if count < 1:
         raise ValueError("count must be positive")
-    got_w: list[Array] = []
-    got_n: list[Array] = []
+    weights = np.empty((count, outcomes))
+    blochs = np.empty((count, outcomes, 3))
     have = 0
     attempts = 0
     while have < count:
         batch = max(256, int(1.5 * (count - have)))
+        if outcomes == 4:
+            # four-outcome candidates come row by row from one stream, so
+            # blocks draw the same candidates as one batch would
+            batch = min(batch, _FOUR_OUTCOME_BLOCK)
         if attempts - have > MAX_REJECTIONS:
             raise RuntimeError(
                 f"extremal POVM sampling rejected more than {MAX_REJECTIONS} draws"
@@ -147,11 +155,8 @@ def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -
             w, ok = _completeness_weights(np.stack([cos_a, sin_a], axis=-1))
             dirs = cos_a[..., None] * e1[:, None, :] + sin_a[..., None] * e2[:, None, :]
         ok &= np.all(w > WEIGHT_FLOOR, axis=1)
-        # keep only the rows still needed, so the result owns count rows
         keep = np.flatnonzero(ok)[: count - have]
-        got_w.append(w[keep])
-        got_n.append(dirs[keep])
+        weights[have : have + keep.size] = w[keep]
+        blochs[have : have + keep.size] = dirs[keep]
         have += keep.size
-    weights = np.concatenate(got_w)
-    blochs = np.concatenate(got_n)
     return ExtremalSample(weights, blochs, attempts)

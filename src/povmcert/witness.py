@@ -101,7 +101,7 @@ class WitnessSpec:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         if not np.isfinite(self.k) or self.k < 0:
-            raise ValueError("penalty weight k must be >= 0")
+            raise ValueError(f"penalty weight k must be finite and >= 0, got {self.k}")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)

@@ -34,6 +34,7 @@ from povmcert.optimize import (
     _anti_aligned,
     _ascent_candidates,
     _binary_step,
+    _concave_beyond_floor,
     _enclosing_ball_step,
     _fixed_povm_climb,
     _multistart,
@@ -443,10 +444,10 @@ def test_closed_form_profile_maximum_against_dense_grid():
 
 
 def test_closed_form_rejects_bad_k():
-    with pytest.raises(ValueError):
-        projective_bound_sic(-0.1)
-    with pytest.raises(ValueError):
-        projective_bound_sym_trine(float("nan"))
+    for k in (-0.1, float("nan"), float("inf"), -float("inf")):
+        for bound in (projective_bound_sic, projective_bound_sym_trine):
+            with pytest.raises(ValueError, match=re.escape(f"penalty weight k must be finite and >= 0, got {k}")):
+                bound(k)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +888,104 @@ def test_fixed_povm_search_survives_singular_hessians():
     reference = _long_seesaw_best(spec, povms.weights, povms.blochs, config, 4, iterations=500)
     assert np.all(np.isfinite(got))
     assert np.all(got >= reference - 1e-9)
+
+
+def _symmetric_stacks(rng, n, rows=200):
+    """Q diag(lam) Q^T stacks, `rows` of each kind: negative definite, positive
+    definite, indefinite, singular, and a top eigenvalue 1e-12 either side of
+    -`_SADDLE_FLOOR`; then one zero matrix."""
+    lam = -rng.uniform(0.5, 3.0, size=(5, rows, n))
+    lam[1] *= -1.0
+    lam[2, :, 0] *= -1.0
+    lam[3, :, 0] = 0.0
+    lam[4, :, 0] = -optimize._SADDLE_FLOOR + rng.choice([-1e-12, 1e-12], size=rows)
+    Q = np.linalg.qr(rng.normal(size=(5 * rows, n, n)))[0]
+    hess = (Q * lam.reshape(-1, 1, n)) @ Q.swapaxes(1, 2)
+    return np.concatenate([hess, np.zeros((1, n, n))])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_concave_test_agrees_with_the_eigenvalue_sign(n):
+    hess = _symmetric_stacks(np.random.default_rng(n), n)
+    expected = np.linalg.eigvalsh(hess).max(axis=1) + optimize._SADDLE_FLOOR < 0.0
+    assert np.array_equal(_concave_beyond_floor(hess), expected)
+    # both verdicts occur among the rows at the floor
+    assert 0 < expected[800:1000].sum() < 200
+
+
+def _mixed_pool(name, k, rows=96):
+    """Observables and fields of a Newton pool: half the rows settled by
+    see-saw steps (mostly concave), half random (mostly indefinite), and a
+    last row with a non-finite Hessian."""
+    spec = build_witness(name, k=k)
+    D, O = spec.bloch_coeffs, spec.scenario.povm_outcomes
+    rng = RngStream(33).generator()
+    povms = random_extremal_povms(O, rows, rng)
+    K = np.zeros((rows, spec.scenario.preparations, 3))
+    K[:, :O] = k * povms.weights[..., None] * povms.blochs
+    N = random_unit_vectors(rng, (rows, spec.scenario.binary_settings))
+    half = slice(rows // 2)
+    for _ in range(200):
+        N[half] = _normalize_rows(D.T @ _unit_fields(D, N[half], K[half])[0], N[half])
+    N[-1] = np.nan
+    return D, N, K
+
+
+def _eigh_only_candidates(D, N, K):
+    # the saddle-free step taken through an eigendecomposition on every finite row
+    B, Y, _ = N.shape
+    G, E, g, hess = _reduced_derivatives(D, N, K)
+    t = np.zeros_like(g)
+    ok = np.isfinite(hess).all(axis=(1, 2))
+    lam, V = np.linalg.eigh(hess[ok])
+    gv = (g[ok, None, :] @ V)[:, 0] / np.maximum(np.abs(lam), optimize._SADDLE_FLOOR)
+    t[ok] = (V @ gv[..., None])[..., 0]
+    T = (t.reshape(B, Y, 1, 2) @ E.reshape(B, Y, 2, 3))[:, :, 0]
+    longest = np.linalg.norm(T, axis=-1).max(axis=-1)
+    T *= (optimize._NEWTON_CAP / np.maximum(longest, optimize._NEWTON_CAP))[:, None, None]
+    points = _normalize_rows(N + optimize._NEWTON_SCALES[:, None, None, None] * T, N)
+    return np.concatenate([points, _normalize_rows(G, N)[None]])
+
+
+@pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
+def test_ascent_candidates_match_the_eigh_only_step(name, k):
+    # on concave rows the solve is the saddle-free step in exact arithmetic;
+    # the candidates are unit vectors, so 1e-12 is relative to their scale
+    D, N, K = _mixed_pool(name, k)
+    concave = _concave_beyond_floor(_reduced_derivatives(D, N[:-1], K[:-1])[3])
+    assert 0 < concave.sum() < concave.size
+    np.testing.assert_allclose(_ascent_candidates(D, N, K), _eigh_only_candidates(D, N, K), rtol=0, atol=1e-12)
+
+
+def test_eigh_sees_only_the_rows_that_fail_the_concave_test(monkeypatch):
+    D, N, K = _mixed_pool("sic", 0.2)
+    hess = _reduced_derivatives(D, N, K)[3]
+    fail = np.isfinite(hess).all(axis=(1, 2))
+    fail[fail] = np.linalg.eigvalsh(hess[fail]).max(axis=1) >= -optimize._SADDLE_FLOOR
+    seen, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.copy())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    _ascent_candidates(D, N, K)
+    assert 0 < fail.sum() < len(fail) - 1
+    assert len(seen) == 1 and np.array_equal(seen[0], hess[fail])
+
+
+@pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0), ("sym-trine", 0.5)])
+def test_fixed_povm_values_match_the_eigh_path(monkeypatch, name, k):
+    # sending every row through the eigendecomposition moves no value beyond rounding
+    spec = build_witness(name, k=k)
+    for seed in (50, 51, 52):
+        povms = random_extremal_povms(spec.scenario.povm_outcomes, 300, RngStream(seed).generator())
+        config = OptimizerConfig(seed=seed)
+        got = maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=8)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_concave_beyond_floor", lambda hess: np.zeros(len(hess), dtype=bool))
+            reference = maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=8)
+        assert np.abs(got - reference).max() <= 1e-12
 
 
 def test_maximize_given_povm_checks_outcomes():

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from conftest import extremal_povm
 from scipy.spatial.transform import Rotation
 
+from povmcert import sampling
 from povmcert.optimize import OptimizerConfig
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.sampling import (
@@ -115,6 +117,33 @@ def test_extremal_samples_own_exactly_count_rows(outcomes):
     for a in (sample.weights, sample.blochs):
         assert a.shape[0] == 300
         assert a.flags.owndata
+
+
+@pytest.mark.parametrize("count", [1, 7, 300, 1000, 40_000])
+def test_four_outcome_draws_do_not_depend_on_the_block(monkeypatch, count):
+    # candidates come row by row from one stream, so blocks of 100, the
+    # default block and one unblocked draw accept the same POVMs
+    for seed in range(100, 130) if count < 40_000 else (100, 101):
+        drawn = []
+        for block in (10**9, sampling._FOUR_OUTCOME_BLOCK, 100):
+            monkeypatch.setattr(sampling, "_FOUR_OUTCOME_BLOCK", block)
+            drawn.append(random_extremal_povms(4, count, RngStream(seed).generator()))
+        for sample in drawn[1:]:
+            assert np.array_equal(sample.weights, drawn[0].weights)
+            assert np.array_equal(sample.blochs, drawn[0].blochs)
+
+
+def test_four_outcome_working_set_does_not_grow_with_count():
+    # beyond the count x 128 bytes it returns, the sampler holds one block
+    def working_set(count):
+        tracemalloc.start()
+        try:
+            sample = random_extremal_povms(4, count, RngStream(5).generator())
+            return tracemalloc.get_traced_memory()[1] - sample.weights.nbytes - sample.blochs.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert working_set(40_000) <= working_set(8_000) + 64 * 1024
 
 
 def test_extremal_sampling_rejects_bad_outcome_count():

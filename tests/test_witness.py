@@ -1,5 +1,6 @@
 """Witness builders, table evaluation, serialization."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,3 +255,10 @@ def test_strategy_checks_its_arrays():
 def test_build_witness_rejects_unknown():
     with pytest.raises(ValueError):
         build_witness("bell", 0.1)
+
+
+@pytest.mark.parametrize("k", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_witness_rejects_a_k_that_is_not_finite_and_non_negative(k):
+    sic = sic_witness(0.2)
+    with pytest.raises(ValueError, match=re.escape(f"penalty weight k must be finite and >= 0, got {k}")):
+        WitnessSpec("sic", sic.scenario, sic.coeffs, k)
