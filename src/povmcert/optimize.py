@@ -43,11 +43,14 @@ ops.  The field steps are matmuls: D^T M gives the observables' fields
 and D N the preparations', the product the fixed-POVM search shares for
 h = D n - K.  In the bound searches a "row" is one restart (of one outcome
 assignment) at one penalty weight k: `three_outcome_maxima` and
-`projective_bounds_numeric` take a whole k grid, every k climbs from
-the same starts, and each k's rows leave the batch on their own
-convergence rule, so each k gets exactly the result of a lone call.
-The single-k searches are a one-element grid, and whole k groups enter
-a batch up to `_SEESAW_CHUNK` rows at a time.  Values come from
+`projective_bounds_numeric` take a whole k grid, every k climbs a copy
+of the same starts as one equal block of rows, and each block leaves
+the batch on its own convergence rule, so each k gets exactly the
+result of a lone call.  The single-k searches are a one-element grid,
+and whole k blocks enter a batch up to `_SEESAW_CHUNK` rows at a time.
+Every row, at k = 0 too, takes the POVM step the batch's outcome
+subsets pick once: the projective step for pairs, the enclosing ball
+for three or four outcomes.  Values come from
 `witness.bloch_values`, the evaluator the experiment layer shares, and
 `_multistart` sets up the random starts of both see-saw bound
 searches.  All see-saw results are heuristic lower bounds on the true
@@ -88,7 +91,7 @@ _BALL_TOL = 1e-10
 # each row's iteration budget, and the value gain below which a row has converged
 _MAX_ITERS = 500
 _TOL = 1e-10
-# rows of one extremal see-saw batch: whole k groups enter it up to this
+# rows of one extremal see-saw batch: whole k blocks enter it up to this
 # many rows, so a long k grid runs in bounded memory (about 2 KB a row at
 # peak); below it per-call overhead shows, and wider batches ran no faster
 _SEESAW_CHUNK = 2048
@@ -183,18 +186,17 @@ def _prep_step(D: Array, N: Array, k: float | Array, PW: Array, PN: Array, M_old
     return _normalize_rows(H, M_old)
 
 
-def _projective_povm_step(
-    M: Array, ii: Array, jj: Array, O: int, PN_old: Array
-) -> tuple[Array, Array]:
-    """Exact penalty minimizer over projective POVMs with outcomes (ii, jj)."""
-    B = M.shape[0]
-    rows = np.arange(B)
-    d = M[rows, ii] - M[rows, jj]
-    n = _normalize_rows(-d, PN_old[rows, ii])
-    PW = np.zeros((B, O))
-    PW[rows, ii] = 0.5
-    PW[rows, jj] = 0.5
-    PN = PN_old.copy()
+def _projective_povm_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
+    """Exact penalty minimizer over projective POVMs on each row's outcome pair subset (B, 2).
+
+    Effect i of a pair (i, j) points along unit(m_j - m_i) and effect j
+    opposite; the weights are 1/2 on the pair, as `_multistart` sets
+    them, so PW is returned unchanged.
+    """
+    rows = np.arange(PW.shape[0])
+    ii, jj = subset.T
+    n = _normalize_rows(M[rows, jj] - M[rows, ii], PN[rows, ii])
+    PN = PN.copy()
     PN[rows, ii] = n
     PN[rows, jj] = -n
     return PW, PN
@@ -324,73 +326,50 @@ def _enclosing_ball_step(
     return PW_new, PN_new
 
 
-def _povm_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
-    """The exact POVM step: the projective one for T = 2 outcomes, else the enclosing ball."""
-    if subset.shape[1] == 2:
-        return _projective_povm_step(M, subset[:, 0], subset[:, 1], PW.shape[1], PN)
-    return _enclosing_ball_step(M, subset, PW, PN)
+def _run_seesaw(spec: WitnessSpec, M: Array, N: Array, PW: Array, PN: Array, subset: Array, k: Array) -> dict:
+    """Alternate exact steps until each k block's value stalls below `_TOL`.
 
-
-def _run_seesaw(
-    spec: WitnessSpec,
-    M: Array,
-    N: Array,
-    PW: Array,
-    PN: Array,
-    subset: Array,
-    k: Array,
-    group: Array,
-) -> dict:
-    """Alternate exact steps until each k group's value stalls below `_TOL`.
-
-    A row is one restart at one penalty weight: k (B,) holds each row's
-    weight and group (B,) its k-group label, the rows of a group
-    contiguous.  subset (B, T) holds the outcomes each row's POVM may use
-    and picks the POVM step: T = 2 takes the projective step, T >= 3 the
-    enclosing ball; rows with k = 0 skip it.  A group leaves the batch at
-    the first iteration >= 1 where none of its rows gains `_TOL`, or
-    after `_MAX_ITERS`, and its rows stop changing there, so each group
+    A row is one restart at one penalty weight.  k (K,) holds one weight
+    per block, and the rows come in K contiguous blocks of equal size B,
+    one per weight.  subset (K B, T) holds the outcomes each row's POVM
+    may use; T picks the POVM step for the whole batch: T = 2 the
+    projective step, T >= 3 the enclosing ball.  A block leaves the batch
+    at the first iteration >= 1 where none of its rows gains `_TOL`, or
+    after `_MAX_ITERS`, and its rows stop changing there, so each block
     ends exactly where a batch of its rows alone would.  M, N, PW and PN
     are overwritten with the final state.  Returns them with the final
-    values (B,) and each group's iteration count and convergence flag,
-    in group order.
+    values (K B,) and each block's iteration count and convergence flag.
     """
     D = spec.bloch_coeffs
-    first = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    size = np.diff(np.r_[first, group.size])
-    iterations = np.zeros(first.size, dtype=int)
-    converged = np.zeros(first.size, dtype=bool)
-    values = bloch_values(spec, M[:, :, None], N, PW, PN, k)
-    # the rows and groups still stepping, and their working state
-    rows, live, offsets = np.arange(group.size), np.arange(first.size), first
-    m, n, pw, pn, sub, kk, vals = M, N, PW, PN, subset, k, values
-    steps = kk > 0
+    B = len(M) // k.size
+    povm_step = _projective_povm_step if subset.shape[1] == 2 else _enclosing_ball_step
+    iterations = np.zeros(k.size, dtype=int)
+    converged = np.zeros(k.size, dtype=bool)
+    kk = np.repeat(k, B)
+    values = bloch_values(spec, M[:, :, None], N, PW, PN, kk)
+    # the rows and blocks still stepping, and their working state
+    rows, live = np.arange(len(M)), np.arange(k.size)
+    m, n, pw, pn, sub, vals = M, N, PW, PN, subset, values
     for it in range(_MAX_ITERS):
         n = _binary_step(D, m, n)
         m = _prep_step(D, n, kk, pw, pn, m)
-        if steps.all():
-            pw, pn = _povm_step(m, sub, pw, pn)
-        elif steps.any():
-            pw, pn = pw.copy(), pn.copy()
-            pw[steps], pn[steps] = _povm_step(m[steps], sub[steps], pw[steps], pn[steps])
+        pw, pn = povm_step(m, sub, pw, pn)
         new = bloch_values(spec, m[:, :, None], n, pw, pn, kk)
-        settled = (np.maximum.reduceat(new - vals, offsets) < _TOL) & (it >= 1)
+        settled = ((new - vals).reshape(-1, B).max(axis=1) < _TOL) & (it >= 1)
         vals = new
         stop = settled | (it + 1 == _MAX_ITERS)
         if not stop.any():
             continue
         iterations[live[stop]] = it + 1
         converged[live[stop]] = settled[stop]
-        leave = np.repeat(stop, size[live])
+        leave = np.repeat(stop, B)
         done = rows[leave]
         M[done], N[done], PW[done], PN[done], values[done] = m[leave], n[leave], pw[leave], pn[leave], vals[leave]
         keep = ~leave
         if not keep.any():
             break
         rows, live = rows[keep], live[~stop]
-        offsets = np.r_[0, np.cumsum(size[live])[:-1]]
         m, n, pw, pn, sub, kk, vals = m[keep], n[keep], pw[keep], pn[keep], sub[keep], kk[keep], vals[keep]
-        steps = kk > 0
     return {
         "M": M,
         "N": N,
@@ -620,11 +599,12 @@ def _multistart(
     once, in this order from `config.stream(stream)`: preparations,
     observables, then one random axis per row (T = 2, a projective
     pair) or random extremal T-outcome POVMs, placed on the group's
-    outcomes.  Every k climbs from these same G * restarts rows, so it
-    gets the result of a lone run; whole k groups enter `_run_seesaw`
-    together, at most `_SEESAW_CHUNK` rows at a time (a larger group
-    alone).  Returns per spec, in order: its values (G, restarts), its
-    iteration count and convergence flag, and its best row's strategy.
+    outcomes.  Every k climbs its own copy of these B = G * restarts
+    rows, so it gets the result of a lone run: the copies are tiled into
+    equal blocks of B rows, one per k, and `_run_seesaw` takes as many
+    blocks at once as fit in `_SEESAW_CHUNK` rows (at least one).
+    Returns per spec, in order: its values (G, restarts), its iteration
+    count and convergence flag, and its best row's strategy.
     """
     spec = specs[0]
     if any(not np.array_equal(s.coeffs, spec.coeffs) for s in specs):
@@ -648,16 +628,13 @@ def _multistart(
     np.put_along_axis(PW, subset, weights, axis=1)
     np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
     ks = np.array([s.k for s in specs])
-    per = max(1, _SEESAW_CHUNK // B)  # k groups per batch
+    per = max(1, _SEESAW_CHUNK // B)  # k blocks per batch
     runs = []
     for lo in range(0, ks.size, per):
         block = ks[lo : lo + per]
         n = block.size
-        # a lone k climbs the drawn starts in place, with no copy
-        starts = (M, N, PW, PN, subset)
-        if ks.size > 1:
-            starts = (np.tile(a, (n,) + (1,) * (a.ndim - 1)) for a in starts)
-        state = _run_seesaw(spec, *starts, np.repeat(block, B), np.repeat(np.arange(n), B))
+        starts = (np.tile(a, (n,) + (1,) * (a.ndim - 1)) for a in (M, N, PW, PN, subset))
+        state = _run_seesaw(spec, *starts, block)
         values = state["values"].reshape(n, G, R)
         for j in range(n):
             best = j * B + int(np.argmax(values[j]))

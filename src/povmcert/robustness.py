@@ -131,8 +131,6 @@ def visibility_curve(
     grid = DEFAULT_K_GRID if k_grid is None else tuple(float(k) for k in k_grid)
     if not grid:
         raise ValueError("k grid must be nonempty")
-    if any(k < 0 or not np.isfinite(k) for k in grid):
-        raise ValueError("k grid entries must be finite and >= 0")
     config = config or OptimizerConfig()
     specs = [build_witness(family, k) for k in grid]
     if specs[0].quantum_max is None:

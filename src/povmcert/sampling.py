@@ -13,10 +13,12 @@ directions uniformly, solve the completeness constraints for the
 weights, and reject draws with any weight <= 1e-6.  Three-outcome
 directions lie in a uniformly random plane: a uniform unit quaternion
 (four normal draws, normalized) rotates the xz-plane, and three
-uniform in-plane angles place the directions in its image.  The
-returned sample records how many draws were made (`attempts`) next to
-how many were kept (`count`), so long campaigns can log the acceptance
-rate.
+uniform in-plane angles place the directions in its image.
+Candidates are drawn in blocks of at most `_DRAW_BLOCK`, so the working
+set does not grow with the count, and a block that accepts nothing
+raises instead of looping on a broken caller.  The returned sample
+records how many draws were made (`attempts`) next to how many were
+kept (`count`), so long campaigns can log the acceptance rate.
 """
 from __future__ import annotations
 
@@ -27,11 +29,10 @@ import numpy as np
 Array = np.ndarray
 
 WEIGHT_FLOOR = 1e-6
-MAX_REJECTIONS = 1_000_000
-# most four-outcome candidates drawn at once: each holds its directions and a
-# (4, 4) completeness system, so this bounds the sampler's working set at a
-# few MB whatever the count; the draws are the same for any block size
-_FOUR_OUTCOME_BLOCK = 8192
+# most candidates drawn at once: each holds its directions and a completeness
+# system, so this bounds the sampler's working set at a few MB whatever the
+# count; four-outcome draws are the same for any block size
+_DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,9 @@ def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -
     Four outcomes: four uniform unit directions, weights solved from
     completeness.  Three outcomes: a uniformly random plane (random
     rotation of the xz-plane) and three uniform in-plane angles.  A draw
-    is accepted when every solved weight exceeds 1e-6.  Raises after
-    1e6 rejected draws, which only happens for a broken caller.
+    is accepted when every solved weight exceeds 1e-6.  Candidates are
+    drawn in blocks of at most `_DRAW_BLOCK`; a block that accepts
+    nothing raises, which only happens for a broken caller.
     """
     if outcomes not in (3, 4):
         raise ValueError("extremal sampling supports 3 or 4 outcomes")
@@ -135,15 +137,7 @@ def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -
     have = 0
     attempts = 0
     while have < count:
-        batch = max(256, int(1.5 * (count - have)))
-        if outcomes == 4:
-            # four-outcome candidates come row by row from one stream, so
-            # blocks draw the same candidates as one batch would
-            batch = min(batch, _FOUR_OUTCOME_BLOCK)
-        if attempts - have > MAX_REJECTIONS:
-            raise RuntimeError(
-                f"extremal POVM sampling rejected more than {MAX_REJECTIONS} draws"
-            )
+        batch = min(max(256, int(1.5 * (count - have))), _DRAW_BLOCK)
         attempts += batch
         if outcomes == 4:
             dirs = random_unit_vectors(rng, (batch, 4))
@@ -156,6 +150,8 @@ def random_extremal_povms(outcomes: int, count: int, rng: np.random.Generator) -
             dirs = cos_a[..., None] * e1[:, None, :] + sin_a[..., None] * e2[:, None, :]
         ok &= np.all(w > WEIGHT_FLOOR, axis=1)
         keep = np.flatnonzero(ok)[: count - have]
+        if not keep.size:
+            raise RuntimeError(f"extremal POVM sampling accepted none of a block of {batch} draws")
         weights[have : have + keep.size] = w[keep]
         blochs[have : have + keep.size] = dirs[keep]
         have += keep.size

@@ -40,6 +40,7 @@ from povmcert.optimize import (
     _multistart,
     _normalize_rows,
     _prep_step,
+    _projective_povm_step,
     _reduced_derivatives,
     _reduced_objective,
     _unit_fields,
@@ -149,7 +150,7 @@ def test_seesaw_trace_is_monotone(monkeypatch):
 # a k grid runs as one see-saw batch
 # ---------------------------------------------------------------------------
 
-# unsorted, with k = 0 (no POVM step) and a repeated k
+# unsorted, with k = 0 (where the penalty does not score) and a repeated k
 GRID = (0.3, 0.0, 0.1, 0.3, 0.05, 1.0)
 GRID_BOUNDS = {
     "sic": (three_outcome_maxima, three_outcome_max),
@@ -184,6 +185,26 @@ def test_grid_batch_matches_lone_calls(monkeypatch, name, chunk):
         assert_same_bound(res, lone_fn(build_witness(name, res.k), config))
     # the two k = 0.3 entries are the same run
     assert_same_bound(batch[0], batch[3])
+
+
+@pytest.mark.parametrize(
+    "name, search, key",
+    [("sic", three_outcome_max, "zero_assignment_values"), ("trine", projective_bound_numeric, "pair_values")],
+)
+def test_zero_k_argmax_is_a_fixed_point_of_its_povm_step(name, search, key):
+    # at k = 0 the penalty does not score, but every row still takes its
+    # POVM step, so the best row's POVM is the step's output, not its start
+    res = search(build_witness(name, 0.0), OptimizerConfig(restarts=4, seed=3))
+    per_group = res.diagnostics[key]
+    label = max(per_group, key=per_group.get)  # the argmax row's group: the first best
+    if name == "sic":
+        step, subset = _enclosing_ball_step, [o for o in range(4) if o != int(label)]
+    else:
+        step, subset = _projective_povm_step, [int(o) for o in label.split(",")]
+    a = res.argmax
+    PW, PN = step(a.preparations[None], np.array([subset]), a.povm.weights[None].copy(), a.povm.blochs[None].copy())
+    assert np.array_equal(PW[0], a.povm.weights)
+    assert np.array_equal(PN[0], a.povm.blochs)
 
 
 # ---------------------------------------------------------------------------

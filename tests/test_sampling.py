@@ -125,25 +125,48 @@ def test_four_outcome_draws_do_not_depend_on_the_block(monkeypatch, count):
     # default block and one unblocked draw accept the same POVMs
     for seed in range(100, 130) if count < 40_000 else (100, 101):
         drawn = []
-        for block in (10**9, sampling._FOUR_OUTCOME_BLOCK, 100):
-            monkeypatch.setattr(sampling, "_FOUR_OUTCOME_BLOCK", block)
+        for block in (10**9, sampling._DRAW_BLOCK, 100):
+            monkeypatch.setattr(sampling, "_DRAW_BLOCK", block)
             drawn.append(random_extremal_povms(4, count, RngStream(seed).generator()))
         for sample in drawn[1:]:
             assert np.array_equal(sample.weights, drawn[0].weights)
             assert np.array_equal(sample.blochs, drawn[0].blochs)
 
 
-def test_four_outcome_working_set_does_not_grow_with_count():
-    # beyond the count x 128 bytes it returns, the sampler holds one block
+@pytest.mark.parametrize("outcomes", [3, 4])
+def test_sampler_working_set_does_not_grow_with_count(outcomes):
+    # beyond the POVMs it returns, the sampler holds one block
     def working_set(count):
         tracemalloc.start()
         try:
-            sample = random_extremal_povms(4, count, RngStream(5).generator())
+            sample = random_extremal_povms(outcomes, count, RngStream(5).generator())
             return tracemalloc.get_traced_memory()[1] - sample.weights.nbytes - sample.blochs.nbytes
         finally:
             tracemalloc.stop()
 
     assert working_set(40_000) <= working_set(8_000) + 64 * 1024
+
+
+def test_large_four_outcome_draws_complete():
+    # at about 12.6% acceptance, over a million candidates are rejected on the way
+    sample = random_extremal_povms(4, 150_000, RngStream(7).generator())
+    assert sample.weights.shape == (150_000, 4)
+    assert np.all(sample.weights > sampling.WEIGHT_FLOOR)
+
+
+def test_a_block_that_accepts_nothing_raises(monkeypatch):
+    # the weights of a draw sum to one, so no draw has all of them above one
+    monkeypatch.setattr(sampling, "WEIGHT_FLOOR", 1.0)
+    blocks, solve = [], sampling._completeness_weights
+
+    def counted(coords):
+        blocks.append(len(coords))
+        return solve(coords)
+
+    monkeypatch.setattr(sampling, "_completeness_weights", counted)
+    with pytest.raises(RuntimeError, match="accepted none"):
+        random_extremal_povms(4, 10, RngStream(0).generator())
+    assert blocks == [256]
 
 
 def test_extremal_sampling_rejects_bad_outcome_count():
