@@ -33,10 +33,19 @@ Riemannian Newton steps (the Hessian's eigenvalues taken by modulus;
 three step lengths, the see-saw step as a fallback).  A row whose
 Hessian is concave beyond the eigenvalue floor, as most are near an
 optimum, takes that same step as one linear solve; only indefinite rows
-take an eigendecomposition.  That pool steps
-when full or when nothing is left upstream, and no start is drawn while
-its queue holds a full pool, so memory is the pools and one value per
-POVM.  `_MAX_ITERS` is each row's budget across both stages.
+take an eigendecomposition.  That pool steps when full or when nothing
+is left upstream.  Starts fill the see-saw pool once a quarter of it is
+free, but not while the Newton queue holds a full pool, so memory is
+the pools, about a Newton pool of finished rows waiting to be scored
+together, and one value per POVM.  `_MAX_ITERS` is each row's budget
+across both stages.  A row's penalty fields K_x = k w_x p_x are
+computed once, when it enters, and travel with it.  The see-saw pool
+stores its rows with the batch axis last (n as (Y, 3, P), K and the
+unit fields as (X, 3, P)), so each field product is one 2-D matmul over
+the whole pool (`_matmul_first`) and each norm runs over P values at a
+time.  A see-saw row also carries its unit fields unit(h_x) at its
+current point, so a step computes h once, at its candidate, which it
+scores and, if it gains, keeps.
 
 Every quantity of a batch advances in lock step through numpy array
 ops.  The field steps are matmuls: D^T M gives the observables' fields
@@ -151,18 +160,29 @@ def _sum_last(p: Array) -> Array:
     return reduce(np.add, (p[..., i] for i in range(p.shape[-1])))
 
 
-def _norms(v: Array) -> Array:
-    """Norms over the last axis, kept as a length-1 axis: np.linalg.norm's operations, in its order."""
-    return np.sqrt(_sum_last(v * v))[..., None]
+def _norms(v: Array, axis: int = -1) -> Array:
+    """Norms over `axis`, kept as a length-1 axis: np.linalg.norm's operations, in its order."""
+    sq, lead = v * v, (slice(None),) * (axis % v.ndim)
+    return np.sqrt(reduce(np.add, (sq[lead + (slice(i, i + 1),)] for i in range(v.shape[axis]))))
 
 
-def _normalize_rows(v: Array, fallback: Array) -> Array:
-    """Row-normalize (..., 3); rows with (near) zero norm keep the fallback."""
-    n = _norms(v)
+def _normalize_rows(v: Array, fallback: Array, axis: int = -1) -> Array:
+    """Normalize the 3-vectors along `axis`; vectors with (near) zero norm keep the fallback."""
+    n = _norms(v, axis)
     ok = n > 1e-14
     if ok.all():
         return v / n
     return np.where(ok, v / np.where(ok, n, 1.0), fallback)
+
+
+def _matmul_first(D: Array, N: Array) -> Array:
+    """sum_y D_xy N_y over N's first axis, (Y, ...) -> (X, ...), as one 2-D matmul.
+
+    With the batch axes after the contracted one, the product of a whole
+    batch is one BLAS call, not one tiny call per row as in D @ N on
+    (B, Y, 3) rows; each entry is the same sum.
+    """
+    return (D @ N.reshape(len(N), -1)).reshape(len(D), *N.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +402,9 @@ def _run_seesaw(spec: WitnessSpec, M: Array, N: Array, PW: Array, PN: Array, sub
 
 
 # rows of the fixed-POVM search's see-saw and Newton pools: wider pools cut
-# per-call numpy overhead but raise the peak, which these keep under 0.5 MB
+# per-call numpy overhead but raise the peak; these keep the traced peak near
+# 0.55 MB from 300 to 8,000 sic POVMs, where 1,024/256 ran about 20% faster
+# and peaked near 1 MB
 _SEESAW_POOL = 512
 _NEWTON_POOL = 128
 # see-saw steps run until a row gains less than this: by then the row has
@@ -396,8 +418,14 @@ _SADDLE_FLOOR = 1e-4
 
 
 def _reduced_objective(D: Array, N: Array, K: Array) -> Array:
-    """sum_x |h_x| with h_x = sum_y D_xy n_y - K_x, for (..., B, Y, 3) observables."""
-    return _sum_last(_norms(D @ N - K)[..., 0])
+    """sum_x |h_x| with h_x = sum_y D_xy n_y - K_x, for (..., B, Y, 3) observables and (B, X, 3) fields.
+
+    The sums run with the batch axes last, as in the see-saw pool.
+    """
+    lead = N.ndim - 2
+    K = K.transpose(1, 2, 0).reshape(*K.shape[1:], *(1,) * (lead - 1), -1)
+    H = _matmul_first(D, N.transpose(lead, lead + 1, *range(lead))) - K
+    return reduce(np.add, _norms(H, axis=1)[:, 0])
 
 
 def _unit_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
@@ -506,82 +534,125 @@ def _anti_aligned(blochs: Array, X: int) -> Array:
     return -blochs[:, np.minimum(np.arange(X), blochs.shape[1] - 1)]
 
 
-def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, rows: int, starts):
-    """Climb `rows` start rows, POVMs held fixed, through the two pools the module docstring describes.
+def _scored_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
+    """sum_x |h_x| (P,) and the unit fields unit(h_x) (X, 3, P), a zero field giving 0, of batch-last N (Y, 3, P)."""
+    H = _matmul_first(D, N) - K
+    r = _norms(H, axis=1)
+    return reduce(np.add, r[:, 0]), H / np.maximum(r, 1e-300)
+
+
+def _seesaw_step(D: Array, pool: list[Array]) -> Array:
+    """One see-saw step of every row of a see-saw pool, in place; returns the gains (P,).
+
+    The pool holds, batch axis last, the rows' POVM indices (P,),
+    observables n (Y, 3, P), penalty fields K (X, 3, P), values,
+    iteration counts and unit fields U = unit(D n - K) (X, 3, P) at n.
+    The step takes n_y = unit(sum_x D_xy u_x) and computes h = D n - K
+    once, at that candidate: a row that gains takes it with its value
+    and unit fields.
+    """
+    _, n, K, value, iterations, U = pool
+    points = _normalize_rows(_matmul_first(D.T, U), n, axis=1)
+    score, unit = _scored_fields(D, points, K)
+    gain = score - value
+    up = gain > 0
+    np.copyto(n, points, where=up)
+    np.copyto(U, unit, where=up)
+    np.copyto(value, score, where=up)
+    iterations += 1
+    return gain
+
+
+def _newton_step(D: Array, pool: list[Array]) -> Array:
+    """One Newton step of every row of a Newton pool, in place; returns the gains (B,).
+
+    The pool holds, rows first, the POVM indices (B,), observables
+    (B, Y, 3), penalty fields K (B, X, 3), values and iteration counts.
+    Each row moves to the best of its `_ascent_candidates` if that gains.
+    """
+    _, n, K, value, iterations = pool
+    points = _ascent_candidates(D, n, K)
+    scores = _reduced_objective(D, points, K)
+    best, index = np.argmax(scores, axis=0), np.arange(len(n))
+    points, score = points[best, index], scores[best, index]
+    gain = score - value
+    up = gain > 0
+    n[up], value[up] = points[up], score[up]
+    iterations += 1
+    return gain
+
+
+def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
+    """Climb start rows, POVMs held fixed, through the two pools the module docstring describes.
 
     starts(free) returns the POVM indices (n,) and starting observables
     (n, Y, 3) of the next n <= free rows, fewer once it runs out.  A row's
     fields K_x = k w_x p_x (zero for x >= O) come from its POVM in weights
-    (S, O) and blochs (S, O, 3).  Yields the POVM indices, `bloch_values`
-    at the optimal preparations, iteration counts and convergence flags
-    of each batch of finished rows.
+    (S, O) and blochs (S, O, 3) once, when it enters the see-saw pool, and
+    travel with it.  Yields the POVM indices, `bloch_values` at the
+    optimal preparations, iteration counts and convergence flags of the
+    finished rows, in batches of about a Newton pool.
     """
     D, O, X, Y = spec.bloch_coeffs, weights.shape[1], spec.scenario.preparations, spec.scenario.binary_settings
-    # each row's POVM, observables, value and iteration count
-    layout = (((), np.intp), ((Y, 3), float), ((), float), ((), np.min_scalar_type(_MAX_ITERS)))
 
-    def fields(p: Array) -> Array:
-        K = spec.k * weights[p][..., None] * blochs[p]
-        return K if X == O else np.concatenate([K, np.zeros((p.size, X - O, 3))], axis=1)
+    def admit(p: Array, n: Array) -> list[Array]:
+        # see-saw pool rows for starts p (n,) and n (n, Y, 3), batch axis last
+        n = n.transpose(1, 2, 0)
+        K = np.zeros((X, 3, p.size))
+        K[:O] = spec.k * weights[p].T[:, None] * blochs[p].transpose(1, 2, 0)
+        value, U = _scored_fields(D, n, K)
+        return [p, n, K, value, np.zeros(p.size, dtype=np.min_scalar_type(_MAX_ITERS)), U]
 
-    def put(dst: list[Array], at: int, src: list[Array], count: int, pick: Array) -> int:
-        # copies the picked rows of src's first `count` to dst from row `at`
-        end = at + int(np.count_nonzero(pick))
-        for a, b in zip(src, dst):
-            b[at:end] = a[:count][pick]
-        return end
+    def rows_first(pick: Array) -> list[Array]:
+        # the picked see-saw rows' POVM indices, n, K, values and iteration counts, batch axis first
+        return [a.take(pick, axis=-1).transpose(2, 0, 1) if a.ndim == 3 else a.take(pick) for a in seesaw[:5]]
 
-    def step(pool: list[Array], count: int, newton: bool) -> tuple[Array, Array]:
-        # one ascent step of the pool's first `count` rows: which stay, and which still moved
-        p, n, value, iterations = (a[:count] for a in pool)
-        K = fields(p)
-        if newton:
-            points = _ascent_candidates(D, n, K)
-            scores = _reduced_objective(D, points, K)
-            best, index = np.argmax(scores, axis=0), np.arange(count)
-            points, score = points[best, index], scores[best, index]
-        else:
-            points = _normalize_rows(D.T @ _unit_fields(D, n, K)[0], n)
-            score = _reduced_objective(D, points, K)
-        gain = score - value
-        up = gain > 0
-        n[up], value[up] = points[up], score[up]
-        iterations += 1
-        moving = gain >= (_TOL if newton else _SEESAW_TOL)
-        return moving & (iterations < _MAX_ITERS), moving
-
-    def finish(pool: list[Array], count: int, pick: Array, converged: Array):
-        p, n, _, iterations = (a[:count][pick] for a in pool)
+    def finish(batch: list[tuple[Array, ...]]):
+        # scores finished rows: their POVM indices, observables, iteration counts and flags
+        p, n, iterations, converged = (np.concatenate(a) for a in zip(*batch))
         PW, PN = weights[p], blochs[p]
         m = _prep_step(D, n, spec.k, PW, PN, _anti_aligned(PN, X))
         return p, bloch_values(spec, m[:, :, None], n, PW, PN), iterations, converged
 
-    sizes = (min(_SEESAW_POOL, rows), min(2 * _NEWTON_POOL + _SEESAW_POOL, rows))
-    seesaw, newton = ([np.empty((size, *tail), dtype) for tail, dtype in layout] for size in sizes)
-    held, queued, drained = 0, 0, False  # see-saw rows, Newton rows (pool and queue), starts run out
-    while not drained or held or queued:
-        free = _SEESAW_POOL - held
-        if free and not drained and queued < 2 * _NEWTON_POOL:
+    none = np.empty(0, dtype=np.intp)
+    seesaw = admit(none, np.empty((0, Y, 3)))
+    newton = rows_first(none)  # the Newton pool, then its queue
+    done, drained = [], False  # finished rows not yet scored; starts run out
+    while not drained or seesaw[0].size or newton[0].size:
+        free = _SEESAW_POOL - seesaw[0].size
+        # starts enter once a quarter of the pool is free: a few rows at every
+        # step would cost more per-call overhead than the emptier pool loses
+        if 4 * free >= _SEESAW_POOL and not drained and newton[0].size < 2 * _NEWTON_POOL:
             p, n = starts(free)
-            drained, new = p.size < free, slice(held, held + p.size)
-            seesaw[0][new], seesaw[1][new], seesaw[3][new] = p, n, 0
-            seesaw[2][new] = _reduced_objective(D, n, fields(p))
-            held += p.size
-        if held:
-            stay, moving = step(seesaw, held, False)
-            if not stay.all():  # else no row leaves
-                settled = ~moving & (seesaw[3][:held] < _MAX_ITERS)
-                queued = put(newton, queued, seesaw, held, settled)
-                lost = ~(stay | settled)
-                if lost.any():
-                    yield finish(seesaw, held, lost, np.zeros(np.count_nonzero(lost), dtype=bool))
-                held = put(seesaw, 0, seesaw, held, stay)
-        if queued >= _NEWTON_POOL or (queued and drained and not held):
+            drained = p.size < free
+            seesaw = [np.concatenate(pair, axis=-1) for pair in zip(seesaw, admit(p, n))]
+        if seesaw[0].size:
+            moving = _seesaw_step(D, seesaw) >= _SEESAW_TOL
+            within = seesaw[4] < _MAX_ITERS
+            if not (moving & within).all():  # else no row leaves
+                newton = [np.concatenate(pair) for pair in zip(newton, rows_first(np.flatnonzero(~moving & within)))]
+                lost = np.flatnonzero(~within)
+                if lost.size:
+                    p, n, _, _, iterations = rows_first(lost)
+                    done.append((p, n, iterations, np.zeros(lost.size, dtype=bool)))
+                stay = np.flatnonzero(moving & within)
+                seesaw = [a.take(stay, axis=-1) for a in seesaw]
+        queued = newton[0].size
+        if queued >= _NEWTON_POOL or (queued and drained and not seesaw[0].size):
             count = min(queued, _NEWTON_POOL)
-            stay, moving = step(newton, count, True)
+            pool = [a[:count] for a in newton]
+            moving = _newton_step(D, pool) >= _TOL
+            stay = moving & (pool[4] < _MAX_ITERS)
             if not stay.all():
-                yield finish(newton, count, ~stay, ~moving[~stay])
-                queued = put(newton, 0, newton, queued, np.concatenate([stay, np.ones(queued - count, dtype=bool)]))
+                leave = np.flatnonzero(~stay)
+                done.append((pool[0][leave], pool[1][leave], pool[4][leave], ~moving[leave]))
+                keep = np.concatenate([np.flatnonzero(stay), np.arange(count, queued)])
+                newton = [a.take(keep, axis=0) for a in newton]
+        if sum(len(batch[0]) for batch in done) >= _NEWTON_POOL:
+            yield finish(done)
+            done = []
+    if done:
+        yield finish(done)
 
 
 def _seesaw_result(kind: str, spec: WitnessSpec, run: dict, diagnostics: dict) -> BoundResult:
@@ -698,7 +769,7 @@ def maximize_given_povm_batch(
         return p[:free], N[:free]
 
     best, top, moving = np.full(S, -np.inf), 0, 0
-    for p, values, iterations, converged in _fixed_povm_climb(spec, weights, blochs, S * R, starts):
+    for p, values, iterations, converged in _fixed_povm_climb(spec, weights, blochs, starts):
         np.maximum.at(best, p, values)
         top = max(top, int(iterations.max()))
         moving += converged.size - int(np.count_nonzero(converged))

@@ -37,8 +37,10 @@ from povmcert.optimize import (
     _concave_beyond_floor,
     _enclosing_ball_step,
     _fixed_povm_climb,
+    _matmul_first,
     _multistart,
     _normalize_rows,
+    _norms,
     _prep_step,
     _projective_povm_step,
     _reduced_derivatives,
@@ -618,25 +620,18 @@ def test_fixed_povm_values_do_not_depend_on_pool_width(monkeypatch, name, k):
 
 
 def _pool_sizes(monkeypatch) -> dict:
-    """Record how many rows each pooled call of the fixed-POVM search sees, by stage.
-
-    `_ascent_candidates` and the scoring of its (4, B, Y, 3) candidates
-    run in the Newton pool; every other objective call (a see-saw step,
-    or the first value of newly admitted rows) in the see-saw pool.
-    """
+    """Record how many rows each step of the fixed-POVM search takes, by pool."""
     seen = {"seesaw": [], "newton": []}
-    candidates, objective = optimize._ascent_candidates, optimize._reduced_objective
 
-    def candidates_spy(D, N, K):
-        seen["newton"].append(N.shape[0])
-        return candidates(D, N, K)
+    def spy(stage, step):
+        def counted(D, pool):
+            seen[stage].append(pool[0].size)
+            return step(D, pool)
 
-    def objective_spy(D, N, K):
-        seen["newton" if N.ndim == 4 else "seesaw"].append(N.shape[-3])
-        return objective(D, N, K)
+        return counted
 
-    monkeypatch.setattr(optimize, "_ascent_candidates", candidates_spy)
-    monkeypatch.setattr(optimize, "_reduced_objective", objective_spy)
+    monkeypatch.setattr(optimize, "_seesaw_step", spy("seesaw", optimize._seesaw_step))
+    monkeypatch.setattr(optimize, "_newton_step", spy("newton", optimize._newton_step))
     return seen
 
 
@@ -708,7 +703,7 @@ def _climb_rows(spec, N, weights, blochs):
         return p, N[p]
 
     out = [np.empty(len(N)), np.empty(len(N), dtype=int), np.empty(len(N), dtype=bool)]
-    for p, *batch in _fixed_povm_climb(spec, weights, blochs, len(N), starts):
+    for p, *batch in _fixed_povm_climb(spec, weights, blochs, starts):
         for a, b in zip(out, batch):
             a[p] = b
     return out
@@ -803,6 +798,90 @@ def test_fixed_povm_pipeline_matches_the_two_sweep_search(build, k):
     config = OptimizerConfig(seed=31)
     got = maximize_given_povm_batch(spec, povms.weights, povms.blochs, config, restarts=8)
     assert np.array_equal(got, _two_sweep_search(spec, povms.weights, povms.blochs, config, 8))
+
+
+def _fresh_fields(spec, weights, blochs, p):
+    """K_x = k w_x p_x of each row's POVM, zero for x >= O: (B, X, 3)."""
+    K = np.zeros((p.size, spec.scenario.preparations, 3))
+    K[:, : weights.shape[1]] = spec.k * weights[p][..., None] * blochs[p]
+    return K
+
+
+@pytest.mark.parametrize(
+    "build, k", [(sic_witness, 0.2), (trine_witness, 1.0), (sym_trine_witness, 0.5), (_x_above_o_witness, 0.7)]
+)
+def test_carried_fields_match_a_fresh_evaluation(monkeypatch, build, k):
+    # 60 start rows stream through a 16-row see-saw pool and a 4-row Newton
+    # pool; the second half starts at a see-saw fixed point, so some of
+    # their steps do not ascend
+    spec = build(k)
+    D = spec.bloch_coeffs
+    rng = RngStream(34).generator()
+    povms = random_extremal_povms(spec.scenario.povm_outcomes, 60, rng)
+    N = random_unit_vectors(rng, (60, spec.scenario.binary_settings))
+    K = _fresh_fields(spec, povms.weights, povms.blochs, np.arange(60))
+    for _ in range(300):
+        N[30:] = _normalize_rows(D.T @ _unit_fields(D, N[30:], K[30:])[0], N[30:])
+    monkeypatch.setattr(optimize, "_SEESAW_POOL", 16)
+    monkeypatch.setattr(optimize, "_NEWTON_POOL", 4)
+    seesaw_step, newton_step = optimize._seesaw_step, optimize._newton_step
+    seen = {"seesaw": 0, "stalled": 0, "newton": 0}
+
+    def check(p, K, n=None, U=None):
+        assert np.array_equal(K, _fresh_fields(spec, povms.weights, povms.blochs, p))
+        if U is not None:
+            H = D @ n - K
+            assert np.array_equal(U, H / np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), 1e-300))
+
+    def check_seesaw(pool):
+        p, n, K, _, _, U = pool
+        check(p, K.transpose(2, 0, 1), n.transpose(2, 0, 1), U.transpose(2, 0, 1))
+
+    def seesaw_spy(D, pool):
+        check_seesaw(pool)  # admitted rows, and the rows kept by the last compaction
+        gain = seesaw_step(D, pool)
+        check_seesaw(pool)  # rows that ascended and rows that did not
+        seen["seesaw"] += 1
+        seen["stalled"] += np.count_nonzero(gain <= 0)
+        return gain
+
+    def newton_spy(D, pool):
+        check(pool[0], pool[2])  # rows handed over by the see-saw pool
+        seen["newton"] += 1
+        return newton_step(D, pool)
+
+    monkeypatch.setattr(optimize, "_seesaw_step", seesaw_spy)
+    monkeypatch.setattr(optimize, "_newton_step", newton_spy)
+    _climb_rows(spec, N, povms.weights, povms.blochs)
+    assert seen["seesaw"] and seen["stalled"] and seen["newton"]
+
+
+@pytest.mark.parametrize("P", [1, 512])
+@pytest.mark.parametrize(
+    "build, k", [(sic_witness, 0.2), (trine_witness, 1.0), (sym_trine_witness, 0.5), (_x_above_o_witness, 0.7)]
+)
+def test_batch_last_kernels_keep_the_row_first_bits(build, k, P):
+    # the fields as one matmul with the batch axis last, against the
+    # row-first D @ N - K and its norms, and the scoring of (C, P, Y, 3)
+    # Newton candidates against the row-first sum of np.linalg.norm
+    spec = build(k)
+    D, X, Y = spec.bloch_coeffs, spec.scenario.preparations, spec.scenario.binary_settings
+    rng = np.random.default_rng(P)
+    N, K = random_unit_vectors(rng, (P, Y)), rng.normal(size=(P, X, 3))
+    H = D @ N - K
+    last = _matmul_first(D, N.transpose(1, 2, 0)) - K.transpose(1, 2, 0)
+    assert np.array_equal(last, H.transpose(1, 2, 0))
+    assert np.array_equal(_norms(last, axis=1), _norms(H).transpose(1, 2, 0))
+    assert np.array_equal(_norms(H)[..., 0], np.linalg.norm(H, axis=-1))
+    # a see-saw candidate whose G is exactly zero keeps its observable
+    G, fallback = H.copy(), rng.normal(size=H.shape)
+    G[0, 1] = 0.0
+    last = _normalize_rows(G.transpose(1, 2, 0), fallback.transpose(1, 2, 0), axis=1)
+    assert np.array_equal(last, _normalize_rows(G, fallback).transpose(1, 2, 0))
+    assert np.array_equal(last[1, :, 0], fallback[0, 1])
+    points = random_unit_vectors(rng, (4, P, Y))
+    assert np.array_equal(_reduced_objective(D, points, K), np.linalg.norm(D @ points - K, axis=-1).sum(axis=-1))
+    assert np.array_equal(_reduced_objective(D, N, K), np.linalg.norm(H, axis=-1).sum(axis=-1))
 
 
 def test_fixed_povm_budget_is_per_row(monkeypatch):
