@@ -3,8 +3,8 @@
 
 Samples random extremal POVMs, maximizes the witness over the rest of
 the strategy for each, and bins the (witness value, best fidelity)
-cloud into lower envelopes. Full scale takes a while; --desk drops to
-10^4 samples per family.
+cloud into lower envelopes. Full scale, the CLI's default sample
+counts, takes a while; --desk drops to 10^4 samples per family.
 
     python3 scripts/fidelity_envelopes.py [--out-dir envelopes] [--desk]
 """
@@ -13,8 +13,7 @@ import sys
 
 from povmcert.cli import main as cli
 
-FULL = {"sic": 300_000, "trine": 3_000}
-DESK = {"sic": 10_000, "trine": 10_000}
+DESK_SAMPLES = 10_000
 
 
 def main():
@@ -23,12 +22,12 @@ def main():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--desk", action="store_true", help="10^4 samples per family")
     opts = p.parse_args()
-    samples = DESK if opts.desk else FULL
+    samples = ["--samples", str(DESK_SAMPLES)] if opts.desk else []
 
     for witness, k, width in (("sic", 0.2, 0.002), ("trine", 1, 0.01)):
         rc = cli([
             "fidelity-curve", "--witness", witness, "--k", str(k),
-            "--samples", str(samples[witness]), "--bin-width", str(width),
+            *samples, "--bin-width", str(width),
             "--seed", str(opts.seed), "--out-dir", opts.out_dir,
         ])
         if rc != 0:

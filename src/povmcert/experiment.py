@@ -454,7 +454,10 @@ def certify(
     when that lower point lies above the family's quantum maximum
     (`qubit_consistent` false; None for a family with no known
     maximum).  The four-outcome verdict needs the three-outcome bound
-    and only exists for four-outcome scenarios.  The fidelity estimate is
+    and only exists for four-outcome scenarios.  A projective bound
+    restricted to one outcome pair (diagnostics "assignment") is refused:
+    a projective device may place its projectors on any pair, so only the
+    maximum over pairs is a threshold.  The fidelity estimate is
     the envelope's floor at the same lower confidence point, the value
     minus both error bars, when a curve is given: the floor does not
     decrease with the value, so reading it at the value itself would be
@@ -477,6 +480,10 @@ def certify(
             )
         if not np.isfinite(b.value):
             raise ValueError(f"bound {b.kind!r} has a non-finite value {b.value}")
+        if slot == "projective" and "assignment" in b.diagnostics:
+            raise ValueError(
+                f"projective bound is restricted to outcomes {b.diagnostics['assignment']}; certify needs every pair"
+            )
         slots[slot] = b
     if "projective" not in slots:
         raise ValueError("certification needs a projective bound")

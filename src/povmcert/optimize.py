@@ -39,13 +39,13 @@ free, but not while the Newton queue holds a full pool, so memory is
 the pools, about a Newton pool of finished rows waiting to be scored
 together, and one value per POVM.  `_MAX_ITERS` is each row's budget
 across both stages.  A row's penalty fields K_x = k w_x p_x are
-computed once, when it enters, and travel with it.  The see-saw pool
-stores its rows with the batch axis last (n as (Y, 3, P), K and the
-unit fields as (X, 3, P)), so each field product is one 2-D matmul over
-the whole pool (`_matmul_first`) and each norm runs over P values at a
-time.  A see-saw row also carries its unit fields unit(h_x) at its
-current point, so a step computes h once, at its candidate, which it
-scores and, if it gains, keeps.
+computed once, when it enters, and travel with it.  Both pools store
+their rows with the batch axis last (n as (Y, 3, P), K as (X, 3, P)),
+so every field h = D n - K, of a pool or of the Newton candidates, is
+one 2-D matmul (`_fields`) and each norm runs over P values at a time;
+only the Newton step's Hessian and solve run rows first.  A see-saw row
+also carries its unit fields unit(h_x), so a step computes h once, at
+its candidate, which it scores and, if it gains, keeps.
 
 Every quantity of a batch advances in lock step through numpy array
 ops.  The field steps are matmuls: D^T M gives the observables' fields
@@ -417,24 +417,6 @@ _NEWTON_CAP = 0.5
 _SADDLE_FLOOR = 1e-4
 
 
-def _reduced_objective(D: Array, N: Array, K: Array) -> Array:
-    """sum_x |h_x| with h_x = sum_y D_xy n_y - K_x, for (..., B, Y, 3) observables and (B, X, 3) fields.
-
-    The sums run with the batch axes last, as in the see-saw pool.
-    """
-    lead = N.ndim - 2
-    K = K.transpose(1, 2, 0).reshape(*K.shape[1:], *(1,) * (lead - 1), -1)
-    H = _matmul_first(D, N.transpose(lead, lead + 1, *range(lead))) - K
-    return reduce(np.add, _norms(H, axis=1)[:, 0])
-
-
-def _unit_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
-    """u_x = unit(h_x) and |h_x| (B, X, 1), a zero field giving u_x = 0."""
-    H = D @ N - K
-    r = np.maximum(_norms(H), 1e-300)
-    return H / r, r
-
-
 def _tangent_bases(N: Array) -> Array:
     """Two orthonormal tangent vectors of each unit vector: (..., 3) -> (..., 2, 3).
 
@@ -450,19 +432,18 @@ def _tangent_bases(N: Array) -> Array:
     return np.stack([e1, e2], axis=-2)
 
 
-def _reduced_derivatives(D: Array, N: Array, K: Array) -> tuple[Array, Array, Array, Array]:
+def _reduced_derivatives(D: Array, N: Array, U: Array, r: Array) -> tuple[Array, Array, Array, Array]:
     """Riemannian gradient and Hessian of sum_x |h_x| over the observables.
 
-    N (B, Y, 3) observables, K (B, X, 3) penalty fields and
-    u_x = unit(h_x).  On the product of spheres the gradient is the
-    tangent part of G_y = sum_x D_xy u_x, and the Hessian block (y, z)
+    N (B, Y, 3) observables, U (B, X, 3) their unit fields u_x = unit(h_x)
+    and r (B, X, 1) the norms |h_x|.  On the product of spheres the gradient
+    is the tangent part of G_y = sum_x D_xy u_x, and the Hessian block (y, z)
     is sum_x D_xy D_xz (I - u_x u_x^T) / |h_x| restricted to the tangent
     planes, less (n_y . G_y) on the diagonal.  Returns G (B, Y, 3), the
     tangent bases E (B, 2Y, 3), and the gradient (B, 2Y) and Hessian
     (B, 2Y, 2Y) in those bases, coordinates ordered (y, basis vector).
     """
     B, Y, _ = N.shape
-    U, r = _unit_fields(D, N, K)
     G = D.T @ U
     E = _tangent_bases(N).reshape(B, 2 * Y, 3)
     g = _sum_last(E * G.repeat(2, axis=1))
@@ -495,7 +476,7 @@ def _concave_beyond_floor(hess: Array) -> Array:
     return ok
 
 
-def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
+def _ascent_candidates(D: Array, N: Array, U: Array, r: Array) -> Array:
     """Saddle-free Newton points at each scale of `_NEWTON_SCALES`, then the see-saw point.
 
     The step solves |H| t = g, with the `_reduced_derivatives` Hessian
@@ -509,10 +490,11 @@ def _ascent_candidates(D: Array, N: Array, K: Array) -> Array:
     and a row with a non-finite Hessian takes no step.  Both give the same
     saddle-free step, which is continuous where they meet.  A step is
     shrunk, direction kept, until no axis moves more than `_NEWTON_CAP`.
-    The see-saw point is unit(G_y).  Returns (len(_NEWTON_SCALES) + 1, B, Y, 3).
+    The see-saw point is unit(G_y).  N, U and r are as `_reduced_derivatives`
+    takes them.  Returns (len(_NEWTON_SCALES) + 1, B, Y, 3).
     """
     B, Y, _ = N.shape
-    G, E, g, hess = _reduced_derivatives(D, N, K)
+    G, E, g, hess = _reduced_derivatives(D, N, U, r)
     t = np.zeros_like(g)
     ok = np.isfinite(hess).all(axis=(1, 2))
     concave = np.flatnonzero(ok)[_concave_beyond_floor(hess[ok])]
@@ -534,10 +516,15 @@ def _anti_aligned(blochs: Array, X: int) -> Array:
     return -blochs[:, np.minimum(np.arange(X), blochs.shape[1] - 1)]
 
 
-def _scored_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
-    """sum_x |h_x| (P,) and the unit fields unit(h_x) (X, 3, P), a zero field giving 0, of batch-last N (Y, 3, P)."""
+def _fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
+    """h = D n - K (X, 3, ...) and |h| (X, 1, ...) of batch-last N (Y, 3, ...) and K; any trailing axes batch."""
     H = _matmul_first(D, N) - K
-    r = _norms(H, axis=1)
+    return H, _norms(H, axis=1)
+
+
+def _scored_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
+    """sum_x |h_x| (P,) and the unit fields unit(h_x) (X, 3, P), a zero field giving 0, of `_fields`."""
+    H, r = _fields(D, N, K)
     return reduce(np.add, r[:, 0]), H / np.maximum(r, 1e-300)
 
 
@@ -564,20 +551,26 @@ def _seesaw_step(D: Array, pool: list[Array]) -> Array:
 
 
 def _newton_step(D: Array, pool: list[Array]) -> Array:
-    """One Newton step of every row of a Newton pool, in place; returns the gains (B,).
+    """One Newton step of every row of a Newton pool, in place; returns the gains (P,).
 
-    The pool holds, rows first, the POVM indices (B,), observables
-    (B, Y, 3), penalty fields K (B, X, 3), values and iteration counts.
-    Each row moves to the best of its `_ascent_candidates` if that gains.
+    The pool holds the see-saw pool's first five arrays, batch axis last.
+    The Hessian and its solve run rows first, so n and its fields go in
+    transposed and the `_ascent_candidates` come back as (Y, 3, C, P) to
+    be scored.  Each row moves to the best candidate if that gains.
     """
     _, n, K, value, iterations = pool
-    points = _ascent_candidates(D, n, K)
-    scores = _reduced_objective(D, points, K)
-    best, index = np.argmax(scores, axis=0), np.arange(len(n))
-    points, score = points[best, index], scores[best, index]
+    H, r = _fields(D, n, K)
+    r = np.maximum(r, 1e-300)
+    # contiguous, so the per-row matmuls see one layout wherever the rows came from
+    rows = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (n, H / r, r))
+    points = _ascent_candidates(D, *rows).transpose(2, 3, 0, 1)
+    scores = reduce(np.add, _fields(D, points, K[:, :, None])[1][:, 0])
+    best, index = np.argmax(scores, axis=0), np.arange(value.size)
+    points, score = points[:, :, best, index], scores[best, index]
     gain = score - value
     up = gain > 0
-    n[up], value[up] = points[up], score[up]
+    np.copyto(n, points, where=up)
+    np.copyto(value, score, where=up)
     iterations += 1
     return gain
 
@@ -603,20 +596,20 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
         value, U = _scored_fields(D, n, K)
         return [p, n, K, value, np.zeros(p.size, dtype=np.min_scalar_type(_MAX_ITERS)), U]
 
-    def rows_first(pick: Array) -> list[Array]:
-        # the picked see-saw rows' POVM indices, n, K, values and iteration counts, batch axis first
-        return [a.take(pick, axis=-1).transpose(2, 0, 1) if a.ndim == 3 else a.take(pick) for a in seesaw[:5]]
+    def take(pool: list[Array], index: Array) -> list[Array]:
+        return [a.take(index, axis=-1) for a in pool]
 
     def finish(batch: list[tuple[Array, ...]]):
         # scores finished rows: their POVM indices, observables, iteration counts and flags
-        p, n, iterations, converged = (np.concatenate(a) for a in zip(*batch))
+        p, n, iterations, converged = (np.concatenate(a, axis=-1) for a in zip(*batch))
+        n = np.ascontiguousarray(n.transpose(2, 0, 1))  # rows first, for `_prep_step` and `bloch_values`
         PW, PN = weights[p], blochs[p]
         m = _prep_step(D, n, spec.k, PW, PN, _anti_aligned(PN, X))
         return p, bloch_values(spec, m[:, :, None], n, PW, PN), iterations, converged
 
     none = np.empty(0, dtype=np.intp)
     seesaw = admit(none, np.empty((0, Y, 3)))
-    newton = rows_first(none)  # the Newton pool, then its queue
+    newton = take(seesaw[:5], none)  # the Newton pool, then its queue
     done, drained = [], False  # finished rows not yet scored; starts run out
     while not drained or seesaw[0].size or newton[0].size:
         free = _SEESAW_POOL - seesaw[0].size
@@ -630,24 +623,24 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
             moving = _seesaw_step(D, seesaw) >= _SEESAW_TOL
             within = seesaw[4] < _MAX_ITERS
             if not (moving & within).all():  # else no row leaves
-                newton = [np.concatenate(pair) for pair in zip(newton, rows_first(np.flatnonzero(~moving & within)))]
+                handed = take(seesaw[:5], np.flatnonzero(~moving & within))
+                newton = [np.concatenate(pair, axis=-1) for pair in zip(newton, handed)]
                 lost = np.flatnonzero(~within)
                 if lost.size:
-                    p, n, _, _, iterations = rows_first(lost)
+                    p, n, _, _, iterations = take(seesaw[:5], lost)
                     done.append((p, n, iterations, np.zeros(lost.size, dtype=bool)))
-                stay = np.flatnonzero(moving & within)
-                seesaw = [a.take(stay, axis=-1) for a in seesaw]
+                seesaw = take(seesaw, np.flatnonzero(moving & within))
         queued = newton[0].size
         if queued >= _NEWTON_POOL or (queued and drained and not seesaw[0].size):
             count = min(queued, _NEWTON_POOL)
-            pool = [a[:count] for a in newton]
+            pool = [a[..., :count] for a in newton]
             moving = _newton_step(D, pool) >= _TOL
             stay = moving & (pool[4] < _MAX_ITERS)
             if not stay.all():
                 leave = np.flatnonzero(~stay)
-                done.append((pool[0][leave], pool[1][leave], pool[4][leave], ~moving[leave]))
-                keep = np.concatenate([np.flatnonzero(stay), np.arange(count, queued)])
-                newton = [a.take(keep, axis=0) for a in newton]
+                p, n, _, _, iterations = take(pool, leave)
+                done.append((p, n, iterations, ~moving[leave]))
+                newton = take(newton, np.concatenate([np.flatnonzero(stay), np.arange(count, queued)]))
         if sum(len(batch[0]) for batch in done) >= _NEWTON_POOL:
             yield finish(done)
             done = []

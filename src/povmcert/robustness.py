@@ -2,10 +2,11 @@
 
 Depolarizing the preparations, rho -> v rho + (1-v) 1/2, scales every
 preparation Bloch vector by v.  The witness is affine in those vectors:
-the base part interpolates between its maximally mixed value a_rand and
-its ideal value, while the penalty (zero for an ideal strategy, exactly
-k on mixed preparations by POVM completeness) contributes -k(1-v).  An
-ideal strategy seen through visibility v therefore scores
+the base part interpolates between its maximally mixed value a_rand,
+the witness's `offset`, and its ideal value, while the penalty (zero for
+an ideal strategy, exactly k on mixed preparations by POVM completeness)
+contributes -k(1-v).  An ideal strategy seen through visibility v
+therefore scores
 
     A(v) = v (a_q + k) + (1 - v)(a_rand - k),
 
@@ -35,7 +36,7 @@ from .optimize import (
     projective_bounds_numeric,
     three_outcome_maxima,
 )
-from .witness import WitnessSpec, build_witness
+from .witness import build_witness
 
 log = logging.getLogger(__name__)
 
@@ -44,18 +45,6 @@ BOUND_KINDS = ("projective", "three-outcome")
 # matches the shipped sweep granularity; fine enough to localize the
 # minimum to 0.01 in k
 DEFAULT_K_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
-
-
-def a_rand(spec: WitnessSpec) -> float:
-    """Base witness value on maximally mixed preparations.
-
-    Every binary-setting probability is 1/2 regardless of the measured
-    observable, so the observables drop out and the value is half the
-    coefficient sum.  The penalty is excluded: on mixed preparations it
-    equals exactly k by completeness, which the +k terms of the
-    critical-visibility formula account for separately.
-    """
-    return spec.offset
 
 
 class CriticalVisibility(NamedTuple):
@@ -148,14 +137,13 @@ def visibility_curve(
 
     curve: list[VisibilityResult] = []
     for k, spec, res in zip(grid, specs, bounds):
-        rand = a_rand(spec)
-        v = critical_visibility(k, res.value, spec.quantum_max, rand)
+        v = critical_visibility(k, res.value, spec.quantum_max, spec.offset)
         curve.append(
             VisibilityResult(
                 k=k,
                 bound_kind=bound_kind,
                 bound_value=res.value,
-                a_rand=rand,
+                a_rand=spec.offset,
                 a_q=spec.quantum_max,
                 v_crit=v.value,
                 clamped=v.clamped,

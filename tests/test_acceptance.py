@@ -35,7 +35,7 @@ from povmcert import (
 from povmcert.cli import main as cli_main
 from povmcert.fidelity import _kabsch
 from povmcert.qubit import Povm, classify_extremal, validate_povm
-from povmcert.robustness import a_rand, visibility_curve
+from povmcert.robustness import visibility_curve
 
 SIC_QMAX = 0.5 * (1.0 + 1.0 / np.sqrt(3.0))
 
@@ -112,7 +112,7 @@ def test_criterion_3_three_outcome_threshold():
 def test_criterion_4_critical_visibility():
     t0 = time.monotonic()
     spec = build_witness("sic", 0.2)
-    assert a_rand(spec) == pytest.approx(0.5)
+    assert spec.offset == pytest.approx(0.5)
     v_proj = critical_visibility(0.2, projective_bound_sic(0.2).value, SIC_QMAX, 0.5)
     v_three = critical_visibility(
         0.2,

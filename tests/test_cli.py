@@ -570,6 +570,22 @@ def test_certify_rejects_bounds_for_another_witness(tmp_path, capsys):
     assert "witness=None" in capsys.readouterr().err
 
 
+def test_certify_rejects_a_pair_restricted_projective_bound(tmp_path, capsys):
+    # restricted to the pair (0, 1) the trine projective bound at k = 1 is
+    # 4.89165, below the unrestricted 4.91199, so this run would pass it
+    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective", "--assignment", "0,1",
+             "--restarts", 8, "--out", "b01.json", "--out-dir", tmp_path)
+    assert rc == 0
+    rc = run("simulate", "--witness", "trine", "--k", 1, "--seed", 1, "--budget", 2000,
+             "--out", "c.csv", "--out-dir", tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    rc = run("certify", "--counts", tmp_path / "c.csv", "--witness", "trine", "--k", 1,
+             "--bounds", tmp_path / "b01.json", "--syst-err", 0.05)
+    assert rc == 2
+    assert "restricted to outcomes [0, 1]" in capsys.readouterr().err
+
+
 def test_certify_envelope_gives_fidelity_floor(sic_counts, tmp_path, capsys):
     curve = EnvelopeCurve(
         bin_width=10.0,

@@ -4,7 +4,7 @@ The callers are the program's own files: src/, scripts/ and bench/.
 Bench's own `test_*.py` files are excepted, and so is
 `bench/oracles.py`: it imports nothing from `povmcert`, and an
 attribute read on the name `oracles` is a call into it, not into the
-library.  Four checks, all by name:
+library.  Five checks, all by name:
 
 - a public module-level function or class under src/povmcert must be
   exported in `povmcert.__all__`, be referenced by those callers
@@ -14,7 +14,9 @@ library.  Four checks, all by name:
 - a method or property of a src/ class (dunders excepted) must be read
   as an attribute by them outside its own definition;
 - an `__all__` entry must be referenced by them outside `__init__.py`
-  and its own definition, unless it is an entry point.
+  and its own definition, unless it is an entry point;
+- a module-level constant under src/povmcert (dunders excepted) must be
+  referenced by them outside its own assignment.
 
 A name that only the tests call is dead library code: the test that
 needs it keeps its own copy as a local reference.  Imports do not count
@@ -135,3 +137,17 @@ def test_every_export_has_a_caller_outside_tests():
         if name not in entry_points and not _used(name, *definitions[name], refs)
     ]
     assert not unused, "exports only the tests call: " + ", ".join(unused)
+
+
+def test_every_module_constant_has_a_caller():
+    refs = _references()
+    unused = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not (name.startswith("__") and name.endswith("__")) and not _used(name, path, node, refs):
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "module constants nothing reads: " + ", ".join(unused)

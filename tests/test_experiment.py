@@ -464,6 +464,17 @@ def test_certify_trine_non_projective():
     assert json.loads(report.to_json())["fidelity_estimate"] is None
 
 
+def test_certify_refuses_a_pair_restricted_projective_bound():
+    # on the pair (0, 1) the trine projective bound at k = 1 is 4.89165, below
+    # the 4.91199 a projective device reaches on another pair: no threshold
+    spec = trine_witness(1.0)
+    table = ingest_counts(simulate_counts(trine_experiment(), spec, RngStream(72)))
+    restricted = BoundResult("projective-numeric", 4.89165, 1.0, True, diagnostics={"assignment": [0, 1]})
+    with pytest.raises(ValueError, match=r"restricted to outcomes \[0, 1\]"):
+        certify(table, spec, [restricted])
+    certify(table, spec, [bound("projective-numeric", 4.91199, 1.0, heuristic=True)])
+
+
 def test_certify_fails_below_bounds(sic_lab_table):
     table, spec = sic_lab_table
     high = [

@@ -8,6 +8,7 @@ evaluation, and dense grids.
 """
 import re
 import tracemalloc
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +37,7 @@ from povmcert.optimize import (
     _binary_step,
     _concave_beyond_floor,
     _enclosing_ball_step,
+    _fields,
     _fixed_povm_climb,
     _matmul_first,
     _multistart,
@@ -44,8 +46,7 @@ from povmcert.optimize import (
     _prep_step,
     _projective_povm_step,
     _reduced_derivatives,
-    _reduced_objective,
-    _unit_fields,
+    _scored_fields,
     maximize_given_povm_batch,
     projective_bound,
     projective_bound_numeric,
@@ -709,6 +710,19 @@ def _climb_rows(spec, N, weights, blochs):
     return out
 
 
+def _row_unit_fields(D, N, K):
+    """Row-first unit(h_x) (B, X, 3) and |h_x| (B, X, 1), floored at 1e-300, of
+    h = D n - K for (B, Y, 3) observables and (B, X, 3) fields."""
+    H = D @ N - K
+    r = np.maximum(np.linalg.norm(H, axis=-1, keepdims=True), 1e-300)
+    return H / r, r
+
+
+def _row_objective(D, N, K):
+    """Row-first sum_x |h_x| of (..., B, Y, 3) observables and (B, X, 3) fields."""
+    return np.linalg.norm(D @ N - K, axis=-1).sum(axis=-1)
+
+
 # the two-sweep fixed-POVM search that the streaming pipeline replaced,
 # kept as a reference: every start row climbs the same steps in both, so
 # the values must agree bit for bit
@@ -729,7 +743,7 @@ def _two_sweep_ascent(spec, N, weights, blochs, per_povm):
     value = np.empty(B)
     for lo in range(0, B, _REFERENCE_CHUNK):
         rows = np.arange(lo, min(lo + _REFERENCE_CHUNK, B))
-        value[rows] = _reduced_objective(D, N[rows], fields(rows))
+        value[rows] = _row_objective(D, N[rows], fields(rows))
     iterations = np.zeros(B, dtype=np.min_scalar_type(optimize._MAX_ITERS))
     within_budget = np.ones(B, dtype=bool)
     for newton, tol in ((False, optimize._SEESAW_TOL), (True, optimize._TOL)):
@@ -746,10 +760,10 @@ def _two_sweep_ascent(spec, N, weights, blochs, per_povm):
                 continue
             n = N[pool]
             if newton:
-                points = _ascent_candidates(D, n, K)
+                points = _ascent_candidates(D, n, *_row_unit_fields(D, n, K))
             else:
-                points = _normalize_rows(D.T @ _unit_fields(D, n, K)[0], n)[None]
-            scores = _reduced_objective(D, points, K)
+                points = _normalize_rows(D.T @ _row_unit_fields(D, n, K)[0], n)[None]
+            scores = _row_objective(D, points, K)
             best = np.argmax(scores, axis=0)
             rows = np.arange(pool.size)
             score = scores[best, rows]
@@ -821,7 +835,7 @@ def test_carried_fields_match_a_fresh_evaluation(monkeypatch, build, k):
     N = random_unit_vectors(rng, (60, spec.scenario.binary_settings))
     K = _fresh_fields(spec, povms.weights, povms.blochs, np.arange(60))
     for _ in range(300):
-        N[30:] = _normalize_rows(D.T @ _unit_fields(D, N[30:], K[30:])[0], N[30:])
+        N[30:] = _normalize_rows(D.T @ _row_unit_fields(D, N[30:], K[30:])[0], N[30:])
     monkeypatch.setattr(optimize, "_SEESAW_POOL", 16)
     monkeypatch.setattr(optimize, "_NEWTON_POOL", 4)
     seesaw_step, newton_step = optimize._seesaw_step, optimize._newton_step
@@ -846,7 +860,7 @@ def test_carried_fields_match_a_fresh_evaluation(monkeypatch, build, k):
         return gain
 
     def newton_spy(D, pool):
-        check(pool[0], pool[2])  # rows handed over by the see-saw pool
+        check(pool[0], pool[2].transpose(2, 0, 1))  # rows handed over by the see-saw pool, batch axis last
         seen["newton"] += 1
         return newton_step(D, pool)
 
@@ -862,8 +876,9 @@ def test_carried_fields_match_a_fresh_evaluation(monkeypatch, build, k):
 )
 def test_batch_last_kernels_keep_the_row_first_bits(build, k, P):
     # the fields as one matmul with the batch axis last, against the
-    # row-first D @ N - K and its norms, and the scoring of (C, P, Y, 3)
-    # Newton candidates against the row-first sum of np.linalg.norm
+    # row-first D @ N - K, its norms and unit fields, and the scoring of
+    # batch-last (Y, 3, C, P) Newton candidates, K broadcast over C,
+    # against the row-first sum of np.linalg.norm
     spec = build(k)
     D, X, Y = spec.bloch_coeffs, spec.scenario.preparations, spec.scenario.binary_settings
     rng = np.random.default_rng(P)
@@ -879,9 +894,14 @@ def test_batch_last_kernels_keep_the_row_first_bits(build, k, P):
     last = _normalize_rows(G.transpose(1, 2, 0), fallback.transpose(1, 2, 0), axis=1)
     assert np.array_equal(last, _normalize_rows(G, fallback).transpose(1, 2, 0))
     assert np.array_equal(last[1, :, 0], fallback[0, 1])
+    score, unit = _scored_fields(D, N.transpose(1, 2, 0), K.transpose(1, 2, 0))
+    assert np.array_equal(score, _row_objective(D, N, K))
+    assert np.array_equal(unit, _row_unit_fields(D, N, K)[0].transpose(1, 2, 0))
     points = random_unit_vectors(rng, (4, P, Y))
-    assert np.array_equal(_reduced_objective(D, points, K), np.linalg.norm(D @ points - K, axis=-1).sum(axis=-1))
-    assert np.array_equal(_reduced_objective(D, N, K), np.linalg.norm(H, axis=-1).sum(axis=-1))
+    norms = np.linalg.norm(D @ points - K, axis=-1)  # (C, P, X)
+    _, r = _fields(D, points.transpose(2, 3, 0, 1), K.transpose(1, 2, 0)[:, :, None])
+    assert np.array_equal(r[:, 0], norms.transpose(2, 0, 1))
+    assert np.array_equal(reduce(np.add, r[:, 0]), norms.sum(axis=-1))
 
 
 def test_fixed_povm_budget_is_per_row(monkeypatch):
@@ -915,11 +935,11 @@ def test_reduced_derivatives_match_finite_differences(name, k):
     N = random_unit_vectors(rng, (5, Y))
     K = np.zeros((5, spec.scenario.preparations, 3))
     K[:, : spec.scenario.povm_outcomes] = k * povms.weights[..., None] * povms.blochs
-    _, E, g, hess = _reduced_derivatives(D, N, K)
+    _, E, g, hess = _reduced_derivatives(D, N, *_row_unit_fields(D, N, K))
 
     def f(c):
         step = np.broadcast_to(c, (5, 2 * Y)).reshape(5, Y, 1, 2) @ E.reshape(5, Y, 2, 3)
-        return _reduced_objective(D, _normalize_rows(N + step[:, :, 0], N), K)
+        return _row_objective(D, _normalize_rows(N + step[:, :, 0], N), K)
 
     h = 1e-4
     unit = np.eye(2 * Y) * h
@@ -1014,9 +1034,9 @@ def test_concave_test_agrees_with_the_eigenvalue_sign(n):
 
 
 def _mixed_pool(name, k, rows=96):
-    """Observables and fields of a Newton pool: half the rows settled by
-    see-saw steps (mostly concave), half random (mostly indefinite), and a
-    last row with a non-finite Hessian."""
+    """Observables, unit fields and field norms of a Newton pool, rows first:
+    half the rows settled by see-saw steps (mostly concave), half random
+    (mostly indefinite), and a last row with a non-finite Hessian."""
     spec = build_witness(name, k=k)
     D, O = spec.bloch_coeffs, spec.scenario.povm_outcomes
     rng = RngStream(33).generator()
@@ -1026,15 +1046,15 @@ def _mixed_pool(name, k, rows=96):
     N = random_unit_vectors(rng, (rows, spec.scenario.binary_settings))
     half = slice(rows // 2)
     for _ in range(200):
-        N[half] = _normalize_rows(D.T @ _unit_fields(D, N[half], K[half])[0], N[half])
+        N[half] = _normalize_rows(D.T @ _row_unit_fields(D, N[half], K[half])[0], N[half])
     N[-1] = np.nan
-    return D, N, K
+    return D, N, *_row_unit_fields(D, N, K)
 
 
-def _eigh_only_candidates(D, N, K):
+def _eigh_only_candidates(D, N, U, r):
     # the saddle-free step taken through an eigendecomposition on every finite row
     B, Y, _ = N.shape
-    G, E, g, hess = _reduced_derivatives(D, N, K)
+    G, E, g, hess = _reduced_derivatives(D, N, U, r)
     t = np.zeros_like(g)
     ok = np.isfinite(hess).all(axis=(1, 2))
     lam, V = np.linalg.eigh(hess[ok])
@@ -1051,15 +1071,17 @@ def _eigh_only_candidates(D, N, K):
 def test_ascent_candidates_match_the_eigh_only_step(name, k):
     # on concave rows the solve is the saddle-free step in exact arithmetic;
     # the candidates are unit vectors, so 1e-12 is relative to their scale
-    D, N, K = _mixed_pool(name, k)
-    concave = _concave_beyond_floor(_reduced_derivatives(D, N[:-1], K[:-1])[3])
+    D, N, U, r = _mixed_pool(name, k)
+    concave = _concave_beyond_floor(_reduced_derivatives(D, N[:-1], U[:-1], r[:-1])[3])
     assert 0 < concave.sum() < concave.size
-    np.testing.assert_allclose(_ascent_candidates(D, N, K), _eigh_only_candidates(D, N, K), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        _ascent_candidates(D, N, U, r), _eigh_only_candidates(D, N, U, r), rtol=0, atol=1e-12
+    )
 
 
 def test_eigh_sees_only_the_rows_that_fail_the_concave_test(monkeypatch):
-    D, N, K = _mixed_pool("sic", 0.2)
-    hess = _reduced_derivatives(D, N, K)[3]
+    D, *rows = _mixed_pool("sic", 0.2)
+    hess = _reduced_derivatives(D, *rows)[3]
     fail = np.isfinite(hess).all(axis=(1, 2))
     fail[fail] = np.linalg.eigvalsh(hess[fail]).max(axis=1) >= -optimize._SADDLE_FLOOR
     seen, eigh = [], np.linalg.eigh
@@ -1069,7 +1091,7 @@ def test_eigh_sees_only_the_rows_that_fail_the_concave_test(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    _ascent_candidates(D, N, K)
+    _ascent_candidates(D, *rows)
     assert 0 < fail.sum() < len(fail) - 1
     assert len(seen) == 1 and np.array_equal(seen[0], hess[fail])
 

@@ -17,7 +17,6 @@ from povmcert.optimize import (
 from povmcert.robustness import (
     DEFAULT_K_GRID,
     VisibilityResult,
-    a_rand,
     critical_visibility,
     most_robust_point,
     visibility_curve,
@@ -58,11 +57,11 @@ def mixed_prep_table(spec):
 @pytest.mark.parametrize("k", [0.0, 0.2, 1.3])
 def test_a_rand_values_and_mixed_table_consistency(spec_fn, expected, k):
     spec = spec_fn(k)
-    assert a_rand(spec) == pytest.approx(expected, abs=1e-12)
+    assert spec.offset == pytest.approx(expected, abs=1e-12)
     # full witness on mixed preparations = base part minus k (penalty
     # hits the diagonal with total weight 1)
     full = evaluate_witness(spec, mixed_prep_table(spec)).value
-    assert full + k == pytest.approx(a_rand(spec), abs=1e-12)
+    assert full + k == pytest.approx(spec.offset, abs=1e-12)
 
 
 def test_published_visibilities_at_fifth():
@@ -131,7 +130,7 @@ def test_depolarized_ideal_sic_lands_exactly_on_the_bound(k):
     # through v_crit scores exactly the bound
     spec = sic_witness(k)
     bound = projective_bound_sic(k).value
-    v = critical_visibility(k, bound, spec.quantum_max, a_rand(spec)).value
+    v = critical_visibility(k, bound, spec.quantum_max, spec.offset).value
     noisy = depolarized(IDEAL_STRATEGIES["sic"](), v)
     assert strategy_value(spec, noisy) == pytest.approx(bound, abs=1e-6)
 
@@ -139,7 +138,7 @@ def test_depolarized_ideal_sic_lands_exactly_on_the_bound(k):
 def test_depolarized_ideal_trine_lands_on_numeric_bound():
     spec = trine_witness(1.0)
     bound = projective_bound(spec, FAST).value
-    v = critical_visibility(1.0, bound, spec.quantum_max, a_rand(spec)).value
+    v = critical_visibility(1.0, bound, spec.quantum_max, spec.offset).value
     noisy = depolarized(IDEAL_STRATEGIES["trine"](), v)
     assert strategy_value(spec, noisy) == pytest.approx(bound, abs=1e-6)
 
