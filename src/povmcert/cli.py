@@ -46,7 +46,6 @@ from .optimize import (
     BoundResult,
     OptimizerConfig,
     projective_bound,
-    projective_bound_numeric,
     quantum_bound,
     three_outcome_max,
 )
@@ -106,15 +105,6 @@ def _parse_kinds(text: str | None) -> list[str] | None:
     return kinds
 
 
-def _parse_assignment(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("assignment must be two comma-separated outcome indices")
-    return (int(parts[0]), int(parts[1]))
-
-
 def _parse_kgrid(text: str | None) -> list[float] | None:
     if text is None:
         return None
@@ -123,6 +113,9 @@ def _parse_kgrid(text: str | None) -> list[float] | None:
         if len(parts) != 3:
             raise ValueError("k grid range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not np.isfinite(value):
+                raise ValueError(f"k grid {name} must be finite, got {value}")
         if step <= 0:
             raise ValueError("k grid step must be positive")
         # round off accumulation drift so grid artifacts print cleanly
@@ -134,12 +127,7 @@ def _optimizer_config(args: argparse.Namespace) -> OptimizerConfig:
     return OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
 
-def _compute_bounds(
-    spec: WitnessSpec,
-    config: OptimizerConfig,
-    kinds: list[str] | None = None,
-    assignment: tuple[int, int] | None = None,
-) -> list[BoundResult]:
+def _compute_bounds(spec: WitnessSpec, config: OptimizerConfig, kinds: list[str] | None = None) -> list[BoundResult]:
     """Bounds of `kinds` in order; by default projective, three-outcome
     (four-outcome witnesses only) and quantum, as `certify` needs them."""
     if kinds is None:
@@ -149,8 +137,6 @@ def _compute_bounds(
         "three-outcome": lambda: three_outcome_max(spec, config),
         "quantum": lambda: quantum_bound(spec),
     }
-    if assignment is not None:
-        calls["projective"] = lambda: projective_bound_numeric(spec, config, assignment=assignment)
     return [calls[kind]() for kind in kinds]
 
 
@@ -179,10 +165,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = build_witness(args.witness, args.k)
     config = _optimizer_config(args)
-    kinds = _parse_kinds(args.kinds)
-    if args.assignment is not None and kinds is not None and "projective" not in kinds:
-        raise ValueError("--assignment restricts the projective bound; add projective to --kinds")
-    results = _compute_bounds(spec, config, kinds, _parse_assignment(args.assignment))
+    results = _compute_bounds(spec, config, _parse_kinds(args.kinds))
     if args.format == "csv":
         text = _bounds_csv(results)
     else:
@@ -365,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True, choices=FAMILIES)
     p.add_argument("--k", type=float, required=True, help="penalty weight")
     p.add_argument("--kinds", default=None, help="comma list from projective,three-outcome,quantum")
-    p.add_argument("--assignment", default=None, help="restrict the projective bound to one outcome pair, e.g. 0,1")
     p.add_argument("--out", default=None, help="write JSON/CSV artifact instead of stdout")
     p.set_defaults(func=cmd_bounds)
 

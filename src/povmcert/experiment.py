@@ -307,7 +307,9 @@ def ingest_counts(records: Iterable[CountsRecord]) -> ProbabilityTable:
 
     Per cell, p = n_b / N over its (x, setting) group and
     sigma^2 = n_b (N - n_b) / N^3, the ratio's variance under
-    independent sqrt(n) fluctuations.
+    independent sqrt(n) fluctuations.  The cells of a group share their
+    total, so the two cells of a binary group get the same sigma and move
+    in opposite directions; `evaluate_witness` counts each group once.
     """
     binary_cells: dict[tuple[int, int, int], int] = {}
     povm_cells: dict[tuple[int, int], int] = {}

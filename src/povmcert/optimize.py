@@ -7,50 +7,33 @@ form.  With coupling D_{xy} = (c_{xy0} - c_{xy1})/2 the witness reads
 
 so for fixed everything else the best observable axis is
 n_y = unit(sum_x D_{xy} m_x), the best preparation is
-m_x = unit(sum_y D_{xy} n_y - k w_x p_x), and the POVM step minimizes
-the penalty sum_x w_x (1 + p_x . m_x) over valid POVMs.  That step is
-exact too: over POVMs supported on the outcomes S the minimum is
-1 - R_S, where R_S is the radius of the smallest ball enclosing the
-preparation Bloch vectors {m_x : x in S}.  The optimal weights are the
-centre's barycentric coordinates and each effect points from its m_x
-towards the centre (the SDP dual of state exclusion, Bandyopadhyay et
-al., PRA 89, 022336 (2014); the qubit geometry of Bae, NJP 15, 073037
-(2013)).  With at most four points the ball is the smallest valid one
-among the pairs' midpoint balls, the triangles' circumcircles and the
+m_x = unit(h_x) with h_x = sum_y D_{xy} n_y - K_x and penalty field
+K_x = k w_x p_x, and the POVM step minimizes the penalty
+sum_x w_x (1 + p_x . m_x) over valid POVMs.  That step is exact too:
+over POVMs supported on the outcomes S the minimum is 1 - R_S, where
+R_S is the radius of the smallest ball enclosing the preparation Bloch
+vectors {m_x : x in S}.  The optimal weights are the centre's
+barycentric coordinates and each effect points from its m_x towards
+the centre (the SDP dual of state exclusion, Bandyopadhyay et al., PRA
+89, 022336 (2014); the qubit geometry of Bae, NJP 15, 073037 (2013)).
+With at most four points the ball is the smallest valid one among the
+pairs' midpoint balls, the triangles' circumcircles and the
 tetrahedron's circumsphere, each in closed form: the circumcentre's
 barycentric weights come from the squared edge lengths, and the
 circumsphere from cross products, so the step solves no linear system.
 A row whose ball is not lower keeps its current POVM, so the see-saw
 value never decreases.
 
-With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
-envelope's witness search) the preparation step is closed form, which
-leaves A(N) = offset - k sum_x w_x + sum_x |h_x|, h_x = sum_y D_xy n_y -
-k w_x p_x, a function of the observable axes alone.  Each row takes
-see-saw steps in a pool of `_SEESAW_POOL` rows until it gains less than
-1e-4, then queues for a pool of `_NEWTON_POOL` rows taking saddle-free
-Riemannian Newton steps (the Hessian's eigenvalues taken by modulus;
-three step lengths, the see-saw step as a fallback).  A row whose
-Hessian is concave beyond the eigenvalue floor, as most are near an
-optimum, takes that same step as one linear solve; only indefinite rows
-take an eigendecomposition.  That pool steps when full or when nothing
-is left upstream.  Starts fill the see-saw pool once a quarter of it is
-free, but not while the Newton queue holds a full pool, so memory is
-the pools, about a Newton pool of finished rows waiting to be scored
-together, and one value per POVM.  `_MAX_ITERS` is each row's budget
-across both stages.  A row's penalty fields K_x = k w_x p_x are
-computed once, when it enters, and travel with it.  Both pools store
-their rows with the batch axis last (n as (Y, 3, P), K as (X, 3, P)),
-so every field h = D n - K, of a pool or of the Newton candidates, is
-one 2-D matmul (`_fields`) and each norm runs over P values at a time;
-only the Newton step's Hessian and solve run rows first.  A see-saw row
-also carries its unit fields unit(h_x), so a step computes h once, at
-its candidate, which it scores and, if it gains, keeps.
+Every see-saw holds its rows batch axis last: preparations M (X, 3, B),
+observables N (Y, 3, B), penalty fields K (X, 3, B), POVM weights
+(O, B) and Bloch vectors (O, 3, B).  So each step is one 2-D matmul
+over the batch (`_matmul_first`), each norm runs over B values at a
+time, and both searches share one kernel per step: `_observable_step`,
+`_fields` (under `_preparation_step`) and `_penalty_fields`.  Only the
+random draws and the public POVM inputs come rows first, and only the
+Newton step's Hessian and solve run rows first.
 
-Every quantity of a batch advances in lock step through numpy array
-ops.  The field steps are matmuls: D^T M gives the observables' fields
-and D N the preparations', the product the fixed-POVM search shares for
-h = D n - K.  In the bound searches a "row" is one restart (of one outcome
+In the bound searches a "row" is one restart (of one outcome
 assignment) at one penalty weight k: `three_outcome_maxima` and
 `projective_bounds_numeric` take a whole k grid, every k climbs a copy
 of the same starts as one equal block of rows, and each block leaves
@@ -59,12 +42,29 @@ result of a lone call.  The single-k searches are a one-element grid,
 and whole k blocks enter a batch up to `_SEESAW_CHUNK` rows at a time.
 Every row, at k = 0 too, takes the POVM step the batch's outcome
 subsets pick once: the projective step for pairs, the enclosing ball
-for three or four outcomes.  Values come from
-`witness.bloch_values`, the evaluator the experiment layer shares, and
-`_multistart` sets up the random starts of both see-saw bound
-searches.  All see-saw results are heuristic lower bounds on the true
-maximum and are labeled as such; the two closed-form projective bounds
-(the four-outcome family and the symmetric three-outcome family) are
+for three or four outcomes.  Values come from `witness.bloch_values`.
+
+With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
+envelope's witness search) the preparation step is closed form, which
+leaves A(N) = offset - k sum_x w_x + sum_x |h_x|, a function of the
+observable axes alone.  Each row takes see-saw steps in a pool of
+`_SEESAW_POOL` rows until it gains less than 1e-4, then queues for a
+pool of `_NEWTON_POOL` rows taking saddle-free Riemannian Newton steps
+(the Hessian's eigenvalues taken by modulus; three step lengths, the
+see-saw step as a fallback).  A row whose Hessian is concave beyond the
+eigenvalue floor, as most are near an optimum, takes that same step as
+one linear solve; only indefinite rows take an eigendecomposition.
+That pool steps when full or when nothing is left upstream.  Starts
+fill the see-saw pool once a quarter of it is free, but not while the
+Newton queue holds a full pool, so memory is the pools, about a Newton
+pool of finished rows waiting to be scored together, and one value per
+POVM.  `_MAX_ITERS` is each row's budget across both stages.  A row's
+penalty fields, and in the see-saw pool its unit fields unit(h_x),
+travel with it, so a see-saw step computes h once, at its candidate.
+
+All see-saw results are heuristic lower bounds on the true maximum and
+are labeled as such; the two closed-form projective bounds (the
+four-outcome family and the symmetric three-outcome family) are
 certified: each reduces the projective maximum to a smooth
 one-parameter profile whose stationary points are the roots of one
 quartic, so its maximum is the best value at the interval's ends and
@@ -91,6 +91,8 @@ log = logging.getLogger(__name__)
 Array = np.ndarray
 
 SQ2 = np.sqrt(2.0)
+# the observable a zero field keeps when a start has no other
+_Z = np.array([0.0, 0.0, 1.0])
 
 # Gram systems whose determinant falls below this share of the product of
 # their diagonal are treated as degenerate (coincident or coplanar points)
@@ -166,13 +168,18 @@ def _norms(v: Array, axis: int = -1) -> Array:
     return np.sqrt(reduce(np.add, (sq[lead + (slice(i, i + 1),)] for i in range(v.shape[axis]))))
 
 
-def _normalize_rows(v: Array, fallback: Array, axis: int = -1) -> Array:
-    """Normalize the 3-vectors along `axis`; vectors with (near) zero norm keep the fallback."""
-    n = _norms(v, axis)
+def _normalize_rows(v: Array, fallback: Array, axis: int = -1, norms: Array | None = None) -> Array:
+    """Normalize the 3-vectors along `axis` (their `_norms` unless given); (near) zero vectors keep the fallback."""
+    n = _norms(v, axis) if norms is None else norms
     ok = n > 1e-14
     if ok.all():
         return v / n
     return np.where(ok, v / np.where(ok, n, 1.0), fallback)
+
+
+def _batch_last(rows: Array) -> Array:
+    """A view of rows-first draws or inputs (B, ...) in the see-saws' layout, batch axis last: (..., B)."""
+    return np.moveaxis(rows, 0, -1)
 
 
 def _matmul_first(D: Array, N: Array) -> Array:
@@ -186,39 +193,68 @@ def _matmul_first(D: Array, N: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# see-saw core
+# see-saw steps, shared by both searches; any trailing axes batch
 # ---------------------------------------------------------------------------
 
 
-def _penalty_of(PW: Array, PN: Array, M_S: Array) -> Array:
-    """Penalty sum_x w_x (1 + n_x . m_x) for aligned (B, T) blocks."""
-    return np.einsum("bt,bt->b", PW, 1.0 + np.einsum("bti,bti->bt", PN, M_S))
+def _observable_step(D: Array, M: Array, N: Array) -> Array:
+    """Best observables unit(sum_x D_xy m_x) (Y, 3, ...) of preparations M (X, 3, ...); a zero field keeps N."""
+    return _normalize_rows(_matmul_first(D.T, M), N, axis=1)
 
 
-def _binary_step(D: Array, M: Array, N_old: Array) -> Array:
-    return _normalize_rows(D.T @ M, N_old)
+def _penalty_fields(k: float | Array, weights: Array, blochs: Array, X: int) -> Array:
+    """K_x = k w_x p_x (X, 3, ...) of weights (O, ...) and blochs (O, 3, ...), zero for x >= O."""
+    K = k * weights[:, None] * blochs
+    return K if len(K) == X else np.concatenate([K, np.zeros((X - len(K), *K.shape[1:]))])
 
 
-def _prep_step(D: Array, N: Array, k: float | Array, PW: Array, PN: Array, M_old: Array) -> Array:
-    """Best preparations; k is one penalty weight or one per row (B,)."""
-    H = D @ N
-    H[:, : PW.shape[1]] -= np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
-    return _normalize_rows(H, M_old)
+def _fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
+    """The preparations' fields h = D n - K (X, 3, ...) and their norms |h| (X, 1, ...)."""
+    H = _matmul_first(D, N) - K
+    return H, _norms(H, axis=1)
+
+
+def _preparation_step(D: Array, N: Array, K: Array, M: Array) -> Array:
+    """Best preparations unit(h_x) of the `_fields`; a zero field keeps M."""
+    H, r = _fields(D, N, K)
+    return _normalize_rows(H, M, 1, r)
+
+
+def _scored_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
+    """The fixed-POVM objective sum_x |h_x| (...) and the best preparations unit(h_x), a zero field giving 0."""
+    H, r = _fields(D, N, K)
+    return reduce(np.add, r[:, 0]), H / np.maximum(r, 1e-300)
+
+
+def _anti_aligned(blochs: Array, X: int) -> Array:
+    """Preparations (X, 3, ...) anti-aligned with the effects (O, 3, ...), extra ones with the last effect."""
+    return -blochs[np.minimum(np.arange(X), len(blochs) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# the bound see-saw's POVM steps and restart batch
+# ---------------------------------------------------------------------------
+
+
+def _penalty(weights: Array, blochs: Array, M: Array) -> Array:
+    """Penalty sum_t w_t (1 + p_t . m_t) (B,) of aligned weights (T, B), blochs and preparations (T, 3, B)."""
+    overlap = reduce(np.add, (blochs[:, i] * M[:, i] for i in range(3)))
+    return reduce(np.add, weights * (1.0 + overlap))
 
 
 def _projective_povm_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
-    """Exact penalty minimizer over projective POVMs on each row's outcome pair subset (B, 2).
+    """Exact penalty minimizer over projective POVMs on each row's outcome pair subset (2, B).
 
     Effect i of a pair (i, j) points along unit(m_j - m_i) and effect j
     opposite; the weights are 1/2 on the pair, as `_multistart` sets
     them, so PW is returned unchanged.
     """
-    rows = np.arange(PW.shape[0])
-    ii, jj = subset.T
-    n = _normalize_rows(M[rows, jj] - M[rows, ii], PN[rows, ii])
+    cols, xyz = np.arange(PW.shape[-1]), np.arange(3)[:, None]
+    ii, jj = subset
+    n = _normalize_rows(M[jj, xyz, cols] - M[ii, xyz, cols], PN[ii, xyz, cols], axis=0)
     PN = PN.copy()
-    PN[rows, ii] = n
-    PN[rows, jj] = -n
+    PN[ii, xyz, cols] = n
+    PN[jj, xyz, cols] = -n
     return PW, PN
 
 
@@ -280,22 +316,20 @@ _SUBSETS = {T: [np.array(list(combinations(range(T), t))) for t in range(2, T + 
 _CIRCUMBALLS = {2: _pair_balls, 3: _trio_balls, 4: _quad_balls}
 
 
-def _ball_candidates(M_S: Array) -> tuple[Array, Array, Array]:
-    """Equidistant centres of every 2..T-point subset of (B, T, 3) blocks.
+def _ball_candidates(P: Array) -> tuple[Array, Array, Array]:
+    """Equidistant centres of every 2..T-point subset of (T, 3, B) point blocks.
 
     Every subset's smallest ball through its points is closed form: the
     midpoint of a pair, the circumcircle of a triangle and the
     circumsphere of a tetrahedron (`_pair_balls`, `_trio_balls`,
-    `_quad_balls`).  They work with the batch axis last, so each array
-    op runs over B values at a time, not over one 3-vector.  Candidates
-    are ordered pairs, then trios, then the quadruple, each in
-    `combinations` order.  Returns centres (B, C, 3), squared radii
-    (B, C) and weights (B, C, T) placed on the block's points; a
-    candidate that is degenerate, needs a weight below -`_BALL_TOL` or
-    leaves a point of the block outside r^2 + `_BALL_TOL` gets radius inf.
+    `_quad_balls`).  Candidates are ordered pairs, then trios, then the
+    quadruple, each in `combinations` order.  Returns centres (C, 3, B),
+    squared radii (C, B) and weights (C, T, B) placed on the block's
+    points; a candidate that is degenerate, needs a weight below
+    -`_BALL_TOL` or leaves a point of the block outside
+    r^2 + `_BALL_TOL` gets radius inf.
     """
-    B, T, _ = M_S.shape
-    P = np.ascontiguousarray(M_S.transpose(1, 2, 0))  # (T, 3, B)
+    T, _, B = P.shape
     subsets = _SUBSETS[T]
     C = sum(len(idx) for idx in subsets)
     centres, radii2 = np.empty((C, 3, B)), np.empty((C, B))
@@ -310,19 +344,13 @@ def _ball_candidates(M_S: Array) -> tuple[Array, Array, Array]:
     d2 = np.einsum("ctib,ctib->ctb", diff, diff)  # (C, T, B)
     ok &= np.all(weights >= -_BALL_TOL, axis=1)
     ok &= np.all(d2 <= radii2[:, None] + _BALL_TOL, axis=1)
-    return (
-        centres.transpose(2, 0, 1),
-        np.where(ok, radii2, np.inf).T,
-        np.clip(weights, 0.0, None).transpose(2, 0, 1),
-    )
+    return centres, np.where(ok, radii2, np.inf), np.clip(weights, 0.0, None)
 
 
-def _enclosing_ball_step(
-    M: Array, subset: Array, PW: Array, PN: Array
-) -> tuple[Array, Array]:
+def _enclosing_ball_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
     """Exact penalty-minimizing POVM step on the `subset` outcomes.
 
-    subset is (B, T): the outcomes allowed a nonzero weight.  The others
+    subset is (T, B): the outcomes allowed a nonzero weight.  The others
     must have zero weight already, as `_multistart` sets them, so only the
     subset is rewritten.  Over POVMs supported on S the minimum of
     sum_x w_x (1 + n_x . m_x) is 1 - R_S, with R_S the radius of the
@@ -332,17 +360,17 @@ def _enclosing_ball_step(
     instance coincident preparations, where every candidate is
     degenerate) keep their POVM, so the step never increases the penalty.
     """
-    rows = np.arange(PW.shape[0])
-    slots = (rows[:, None], subset)
-    M_S, PW_S, PN_S = M[slots], PW[slots], PN[slots]
+    cols = np.arange(PW.shape[-1])
+    slots, vectors = (subset, cols), (subset[:, None], np.arange(3)[:, None], cols)
+    M_S, PW_S, PN_S = M[vectors], PW[slots], PN[vectors]
     centres, radii2, weights = _ball_candidates(M_S)
-    pick = np.argmin(radii2, axis=1)
-    w = weights[rows, pick]
-    dirs = _normalize_rows(centres[rows, pick][:, None, :] - M_S, PN_S)
-    better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < _penalty_of(PW_S, PN_S, M_S))
+    pick = np.argmin(radii2, axis=0)
+    w = weights[pick, np.arange(len(subset))[:, None], cols]
+    dirs = _normalize_rows(centres[pick, np.arange(3)[:, None], cols] - M_S, PN_S, axis=1)
+    better = np.isfinite(radii2[pick, cols]) & (_penalty(w, dirs, M_S) < _penalty(PW_S, PN_S, M_S))
     PW_new, PN_new = PW.copy(), PN.copy()
-    PW_new[slots] = np.where(better[:, None], w, PW_S)
-    PN_new[slots] = np.where(better[:, None, None], dirs, PN_S)
+    PW_new[slots] = np.where(better, w, PW_S)
+    PN_new[vectors] = np.where(better, dirs, PN_S)
     return PW_new, PN_new
 
 
@@ -351,7 +379,7 @@ def _run_seesaw(spec: WitnessSpec, M: Array, N: Array, PW: Array, PN: Array, sub
 
     A row is one restart at one penalty weight.  k (K,) holds one weight
     per block, and the rows come in K contiguous blocks of equal size B,
-    one per weight.  subset (K B, T) holds the outcomes each row's POVM
+    one per weight.  subset (T, K B) holds the outcomes each row's POVM
     may use; T picks the POVM step for the whole batch: T = 2 the
     projective step, T >= 3 the enclosing ball.  A block leaves the batch
     at the first iteration >= 1 where none of its rows gains `_TOL`, or
@@ -360,21 +388,21 @@ def _run_seesaw(spec: WitnessSpec, M: Array, N: Array, PW: Array, PN: Array, sub
     are overwritten with the final state.  Returns them with the final
     values (K B,) and each block's iteration count and convergence flag.
     """
-    D = spec.bloch_coeffs
-    B = len(M) // k.size
-    povm_step = _projective_povm_step if subset.shape[1] == 2 else _enclosing_ball_step
+    D, X = spec.bloch_coeffs, spec.scenario.preparations
+    B = M.shape[-1] // k.size
+    povm_step = _projective_povm_step if len(subset) == 2 else _enclosing_ball_step
     iterations = np.zeros(k.size, dtype=int)
     converged = np.zeros(k.size, dtype=bool)
     kk = np.repeat(k, B)
-    values = bloch_values(spec, M[:, :, None], N, PW, PN, kk)
+    values = bloch_values(spec, M[:, None], N, PW, PN, kk)
     # the rows and blocks still stepping, and their working state
-    rows, live = np.arange(len(M)), np.arange(k.size)
+    rows, live = np.arange(M.shape[-1]), np.arange(k.size)
     m, n, pw, pn, sub, vals = M, N, PW, PN, subset, values
     for it in range(_MAX_ITERS):
-        n = _binary_step(D, m, n)
-        m = _prep_step(D, n, kk, pw, pn, m)
+        n = _observable_step(D, m, n)
+        m = _preparation_step(D, n, _penalty_fields(kk, pw, pn, X), m)
         pw, pn = povm_step(m, sub, pw, pn)
-        new = bloch_values(spec, m[:, :, None], n, pw, pn, kk)
+        new = bloch_values(spec, m[:, None], n, pw, pn, kk)
         settled = ((new - vals).reshape(-1, B).max(axis=1) < _TOL) & (it >= 1)
         vals = new
         stop = settled | (it + 1 == _MAX_ITERS)
@@ -384,12 +412,13 @@ def _run_seesaw(spec: WitnessSpec, M: Array, N: Array, PW: Array, PN: Array, sub
         converged[live[stop]] = settled[stop]
         leave = np.repeat(stop, B)
         done = rows[leave]
-        M[done], N[done], PW[done], PN[done], values[done] = m[leave], n[leave], pw[leave], pn[leave], vals[leave]
+        for final, state in zip((M, N, PW, PN, values), (m, n, pw, pn, vals)):
+            final[..., done] = state[..., leave]
         keep = ~leave
         if not keep.any():
             break
         rows, live = rows[keep], live[~stop]
-        m, n, pw, pn, sub, kk, vals = m[keep], n[keep], pw[keep], pn[keep], sub[keep], kk[keep], vals[keep]
+        m, n, pw, pn, sub, kk, vals = (a[..., keep] for a in (m, n, pw, pn, sub, kk, vals))
     return {
         "M": M,
         "N": N,
@@ -511,23 +540,6 @@ def _ascent_candidates(D: Array, N: Array, U: Array, r: Array) -> Array:
     return np.concatenate([points, _normalize_rows(G, N)[None]])
 
 
-def _anti_aligned(blochs: Array, X: int) -> Array:
-    """Preparations anti-aligned with their effects, extra ones with the last effect: (S, X, 3)."""
-    return -blochs[:, np.minimum(np.arange(X), blochs.shape[1] - 1)]
-
-
-def _fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
-    """h = D n - K (X, 3, ...) and |h| (X, 1, ...) of batch-last N (Y, 3, ...) and K; any trailing axes batch."""
-    H = _matmul_first(D, N) - K
-    return H, _norms(H, axis=1)
-
-
-def _scored_fields(D: Array, N: Array, K: Array) -> tuple[Array, Array]:
-    """sum_x |h_x| (P,) and the unit fields unit(h_x) (X, 3, P), a zero field giving 0, of `_fields`."""
-    H, r = _fields(D, N, K)
-    return reduce(np.add, r[:, 0]), H / np.maximum(r, 1e-300)
-
-
 def _seesaw_step(D: Array, pool: list[Array]) -> Array:
     """One see-saw step of every row of a see-saw pool, in place; returns the gains (P,).
 
@@ -539,7 +551,7 @@ def _seesaw_step(D: Array, pool: list[Array]) -> Array:
     and unit fields.
     """
     _, n, K, value, iterations, U = pool
-    points = _normalize_rows(_matmul_first(D.T, U), n, axis=1)
+    points = _observable_step(D, U, n)
     score, unit = _scored_fields(D, points, K)
     gain = score - value
     up = gain > 0
@@ -579,20 +591,17 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
     """Climb start rows, POVMs held fixed, through the two pools the module docstring describes.
 
     starts(free) returns the POVM indices (n,) and starting observables
-    (n, Y, 3) of the next n <= free rows, fewer once it runs out.  A row's
-    fields K_x = k w_x p_x (zero for x >= O) come from its POVM in weights
-    (S, O) and blochs (S, O, 3) once, when it enters the see-saw pool, and
-    travel with it.  Yields the POVM indices, `bloch_values` at the
-    optimal preparations, iteration counts and convergence flags of the
-    finished rows, in batches of about a Newton pool.
+    (Y, 3, n) of the next n <= free rows, fewer once it runs out.  A row's
+    penalty fields come from its POVM in weights (O, S) and blochs
+    (O, 3, S) once, when it enters the see-saw pool, and travel with it.
+    Yields the POVM indices, `bloch_values` at the optimal preparations,
+    iteration counts and convergence flags of the finished rows, in
+    batches of about a Newton pool.
     """
-    D, O, X, Y = spec.bloch_coeffs, weights.shape[1], spec.scenario.preparations, spec.scenario.binary_settings
+    D, X, Y = spec.bloch_coeffs, spec.scenario.preparations, spec.scenario.binary_settings
 
     def admit(p: Array, n: Array) -> list[Array]:
-        # see-saw pool rows for starts p (n,) and n (n, Y, 3), batch axis last
-        n = n.transpose(1, 2, 0)
-        K = np.zeros((X, 3, p.size))
-        K[:O] = spec.k * weights[p].T[:, None] * blochs[p].transpose(1, 2, 0)
+        K = _penalty_fields(spec.k, weights[:, p], blochs[:, :, p], X)
         value, U = _scored_fields(D, n, K)
         return [p, n, K, value, np.zeros(p.size, dtype=np.min_scalar_type(_MAX_ITERS)), U]
 
@@ -600,15 +609,14 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
         return [a.take(index, axis=-1) for a in pool]
 
     def finish(batch: list[tuple[Array, ...]]):
-        # scores finished rows: their POVM indices, observables, iteration counts and flags
-        p, n, iterations, converged = (np.concatenate(a, axis=-1) for a in zip(*batch))
-        n = np.ascontiguousarray(n.transpose(2, 0, 1))  # rows first, for `_prep_step` and `bloch_values`
-        PW, PN = weights[p], blochs[p]
-        m = _prep_step(D, n, spec.k, PW, PN, _anti_aligned(PN, X))
-        return p, bloch_values(spec, m[:, :, None], n, PW, PN), iterations, converged
+        # scores finished rows: their POVM indices, observables, fields, iteration counts and flags
+        p, n, K, iterations, converged = (np.concatenate(a, axis=-1) for a in zip(*batch))
+        PW, PN = weights[:, p], blochs[:, :, p]
+        m = _preparation_step(D, n, K, _anti_aligned(PN, X))
+        return p, bloch_values(spec, m[:, None], n, PW, PN), iterations, converged
 
     none = np.empty(0, dtype=np.intp)
-    seesaw = admit(none, np.empty((0, Y, 3)))
+    seesaw = admit(none, np.empty((Y, 3, 0)))
     newton = take(seesaw[:5], none)  # the Newton pool, then its queue
     done, drained = [], False  # finished rows not yet scored; starts run out
     while not drained or seesaw[0].size or newton[0].size:
@@ -627,8 +635,8 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
                 newton = [np.concatenate(pair, axis=-1) for pair in zip(newton, handed)]
                 lost = np.flatnonzero(~within)
                 if lost.size:
-                    p, n, _, _, iterations = take(seesaw[:5], lost)
-                    done.append((p, n, iterations, np.zeros(lost.size, dtype=bool)))
+                    p, n, K, _, iterations = take(seesaw[:5], lost)
+                    done.append((p, n, K, iterations, np.zeros(lost.size, dtype=bool)))
                 seesaw = take(seesaw, np.flatnonzero(moving & within))
         queued = newton[0].size
         if queued >= _NEWTON_POOL or (queued and drained and not seesaw[0].size):
@@ -638,8 +646,8 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
             stay = moving & (pool[4] < _MAX_ITERS)
             if not stay.all():
                 leave = np.flatnonzero(~stay)
-                p, n, _, _, iterations = take(pool, leave)
-                done.append((p, n, iterations, ~moving[leave]))
+                p, n, K, _, iterations = take(pool, leave)
+                done.append((p, n, K, iterations, ~moving[leave]))
                 newton = take(newton, np.concatenate([np.flatnonzero(stay), np.arange(count, queued)]))
         if sum(len(batch[0]) for batch in done) >= _NEWTON_POOL:
             yield finish(done)
@@ -677,37 +685,36 @@ def _multistart(
     G, T = groups.shape
     B = G * R
     rng = config.stream(stream).generator()
-    O = spec.scenario.povm_outcomes
-    M = random_unit_vectors(rng, (B, spec.scenario.preparations))
-    N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
+    M = _batch_last(random_unit_vectors(rng, (B, spec.scenario.preparations)))
+    N = _batch_last(random_unit_vectors(rng, (B, spec.scenario.binary_settings)))
     if T == 2:
-        axis = random_unit_vectors(rng, B)
-        weights, blochs = np.full((B, 2), 0.5), np.stack([axis, -axis], axis=1)
+        axis = _batch_last(random_unit_vectors(rng, B))
+        weights, blochs = np.full((2, B), 0.5), np.stack([axis, -axis])
     else:
         sample = random_extremal_povms(T, B, rng)
-        weights, blochs = sample.weights, sample.blochs
-    subset = np.repeat(groups, R, axis=0)
-    PW = np.zeros((B, O))
-    PN = np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
-    np.put_along_axis(PW, subset, weights, axis=1)
-    np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
+        weights, blochs = _batch_last(sample.weights), _batch_last(sample.blochs)
+    subset, cols = np.repeat(groups.T, R, axis=1), np.arange(B)
+    PW, PN = np.zeros((spec.scenario.povm_outcomes, B)), np.zeros((spec.scenario.povm_outcomes, 3, B))
+    PN[:, 2] = 1.0
+    PW[subset, cols] = weights
+    PN[subset[:, None], np.arange(3)[:, None], cols] = blochs
     ks = np.array([s.k for s in specs])
     per = max(1, _SEESAW_CHUNK // B)  # k blocks per batch
     runs = []
     for lo in range(0, ks.size, per):
         block = ks[lo : lo + per]
         n = block.size
-        starts = (np.tile(a, (n,) + (1,) * (a.ndim - 1)) for a in (M, N, PW, PN, subset))
-        state = _run_seesaw(spec, *starts, block)
+        state = _run_seesaw(spec, *(np.concatenate([a] * n, axis=-1) for a in (M, N, PW, PN, subset)), block)
         values = state["values"].reshape(n, G, R)
         for j in range(n):
             best = j * B + int(np.argmax(values[j]))
-            w = np.clip(state["PW"][best], 0.0, None)
+            w = np.clip(state["PW"][:, best], 0.0, None)
+            povm = Povm(w, state["PN"][..., best])
             runs.append({
                 "values": values[j],
                 "iterations": int(state["iterations"][j]),
                 "converged": bool(state["converged"][j]),
-                "argmax": Strategy(state["M"][best], state["N"][best], Povm(w, state["PN"][best])),
+                "argmax": Strategy(state["M"][..., best], state["N"][..., best], povm),
             })
         del state  # free this batch before the next one is tiled
     return runs
@@ -745,7 +752,8 @@ def maximize_given_povm_batch(
     if O != spec.scenario.povm_outcomes:
         raise ValueError("POVM outcome count does not match the witness scenario")
     X, R, rng = spec.scenario.preparations, restarts + 1, config.stream(1).generator()
-    drawn, waiting = 0, (np.empty(0, dtype=np.intp), np.empty((0, spec.scenario.binary_settings, 3)))
+    weights, blochs = _batch_last(weights), _batch_last(blochs)
+    drawn, waiting = 0, (np.empty(0, dtype=np.intp), np.empty((spec.scenario.binary_settings, 3, 0)))
 
     def starts(free: int) -> tuple[Array, Array]:
         # draws, in sample order, for just enough samples to fill `free` rows
@@ -753,13 +761,13 @@ def maximize_given_povm_batch(
         p, N = waiting
         if p.size < free and drawn < S:
             hi = min(S, drawn - (p.size - free) // R)
-            M = random_unit_vectors(rng, (hi - drawn, restarts, X))
-            M = np.concatenate([M, _anti_aligned(blochs[drawn:hi], X)[:, None]], axis=1)
+            M = _batch_last(random_unit_vectors(rng, ((hi - drawn) * restarts, X))).reshape(X, 3, hi - drawn, restarts)
+            M = np.concatenate([M, _anti_aligned(blochs[..., drawn:hi], X)[..., None]], axis=-1)
             # a start with an exactly zero field takes the z axis
-            N = np.concatenate([N, _binary_step(spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0]))])
+            N = np.concatenate([N, _observable_step(spec.bloch_coeffs, M.reshape(X, 3, -1), _Z[:, None])], axis=-1)
             p, drawn = np.concatenate([p, np.arange(drawn, hi).repeat(R)]), hi
-        waiting = p[free:], N[free:]
-        return p[:free], N[:free]
+        waiting = p[free:], N[..., free:]
+        return p[:free], N[..., :free]
 
     best, top, moving = np.full(S, -np.inf), 0, 0
     for p, values, iterations, converged in _fixed_povm_climb(spec, weights, blochs, starts):
@@ -773,50 +781,36 @@ def maximize_given_povm_batch(
     return best
 
 
-def projective_bound_numeric(
-    spec: WitnessSpec,
-    config: OptimizerConfig | None = None,
-    assignment: tuple[int, int] | None = None,
-) -> BoundResult:
+def projective_bound_numeric(spec: WitnessSpec, config: OptimizerConfig | None = None) -> BoundResult:
     """See-saw restricted to projective POVMs.
 
     A projective O-outcome measurement is two orthogonal rank-one
-    projectors on some outcome pair and zero effects elsewhere.  By
-    default every pair assignment is searched and the maximum over
-    assignments is returned; this is the threshold a certification must
-    clear, since a projective device may label its outcomes arbitrarily.
-    Pass `assignment` to restrict to one pair (diagnostics always carry
-    the per-pair values).
+    projectors on some outcome pair and zero effects elsewhere.  Every
+    pair assignment is searched and the maximum over assignments is
+    returned; this is the threshold a certification must clear, since a
+    projective device may label its outcomes arbitrarily.  Diagnostics
+    carry the per-pair values (`pair_values`).
 
-    Restricting the assignment matters for witnesses whose coefficients
-    are not symmetric under outcome permutations: for the three-outcome
-    trine family, placing the projectors on the two symmetric outcomes
-    gives 4.89165 at k=1, while the asymmetric assignments reach
-    4.91199, so the unrestricted default is strictly larger there.
+    The assignment matters for witnesses whose coefficients are not
+    symmetric under outcome permutations: for the three-outcome trine
+    family, placing the projectors on the two symmetric outcomes
+    (`pair_values["0,1"]`) gives 4.89165 at k=1, while the asymmetric
+    assignments reach 4.91199.
 
     Heuristic: a lower bound on the projective maximum that in practice
     saturates it.  The POVM step is closed form (anti-aligned axis for
     the assigned pair), so each restart is fully deterministic given its
     start.
     """
-    return projective_bounds_numeric([spec], config, assignment)[0]
+    return projective_bounds_numeric([spec], config)[0]
 
 
 def projective_bounds_numeric(
-    specs: Sequence[WitnessSpec],
-    config: OptimizerConfig | None = None,
-    assignment: tuple[int, int] | None = None,
+    specs: Sequence[WitnessSpec], config: OptimizerConfig | None = None
 ) -> list[BoundResult]:
     """`projective_bound_numeric` at each spec of one family, in one see-saw batch."""
     config = config or OptimizerConfig()
-    O = specs[0].scenario.povm_outcomes
-    if assignment is None:
-        pairs = list(combinations(range(O), 2))
-    else:
-        a, b = sorted(int(v) for v in assignment)
-        if not (0 <= a < b < O):
-            raise ValueError("assignment must be two distinct outcomes of the scenario")
-        pairs = [(a, b)]
+    pairs = list(combinations(range(specs[0].scenario.povm_outcomes), 2))
     results = []
     for spec, run in zip(specs, _multistart(specs, config, 2, np.array(pairs))):
         per_pair = {f"{a},{b}": float(v) for (a, b), v in zip(pairs, run["values"].max(axis=1))}
@@ -828,8 +822,6 @@ def projective_bounds_numeric(
             "pair_values": per_pair,
             "seed": config.seed,
         }
-        if assignment is not None:
-            diagnostics["assignment"] = list(pairs[0])
         results.append(_seesaw_result("projective-numeric", spec, run, diagnostics))
     return results
 
@@ -967,8 +959,7 @@ def quantum_bound(spec: WitnessSpec) -> BoundResult:
         raise ValueError(f"witness {spec.name!r} has no known quantum maximum")
     O = spec.scenario.povm_outcomes
     blochs = TETRAHEDRON if O == 4 else TRINE
-    M = _anti_aligned(blochs[None], spec.scenario.preparations)
-    N = _binary_step(spec.bloch_coeffs, M, np.array([0.0, 0.0, 1.0]))
-    argmax = Strategy(M[0], N[0], Povm(np.full(O, 1.0 / O), blochs))
+    M = _anti_aligned(blochs, spec.scenario.preparations)
+    argmax = Strategy(M, _observable_step(spec.bloch_coeffs, M, _Z), Povm(np.full(O, 1.0 / O), blochs))
     diagnostics = {"witness": spec.name, "method": "closed-form"}
     return BoundResult("quantum-closed-form", float(spec.quantum_max), float(spec.k), False, argmax, diagnostics)

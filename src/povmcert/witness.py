@@ -19,15 +19,16 @@ with m_x the preparation Bloch vectors and n_y the observable axes.
 `offset` is also the base value on maximally mixed preparations, which
 the robustness module uses as the classical baseline.
 
-Preparations come as one array M of shape (..., X, S, 3): the state
+Preparations come as one array M of shape (X, S, 3): the state
 preparation x delivers during each setting.  S = 1 is one state for
 every setting; S = Y + 1 is one state per binary setting followed by
 the one seen by the POVM setting (per-setting depolarization and
 re-positioned wave plates both take this form).  `bloch_values` is the
-one batched witness evaluator on that format, and `probability_table`
-the one Born-table builder.  `bloch_linear_form` restates the evaluator
-at fixed measurements as const + sum C * M, for callers that score many
-M against one set of measurements.
+one batched witness evaluator on that format, with the batch axes last
+as the see-saws hold their rows (M (X, S, 3, ...)), and
+`probability_table` the one Born-table builder.  `bloch_linear_form`
+restates the evaluator at fixed measurements as const + sum C * M, for
+callers that score many M against one set of measurements.
 
 A `Strategy` holds the same arrays for one explicit qubit strategy:
 preparation Bloch vectors (X, 3), observable axes (Y, 3) and a `Povm`.
@@ -215,20 +216,20 @@ def probability_table(M: Array, N: Array, weights: Array, blochs: Array) -> Prob
 def bloch_values(
     spec: WitnessSpec, M: Array, N: Array, weights: Array, blochs: Array, k: float | Array | None = None
 ) -> Array:
-    """Witness values of a batch of qubit strategies in Bloch form.
+    """Witness values of a batch of qubit strategies in Bloch form, batch axes last.
 
     offset + sum_{xy} D_{xy} m_{xy} . n_y - k sum_x w_x (1 + p_x . m_x),
     with m_{xy} the state preparation x delivers during setting y.
-    M (..., X, S, 3), N (..., Y, 3), weights (..., O), blochs (..., O, 3);
-    the leading axes broadcast and are the shape of the result.  k
+    M (X, S, 3, ...), N (Y, 3, ...), weights (O, ...), blochs (O, 3, ...);
+    the trailing axes broadcast and are the shape of the result.  k
     defaults to spec.k; an array of penalty weights broadcasts against
-    the leading axes (one k per strategy).
+    the trailing axes (one k per strategy).
     """
     Y = spec.scenario.binary_settings
     O = spec.scenario.povm_outcomes
-    base = np.einsum("...xyi,xy,...yi->...", M[..., :Y, :], spec.bloch_coeffs, N)
-    overlap = np.einsum("...oi,...oi->...o", blochs, M[..., :O, -1, :])
-    pen = np.einsum("...o,...o->...", weights, 1.0 + overlap)
+    base = np.einsum("xyi...,xy,yi...->...", M[:, :Y], spec.bloch_coeffs, N)
+    overlap = np.einsum("oi...,oi...->o...", blochs, M[:O, -1])
+    pen = np.einsum("o...,o...->...", weights, 1.0 + overlap)
     return spec.offset + base - (spec.k if k is None else k) * pen
 
 
@@ -254,8 +255,12 @@ def bloch_linear_form(
 def evaluate_witness(spec: WitnessSpec, table: ProbabilityTable) -> WitnessValue:
     """Witness value on a table; propagates cell standard errors when present.
 
-    Error propagation is first-order with independent cells:
-    sigma_A^2 = sum c^2 sigma^2 + k^2 sum_x sigma(x|x)^2.
+    Error propagation is first-order.  The two cells of a binary group
+    are complementary (p_1 = 1 - p_0, so an ingested table has
+    sigma_0 = sigma_1), so group (x, y) adds (c_xy0 - c_xy1)^2 sigma_xy0^2;
+    the penalty adds k^2 sigma(x|x)^2 per preparation, whose POVM groups
+    are independent:
+    sigma_A^2 = sum_xy (c_xy0 - c_xy1)^2 sigma_xy0^2 + k^2 sum_x sigma(x|x)^2.
     """
     sc = table.scenario
     if sc != spec.scenario:
@@ -267,7 +272,7 @@ def evaluate_witness(spec: WitnessSpec, table: ProbabilityTable) -> WitnessValue
     )
     stderr = None
     if table.has_errors:
-        var = float(np.sum(spec.coeffs**2 * table.binary_err**2))
+        var = float(np.sum((spec.coeffs[..., 0] - spec.coeffs[..., 1]) ** 2 * table.binary_err[..., 0] ** 2))
         var += spec.k**2 * float(np.sum(table.povm_err[diag, diag] ** 2))
         stderr = float(np.sqrt(var))
     return WitnessValue(value, stderr)

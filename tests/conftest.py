@@ -174,12 +174,13 @@ def reference_monte_carlo_systematic(cfg, spec, runs, stream) -> float:
 
     One normal (hwp, qwp) error pair per run, preparation and setting,
     the plate model `_blochs_from_angles` in degrees, and `bloch_values`
-    on the jittered per-setting vectors; the sample standard deviation.
+    on the jittered per-setting vectors, runs axis last; the sample
+    standard deviation.
     """
     X, Y = len(cfg.preparations), len(cfg.binaries)
     draws = stream.generator().normal(0.0, 1.0, size=(runs, X, Y + 1, 2))
     angles = cfg.plate_angles[None, :, None, :] + cfg.motor_fwhm_deg / _FWHM_TO_SIGMA * draws
-    M = _blochs_from_angles(angles[..., 0], angles[..., 1])
+    M = np.moveaxis(_blochs_from_angles(angles[..., 0], angles[..., 1]), 0, -1)
     values = bloch_values(spec, M, cfg.binaries, cfg.povm.weights, cfg.povm.blochs)
     return float(np.std(values, ddof=1))
 

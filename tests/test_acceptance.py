@@ -72,13 +72,13 @@ def test_criterion_2_projective_bounds():
     assert closed == pytest.approx(0.7738, abs=5e-4)
 
     # the reference thresholds for the trine witness place the two
-    # projectors on the symmetric outcome pair; the unrestricted search
-    # over outcome assignments finds strictly more, so both numbers are
-    # checked and the deviation is reported
+    # projectors on the symmetric outcome pair, whose value the search
+    # reports per pair; the maximum over outcome assignments is strictly
+    # more, so both numbers are checked and the deviation is reported
     for k, published in ((1.0, 4.89165), (4.5, 4.71139)):
         spec = build_witness("trine", k)
-        pair = projective_bound_numeric(spec, config, assignment=(0, 1)).value
-        free = projective_bound_numeric(spec, config).value
+        res = projective_bound_numeric(spec, config)
+        pair, free = res.diagnostics["pair_values"]["0,1"], res.value
         assert pair == pytest.approx(published, abs=1e-3)
         assert free > pair + 1e-3
         note(

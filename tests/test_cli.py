@@ -59,20 +59,16 @@ def test_bounds_trine_default_kinds(capsys):
     assert kinds == ["projective-numeric", "quantum-closed-form"]
 
 
-def test_bounds_trine_assignment_restriction(capsys):
-    # the symmetric-pair restriction reproduces the lower published-style
-    # threshold; the unrestricted search finds more
-    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective",
-             "--assignment", "0,1", "--restarts", 16)
-    assert rc == 0
-    restricted = read_json(capsys)["bounds"][0]
-    assert restricted["value"] == pytest.approx(4.89165, abs=1e-3)
-    assert restricted["diagnostics"]["assignment"] == [0, 1]
-
+def test_bounds_trine_reports_the_symmetric_pair_value(capsys):
+    # the symmetric pair (0, 1) reproduces the lower published-style
+    # threshold; the search over every pair finds more
     rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective", "--restarts", 16)
     assert rc == 0
     free = read_json(capsys)["bounds"][0]
-    assert free["value"] >= restricted["value"] + 0.01
+    symmetric = free["diagnostics"]["pair_values"]["0,1"]
+    assert symmetric == pytest.approx(4.89165, abs=1e-3)
+    assert "assignment" not in free["diagnostics"]
+    assert free["value"] >= symmetric + 0.01
     assert free["value"] == pytest.approx(4.91199, abs=1e-3)
 
 
@@ -163,16 +159,13 @@ def test_bounds_file_quantum_entry_is_the_known_maximum(witness, k, tmp_path, ca
     assert "preparations" in entry["argmax"]
 
 
-def test_bad_assignment_exits_two(capsys):
-    rc = run("bounds", "--witness", "sic", "--k", 0.2, "--assignment", "0,1,2")
-    assert rc == 2
-    assert "assignment" in capsys.readouterr().err
+def test_bounds_has_no_assignment_option(capsys):
+    # every outcome pair is searched; the per-pair values are in the diagnostics
+    with pytest.raises(SystemExit) as exc:
+        run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective", "--assignment", "0,1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --assignment" in capsys.readouterr().err
 
-
-def test_assignment_without_projective_kind_exits_two(capsys):
-    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "quantum", "--assignment", "0,1")
-    assert rc == 2
-    assert "--assignment" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -481,6 +474,17 @@ def test_bad_kgrid_exits_two(grid, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "grid, name", [("0.1:inf:0.1", "stop"), ("nan:0.5:0.1", "start"), ("0.1:0.5:inf", "step"), ("0.1:0.5:nan", "step")]
+)
+def test_non_finite_kgrid_range_exits_two_naming_the_bound(grid, name, capsys):
+    rc = run("visibility-curve", "--witness", "sic", "--kind", "projective", "--kgrid", grid)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"k grid {name} must be finite" in err
+    assert "Maximum allowed size" not in err
+
+
 # ------------------------------------------------------------------ certify
 
 
@@ -572,10 +576,16 @@ def test_certify_rejects_bounds_for_another_witness(tmp_path, capsys):
 
 def test_certify_rejects_a_pair_restricted_projective_bound(tmp_path, capsys):
     # restricted to the pair (0, 1) the trine projective bound at k = 1 is
-    # 4.89165, below the unrestricted 4.91199, so this run would pass it
-    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective", "--assignment", "0,1",
+    # 4.89165, below the unrestricted 4.91199, so this run would pass it;
+    # `bounds` no longer writes such a file, so it is made by hand
+    rc = run("bounds", "--witness", "trine", "--k", 1, "--kinds", "projective",
              "--restarts", 8, "--out", "b01.json", "--out-dir", tmp_path)
     assert rc == 0
+    payload = json.loads((tmp_path / "b01.json").read_text())
+    (bound,) = payload["bounds"]
+    bound["value"] = bound["diagnostics"]["pair_values"]["0,1"]
+    bound["diagnostics"]["assignment"] = [0, 1]
+    (tmp_path / "b01.json").write_text(json.dumps(payload))
     rc = run("simulate", "--witness", "trine", "--k", 1, "--seed", 1, "--budget", 2000,
              "--out", "c.csv", "--out-dir", tmp_path)
     assert rc == 0

@@ -247,6 +247,20 @@ def test_simulated_witness_lands_in_published_windows():
     assert 4.9 <= wv45.value <= 5.0
 
 
+@pytest.mark.parametrize("cfg_fn, spec", [(trine_experiment, trine_witness(1.0)), (sic_experiment, sic_witness(0.2))])
+def test_stat_err_tracks_the_simulated_spread(cfg_fn, spec):
+    # the spread of the witness over 400 simulated runs against the mean
+    # reported error; counting a trine group's two cells as independent
+    # reads 1/sqrt2 of the spread
+    cfg = cfg_fn(budget=20_000)
+    values, errors = [], []
+    for seed in range(400):
+        measured = evaluate_witness(spec, ingest_counts(simulate_counts(cfg, spec, RngStream(seed, 3))))
+        values.append(measured.value)
+        errors.append(measured.stderr)
+    assert 0.9 <= np.std(values, ddof=1) / np.mean(errors) <= 1.1
+
+
 def test_ingested_probabilities_converge_to_exact_as_budget_grows():
     spec = sic_witness(0.2)
     exact = evaluate_witness(sic_witness(0.2), expected_probabilities(sic_experiment())).value

@@ -34,7 +34,7 @@ from povmcert.optimize import (
     OptimizerConfig,
     _anti_aligned,
     _ascent_candidates,
-    _binary_step,
+    _ball_candidates,
     _concave_beyond_floor,
     _enclosing_ball_step,
     _fields,
@@ -43,7 +43,10 @@ from povmcert.optimize import (
     _multistart,
     _normalize_rows,
     _norms,
-    _prep_step,
+    _observable_step,
+    _penalty,
+    _penalty_fields,
+    _preparation_step,
     _projective_povm_step,
     _reduced_derivatives,
     _scored_fields,
@@ -205,9 +208,11 @@ def test_zero_k_argmax_is_a_fixed_point_of_its_povm_step(name, search, key):
     else:
         step, subset = _projective_povm_step, [int(o) for o in label.split(",")]
     a = res.argmax
-    PW, PN = step(a.preparations[None], np.array([subset]), a.povm.weights[None].copy(), a.povm.blochs[None].copy())
-    assert np.array_equal(PW[0], a.povm.weights)
-    assert np.array_equal(PN[0], a.povm.blochs)
+    PW, PN = step(
+        a.preparations[..., None], np.array(subset)[:, None], a.povm.weights[:, None].copy(), a.povm.blochs[..., None].copy()
+    )
+    assert np.array_equal(PW[:, 0], a.povm.weights)
+    assert np.array_equal(PN[..., 0], a.povm.blochs)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +220,14 @@ def test_zero_k_argmax_is_a_fixed_point_of_its_povm_step(name, search, key):
 # ---------------------------------------------------------------------------
 
 
-def einsum_binary_step(D, M, N_old):
-    """Reference binary step: the observable fields as a generic einsum."""
-    return _normalize_rows(np.einsum("xy,bxi->byi", D, M), N_old)
+def einsum_observable_step(D, M, N):
+    """Reference observable step: the observable fields as a generic einsum."""
+    return _normalize_rows(np.einsum("xy,xi...->yi...", D, M), N, axis=1)
 
 
-def einsum_prep_step(D, N, k, PW, PN, M_old):
-    """Reference preparation step: h = D n - k w p as a generic einsum."""
-    H = np.einsum("xy,byi->bxi", D, N)
-    O = PW.shape[1]
-    H[:, :O, :] = H[:, :O, :] - np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
-    return _normalize_rows(H, M_old)
+def einsum_preparation_step(D, N, K, M):
+    """Reference preparation step: h = D n - K as a generic einsum."""
+    return _normalize_rows(np.einsum("xy,yi...->xi...", D, N) - K, M, axis=1)
 
 
 def assert_close_bounds(got, ref):
@@ -237,8 +239,8 @@ def assert_close_bounds(got, ref):
 
 def _with_einsum_steps(monkeypatch, search):
     with monkeypatch.context() as patch:
-        patch.setattr(optimize, "_binary_step", einsum_binary_step)
-        patch.setattr(optimize, "_prep_step", einsum_prep_step)
+        patch.setattr(optimize, "_observable_step", einsum_observable_step)
+        patch.setattr(optimize, "_preparation_step", einsum_preparation_step)
         return search()
 
 
@@ -268,6 +270,129 @@ def test_matmul_steps_match_the_einsum_reference_on_the_sweep_grid(monkeypatch, 
         ]
 
     assert_close_bounds(search(), _with_einsum_steps(monkeypatch, search))
+
+
+# ---------------------------------------------------------------------------
+# the rows-first see-saw that the batch-last layout replaced, kept as a
+# reference: rows (B, ...) first, one tiny matmul per row
+# ---------------------------------------------------------------------------
+
+
+def rows_first_bloch_values(spec, M, N, weights, blochs, k=None):
+    """`bloch_values` on rows-first M (..., X, S, 3), N (..., Y, 3), weights (..., O), blochs (..., O, 3)."""
+    Y, O = spec.scenario.binary_settings, spec.scenario.povm_outcomes
+    base = np.einsum("...xyi,xy,...yi->...", M[..., :Y, :], spec.bloch_coeffs, N)
+    overlap = np.einsum("...oi,...oi->...o", blochs, M[..., :O, -1, :])
+    pen = np.einsum("...o,...o->...", weights, 1.0 + overlap)
+    return spec.offset + base - (spec.k if k is None else k) * pen
+
+
+def rows_first_anti_aligned(blochs, X):
+    """Preparations (S, X, 3) anti-aligned with rows-first effects (S, O, 3)."""
+    return -blochs[:, np.minimum(np.arange(X), blochs.shape[1] - 1)]
+
+
+def _penalty_of(PW, PN, M_S):
+    """Penalty sum_x w_x (1 + n_x . m_x) for aligned (B, T) blocks."""
+    return np.einsum("bt,bt->b", PW, 1.0 + np.einsum("bti,bti->bt", PN, M_S))
+
+
+def _binary_step(D, M, N_old):
+    return _normalize_rows(D.T @ M, N_old)
+
+
+def _prep_step(D, N, k, PW, PN, M_old):
+    """Best preparations; k is one penalty weight or one per row (B,)."""
+    H = D @ N
+    H[:, : PW.shape[1]] -= np.reshape(k, (-1, 1, 1)) * PW[..., None] * PN
+    return _normalize_rows(H, M_old)
+
+
+def rows_first_projective_step(M, subset, PW, PN):
+    rows = np.arange(PW.shape[0])
+    ii, jj = subset.T
+    n = _normalize_rows(M[rows, jj] - M[rows, ii], PN[rows, ii])
+    PN = PN.copy()
+    PN[rows, ii] = n
+    PN[rows, jj] = -n
+    return PW, PN
+
+
+def rows_first_ball_step(M, subset, PW, PN):
+    rows = np.arange(PW.shape[0])
+    slots = (rows[:, None], subset)
+    M_S, PW_S, PN_S = M[slots], PW[slots], PN[slots]
+    centres, radii2, weights = _ball_candidates(np.ascontiguousarray(M_S.transpose(1, 2, 0)))
+    centres, radii2, weights = centres.transpose(2, 0, 1), radii2.T, weights.transpose(2, 0, 1)
+    pick = np.argmin(radii2, axis=1)
+    w = weights[rows, pick]
+    dirs = _normalize_rows(centres[rows, pick][:, None, :] - M_S, PN_S)
+    better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < _penalty_of(PW_S, PN_S, M_S))
+    PW_new, PN_new = PW.copy(), PN.copy()
+    PW_new[slots] = np.where(better[:, None], w, PW_S)
+    PN_new[slots] = np.where(better[:, None, None], dirs, PN_S)
+    return PW_new, PN_new
+
+
+def rows_first_seesaw(spec, config, stream, groups):
+    """One k's `_multistart` run, rows first: values (G, restarts), iterations and convergence flag."""
+    D, R, (G, T) = spec.bloch_coeffs, config.restarts, groups.shape
+    B, O = G * R, spec.scenario.povm_outcomes
+    rng = config.stream(stream).generator()
+    M = random_unit_vectors(rng, (B, spec.scenario.preparations))
+    N = random_unit_vectors(rng, (B, spec.scenario.binary_settings))
+    if T == 2:
+        axis = random_unit_vectors(rng, B)
+        weights, blochs = np.full((B, 2), 0.5), np.stack([axis, -axis], axis=1)
+    else:
+        sample = random_extremal_povms(T, B, rng)
+        weights, blochs = sample.weights, sample.blochs
+    subset = np.repeat(groups, R, axis=0)
+    PW, PN = np.zeros((B, O)), np.tile(np.array([0.0, 0.0, 1.0]), (B, O, 1))
+    np.put_along_axis(PW, subset, weights, axis=1)
+    np.put_along_axis(PN, subset[:, :, None], blochs, axis=1)
+    povm_step = rows_first_projective_step if T == 2 else rows_first_ball_step
+    values = rows_first_bloch_values(spec, M[:, :, None], N, PW, PN)
+    for it in range(optimize._MAX_ITERS):
+        N = _binary_step(D, M, N)
+        M = _prep_step(D, N, spec.k, PW, PN, M)
+        PW, PN = povm_step(M, subset, PW, PN)
+        new = rows_first_bloch_values(spec, M[:, :, None], N, PW, PN)
+        settled = (new - values).max() < optimize._TOL and it >= 1
+        values = new
+        if settled or it + 1 == optimize._MAX_ITERS:
+            return values.reshape(G, R), it + 1, settled
+
+
+SEESAW_GROUPS = {
+    "sic": (three_outcome_maxima, 3, np.array([sorted(set(range(4)) - {z}) for z in range(4)])),
+    "trine": (projective_bounds_numeric, 2, np.array(list(combinations(range(3), 2)))),
+}
+
+
+def assert_matches_the_rows_first_seesaw(name, ks, config):
+    search, stream, groups = SEESAW_GROUPS[name]
+    specs = [build_witness(name, k) for k in ks]
+    for spec, res, run in zip(specs, search(specs, config), _multistart(specs, config, stream, groups), strict=True):
+        values, iterations, converged = rows_first_seesaw(spec, config, stream, groups)
+        assert np.abs(run["values"] - values).max() <= 1e-15
+        assert abs(res.value - values.max()) <= 1e-15
+        assert (res.diagnostics["iterations"], res.diagnostics["converged"]) == (iterations, converged)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_last_seesaw_matches_the_rows_first_reference_on_the_lab_bounds(seed):
+    config = OptimizerConfig(restarts=32, seed=seed)
+    assert_matches_the_rows_first_seesaw("sic", [0.2], config)
+    assert_matches_the_rows_first_seesaw("trine", [1.0, 4.5], config)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_last_seesaw_matches_the_rows_first_reference_on_the_sweep_grid(seed):
+    config = OptimizerConfig(restarts=8, seed=seed)
+    grid = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+    assert_matches_the_rows_first_seesaw("sic", grid, config)
+    assert_matches_the_rows_first_seesaw("trine", grid, config)
 
 
 def test_normalize_rows_keeps_the_bits_of_linalg_norm():
@@ -365,10 +490,11 @@ def test_ideal_strategy_is_seesaw_fixed_point():
 def test_trine_projective_symmetric_pair_matches_closed_form():
     for k in (1.0, 4.5):
         spec = build_witness("trine", k=k)
-        res = projective_bound_numeric(spec, FAST, assignment=(0, 1))
-        assert res.value == pytest.approx(trine_symmetric_pair_closed_form(k), abs=1e-6)
-        assert res.value == pytest.approx(TRINE_SYMMETRIC_PAIR[k], abs=1e-6)
-        assert res.diagnostics["assignment"] == [0, 1]
+        res = projective_bound_numeric(spec, FAST)
+        pair = res.diagnostics["pair_values"]["0,1"]
+        assert pair == pytest.approx(trine_symmetric_pair_closed_form(k), abs=1e-6)
+        assert pair == pytest.approx(TRINE_SYMMETRIC_PAIR[k], abs=1e-6)
+        assert "assignment" not in res.diagnostics
 
 
 def test_trine_projective_all_assignments_exceeds_symmetric_pair():
@@ -694,17 +820,21 @@ def test_fixed_povm_search_peak_memory_is_its_pools(name, k):
 
 
 def _climb_rows(spec, N, weights, blochs):
-    """Values, iteration counts and convergence flags of one start row per POVM, in POVM order."""
+    """Values, iteration counts and convergence flags of one start row per POVM, in POVM order.
+
+    N (B, Y, 3), weights (B, O) and blochs (B, O, 3) come rows first and
+    enter the search batch axis last.
+    """
     rows = np.arange(len(N))
     fed = []
 
     def starts(free):
         p = rows[len(fed) : len(fed) + free]
         fed.extend(p)
-        return p, N[p]
+        return p, N[p].transpose(1, 2, 0)
 
     out = [np.empty(len(N)), np.empty(len(N), dtype=int), np.empty(len(N), dtype=bool)]
-    for p, *batch in _fixed_povm_climb(spec, weights, blochs, starts):
+    for p, *batch in _fixed_povm_climb(spec, weights.T, blochs.transpose(1, 2, 0), starts):
         for a, b in zip(out, batch):
             a[p] = b
     return out
@@ -779,8 +909,10 @@ def _two_sweep_ascent(spec, N, weights, blochs, per_povm):
     for lo in range(0, B, _REFERENCE_CHUNK):
         rows = np.arange(lo, min(lo + _REFERENCE_CHUNK, B))
         PW, PN = weights[rows // per_povm], blochs[rows // per_povm]
-        m = _prep_step(D, N[rows], spec.k, PW, PN, _anti_aligned(PN, X))
-        value[rows] = bloch_values(spec, m[:, :, None], N[rows], PW, PN)
+        m = _prep_step(D, N[rows], spec.k, PW, PN, rows_first_anti_aligned(PN, X))
+        # scored as the search scores them, batch axis last
+        last = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (m[:, :, None], N[rows], PW, PN))
+        value[rows] = bloch_values(spec, *last)
     return value
 
 
@@ -791,7 +923,7 @@ def _two_sweep_search(spec, weights, blochs, config, restarts):
     for lo in range(0, S, _REFERENCE_CHUNK):
         hi = min(lo + _REFERENCE_CHUNK, S)
         M = np.concatenate(
-            [random_unit_vectors(rng, (hi - lo, restarts, X)), _anti_aligned(blochs[lo:hi], X)[:, None]], axis=1
+            [random_unit_vectors(rng, (hi - lo, restarts, X)), rows_first_anti_aligned(blochs[lo:hi], X)[:, None]], axis=1
         )
         N[lo * R : hi * R] = _binary_step(spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0]))
     return _two_sweep_ascent(spec, N, weights, blochs, R).reshape(S, R).max(axis=1)
@@ -878,7 +1010,7 @@ def test_batch_last_kernels_keep_the_row_first_bits(build, k, P):
     # the fields as one matmul with the batch axis last, against the
     # row-first D @ N - K, its norms and unit fields, and the scoring of
     # batch-last (Y, 3, C, P) Newton candidates, K broadcast over C,
-    # against the row-first sum of np.linalg.norm
+    # against the row-first sum of np.linalg.norm; then the shared steps
     spec = build(k)
     D, X, Y = spec.bloch_coeffs, spec.scenario.preparations, spec.scenario.binary_settings
     rng = np.random.default_rng(P)
@@ -902,6 +1034,26 @@ def test_batch_last_kernels_keep_the_row_first_bits(build, k, P):
     _, r = _fields(D, points.transpose(2, 3, 0, 1), K.transpose(1, 2, 0)[:, :, None])
     assert np.array_equal(r[:, 0], norms.transpose(2, 0, 1))
     assert np.array_equal(reduce(np.add, r[:, 0]), norms.sum(axis=-1))
+    # the see-saw steps both searches share, against the rows-first kernels
+    # they replaced, with one penalty weight per row as the bound search has
+    O = spec.scenario.povm_outcomes
+    povms = random_extremal_povms(O, P, rng)
+    M, k = random_unit_vectors(rng, (P, X)), rng.uniform(0.0, 5.0, size=P)
+    W, B = povms.weights.T, povms.blochs.transpose(1, 2, 0)
+    fields = _penalty_fields(k, W, B, X)
+    rows = np.zeros((P, X, 3))
+    rows[:, :O] = k[:, None, None] * povms.weights[..., None] * povms.blochs
+    assert np.array_equal(fields, rows.transpose(1, 2, 0))
+    M_last, N_last = M.transpose(1, 2, 0), N.transpose(1, 2, 0)
+    assert np.array_equal(_observable_step(D, M_last, N_last), _binary_step(D, M, N).transpose(1, 2, 0))
+    got = _preparation_step(D, N_last, fields, M_last)
+    assert np.array_equal(got, _prep_step(D, N, k, povms.weights, povms.blochs, M).transpose(1, 2, 0))
+    # the penalty sums in index order, as np.sum over a short last axis;
+    # the einsum it replaced adds in its SIMD lanes' order, (t0 + t2) + t1
+    penalty = _penalty(W, B, M_last[:O])
+    terms = povms.weights * (1.0 + np.sum(povms.blochs * M[:, :O], axis=-1))
+    assert np.array_equal(penalty, np.sum(terms, axis=-1))
+    np.testing.assert_allclose(penalty, _penalty_of(povms.weights, povms.blochs, M[:, :O]), rtol=1e-15, atol=0)
 
 
 def test_fixed_povm_budget_is_per_row(monkeypatch):
@@ -964,7 +1116,7 @@ def _long_seesaw_best(spec, weights, blochs, config, restarts, iterations=5000):
     for _ in range(iterations):
         N = _binary_step(D, M, N)
         M = _prep_step(D, N, spec.k, PW, PN, M)
-    return bloch_values(spec, M[:, :, None], N, PW, PN).reshape(-1, restarts).max(axis=1)
+    return rows_first_bloch_values(spec, M[:, :, None], N, PW, PN).reshape(-1, restarts).max(axis=1)
 
 
 @pytest.mark.parametrize("name, k", [("sic", 0.2), ("trine", 1.0)])
@@ -1138,11 +1290,11 @@ def test_optimal_binary_observable_beats_grid():
     grid = np.einsum("ai,ijk->ajk", _grid_axes(), PAULIS)  # M_0 - M_1 per axis
     for _ in range(5):
         D = rng.normal(size=(4, 3))
-        M = random_unit_vectors(rng, (1, 4))
-        N = _binary_step(D, M, random_unit_vectors(rng, (1, 3)))
+        M = random_unit_vectors(rng, (4, 1)).swapaxes(1, 2)  # (X, 3, 1), batch axis last
+        N = _observable_step(D, M, random_unit_vectors(rng, (3, 1)).swapaxes(1, 2))[..., 0]
         for y in range(3):
-            W = sum(D[x, y] * density_matrix(M[0, x]) for x in range(4))
-            got = np.real(np.trace(W @ (binary_effect(N[0, y], 0) - binary_effect(N[0, y], 1))))
+            W = sum(D[x, y] * density_matrix(M[x, :, 0]) for x in range(4))
+            got = np.real(np.trace(W @ (binary_effect(N[y], 0) - binary_effect(N[y], 1))))
             assert got >= np.real(np.einsum("jk,akj->a", W, grid)).max() - 1e-12
 
 
@@ -1155,27 +1307,26 @@ def test_optimal_preparation_beats_grid():
     k = 0.3
     for _ in range(5):
         D = rng.normal(size=(4, 3))
-        N = random_unit_vectors(rng, (1, 3))
+        N = random_unit_vectors(rng, (3, 1)).swapaxes(1, 2)  # (Y, 3, 1), batch axis last
         povm = extremal_povm(4, rng)
-        M = _prep_step(
-            D, N, k, povm.weights[None], povm.blochs[None], random_unit_vectors(rng, (1, 4))
-        )
+        K = _penalty_fields(k, povm.weights[:, None], povm.blochs[..., None], 4)
+        M = _preparation_step(D, N, K, random_unit_vectors(rng, (4, 1)).swapaxes(1, 2))[..., 0]
         for x in range(4):
-            L = sum(D[x, y] * observable_matrix(N[0, y]) for y in range(3))
+            L = sum(D[x, y] * observable_matrix(N[y, :, 0]) for y in range(3))
             L = L - k * effect_matrices(povm)[x]
-            got = np.real(np.trace(density_matrix(M[0, x]) @ L))
+            got = np.real(np.trace(density_matrix(M[x]) @ L))
             assert got >= np.real(np.einsum("ajk,kj->a", grid, L)).max() - 1e-12
 
 
 def test_degenerate_matrices_break_ties_deterministically():
     # a zero field has no best axis: both steps keep the current one
     D = np.zeros((4, 3))
-    M = random_unit_vectors(RngStream(4).generator(), (2, 4))
-    N = random_unit_vectors(RngStream(5).generator(), (2, 3))
-    assert np.array_equal(_binary_step(D, M, N), N)
-    PW = np.full((2, 4), 0.25)
-    PN = np.zeros((2, 4, 3))
-    assert np.array_equal(_prep_step(D, N, 0.0, PW, PN, M), M)
+    M = random_unit_vectors(RngStream(4).generator(), (2, 4)).transpose(1, 2, 0)
+    N = random_unit_vectors(RngStream(5).generator(), (2, 3)).transpose(1, 2, 0)
+    assert np.array_equal(_observable_step(D, M, N), N)
+    PW = np.full((4, 2), 0.25)
+    PN = np.zeros((4, 3, 2))
+    assert np.array_equal(_preparation_step(D, N, _penalty_fields(0.0, PW, PN, 4), M), M)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,12 +1343,12 @@ def penalty_value(prep_blochs, povm: Povm) -> float:
 
 def ball_step(preps, current: Povm, outcomes=None):
     """One closed-form POVM step for a single row; returns the new POVM."""
-    m = np.asarray(preps, dtype=float)[None]
-    S = np.arange(len(m[0]) if outcomes is None else outcomes)
+    m = np.asarray(preps, dtype=float)[..., None]
+    S = np.arange(len(m) if outcomes is None else outcomes)
     PW, PN = _enclosing_ball_step(
-        m, S[None], current.weights[None].copy(), current.blochs[None].copy()
+        m, S[:, None], current.weights[:, None].copy(), current.blochs[..., None].copy()
     )
-    return Povm(PW[0], PN[0])
+    return Povm(PW[:, 0], PN[..., 0])
 
 
 def test_ball_step_tetrahedron_is_anti_aligned():
@@ -1262,8 +1413,12 @@ def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
     m /= np.linalg.norm(m, axis=2, keepdims=True)
     current = random_extremal_povms(outcomes, rows, rng)
     PW, PN = _enclosing_ball_step(
-        m, np.tile(np.arange(outcomes), (rows, 1)), current.weights.copy(), current.blochs.copy()
+        m.transpose(1, 2, 0),
+        np.tile(np.arange(outcomes)[:, None], (1, rows)),
+        current.weights.T.copy(),
+        current.blochs.transpose(1, 2, 0).copy(),
     )
+    PW, PN = PW.T, PN.transpose(2, 0, 1)
     probes = random_extremal_povms(outcomes, 200, rng)
     for r in range(rows):
         w, n = PW[r], PN[r]
@@ -1286,7 +1441,8 @@ def gram_ball_candidates(M_S):
     For points p_1..p_t with q_i = p_i - p_1 and Gram matrix G of the
     q_i, the centre c = p_1 + sum_i mu_i q_i solves 2 G mu = diag(G),
     with barycentric weights (1 - sum mu, mu).  Same candidate order,
-    degeneracy, sign and enclosure rules as `_ball_candidates`.
+    degeneracy, sign and enclosure rules as `_ball_candidates`, rows first:
+    blocks (B, T, 3), centres (B, C, 3), radii (B, C), weights (B, C, T).
     """
     B, T, _ = M_S.shape
     centres, radii2, weights = [], [], []
@@ -1345,7 +1501,8 @@ def special_blocks(rng, T, rows=64):
 def test_closed_form_balls_match_the_gram_reference(T):
     blocks = special_blocks(RngStream(T, 11).generator(), T)
     for kind, M_S in blocks.items():
-        _, radii2, weights = optimize._ball_candidates(M_S)
+        _, radii2, weights = _ball_candidates(M_S.transpose(1, 2, 0))
+        radii2, weights = radii2.T, weights.transpose(2, 0, 1)  # rows first, as the reference gives them
         _, ref_radii2, ref_weights = gram_ball_candidates(M_S)
         rows = np.arange(len(M_S))
         pick, ref_pick = np.argmin(radii2, axis=1), np.argmin(ref_radii2, axis=1)
@@ -1362,7 +1519,7 @@ def test_closed_form_balls_match_the_gram_reference(T):
         assert np.allclose(r2[found], ref_r2[found], rtol=0.0, atol=1e-12), kind
         w, ref_w = weights[rows, pick], ref_weights[rows, ref_pick]
         assert np.allclose(w[found], ref_w[found], rtol=0.0, atol=1e-12), kind
-    assert np.isinf(optimize._ball_candidates(blocks["all coincident"])[1]).all()
+    assert np.isinf(_ball_candidates(blocks["all coincident"].transpose(1, 2, 0))[1]).all()
 
 
 def test_three_outcome_search_solves_no_linear_system(monkeypatch):

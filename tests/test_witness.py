@@ -142,9 +142,10 @@ def test_bloch_values_match_table_evaluation(rng, name, per_setting):
     N = unit_rows(rng, (B, Y))
     povms = random_extremal_povms(O, B, rng)
     W, P = povms.weights, povms.blochs
+    last = [np.moveaxis(a, 0, -1) for a in (M, N, W, P)]  # the batch axis last
     for k in (0.0, 0.2, 1.0, 4.5):
         spec = build_witness(name, k)
-        values = bloch_values(spec, M, N, W, P)
+        values = bloch_values(spec, *last)
         assert values.shape == (B,)
         for b in range(B):
             table = probability_table(M[b], N[b], W[b], P[b])
@@ -172,7 +173,7 @@ def test_linear_form_matches_bloch_values(rng, build, k):
     assert C.shape == (X, Y + 1, 3)
     assert not C[O:, Y].any()
     form = const + np.einsum("bxsi,xsi->b", M, C)
-    np.testing.assert_allclose(form, bloch_values(spec, M, N, W, P), rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(form, bloch_values(spec, np.moveaxis(M, 0, -1), N, W, P), rtol=1e-14, atol=1e-14)
 
 
 def test_witness_linearity_in_table(rng):
@@ -214,6 +215,21 @@ def test_error_propagation_matches_hand_formula():
     expected = np.sqrt(9 * (1 / 9) ** 2 * 0.01**2 + 3 * 0.5**2 * 0.02**2)
     assert v.stderr == pytest.approx(expected, rel=1e-12)
     assert evaluate_witness(w, ProbabilityTable(binary, povm)).stderr is None
+
+
+def test_error_propagation_counts_each_binary_group_once():
+    # trine rewards both cells of a group, c_xy1 = -c_xy0, and p_1 = 1 - p_0,
+    # so a group adds (c_xy0 - c_xy1)^2 sigma^2 = 4 c_xy0^2 sigma^2, not the
+    # 2 c_xy0^2 sigma^2 of two independent cells
+    w = trine_witness(1.0)
+    binary = np.full((3, 2, 2), 0.5)
+    povm = np.full((3, 3), 1 / 3)
+    be = np.full((3, 2, 2), 0.01)
+    pe = np.full((3, 3), 0.02)
+    v = evaluate_witness(w, ProbabilityTable(binary, povm, be, pe))
+    # sum_xy c_xy0^2 = 9 over the columns (1, 1, -1) and (sqrt3, -sqrt3, 0)
+    expected = np.sqrt(4 * 9 * 0.01**2 + 3 * 1.0**2 * 0.02**2)
+    assert v.stderr == pytest.approx(expected, rel=1e-12)
 
 
 def test_evaluate_rejects_mismatched_table():
