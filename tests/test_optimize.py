@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from povmcert import optimize
 from povmcert.optimize import (
     OptimizerConfig,
-    _anti_aligned,
     _ascent_candidates,
     _ball_candidates,
     _concave_beyond_floor,
@@ -208,9 +207,8 @@ def test_zero_k_argmax_is_a_fixed_point_of_its_povm_step(name, search, key):
     else:
         step, subset = _projective_povm_step, [int(o) for o in label.split(",")]
     a = res.argmax
-    PW, PN = step(
-        a.preparations[..., None], np.array(subset)[:, None], a.povm.weights[:, None].copy(), a.povm.blochs[..., None].copy()
-    )
+    M, S = a.preparations[..., None], np.array(subset)[:, None]
+    PW, PN = step(M, S, a.povm.weights[:, None].copy(), a.povm.blochs[..., None].copy())
     assert np.array_equal(PW[:, 0], a.povm.weights)
     assert np.array_equal(PN[..., 0], a.povm.blochs)
 
@@ -922,9 +920,8 @@ def _two_sweep_search(spec, weights, blochs, config, restarts):
     N = np.empty((S * R, spec.scenario.binary_settings, 3))
     for lo in range(0, S, _REFERENCE_CHUNK):
         hi = min(lo + _REFERENCE_CHUNK, S)
-        M = np.concatenate(
-            [random_unit_vectors(rng, (hi - lo, restarts, X)), rows_first_anti_aligned(blochs[lo:hi], X)[:, None]], axis=1
-        )
+        anti = rows_first_anti_aligned(blochs[lo:hi], X)[:, None]
+        M = np.concatenate([random_unit_vectors(rng, (hi - lo, restarts, X)), anti], axis=1)
         N[lo * R : hi * R] = _binary_step(spec.bloch_coeffs, M.reshape(-1, X, 3), np.array([0.0, 0.0, 1.0]))
     return _two_sweep_ascent(spec, N, weights, blochs, R).reshape(S, R).max(axis=1)
 
