@@ -43,18 +43,18 @@ from .fidelity import (
     write_samples_csv,
 )
 from .optimize import (
+    BOUND_SLOTS,
     BoundResult,
     OptimizerConfig,
     projective_bound,
     quantum_bound,
     three_outcome_max,
 )
-from .robustness import visibility_curve, visibility_curve_to_csv
+from .robustness import BOUND_KINDS, visibility_curve, visibility_curve_to_csv
 from .sampling import RngStream
 from .witness import WITNESS_BUILDERS, WitnessSpec, build_witness
 
 FAMILIES = sorted(WITNESS_BUILDERS)
-KINDS = ("projective", "three-outcome", "quantum")
 
 # figure-scale defaults; CI-scale runs override with --samples
 DEFAULT_SAMPLES = {"sic": 300_000, "trine": 3_000, "sym-trine": 3_000}
@@ -95,11 +95,11 @@ def _parse_kinds(text: str | None) -> list[str] | None:
     if text is None:
         return None
     kinds = [t.strip() for t in text.split(",") if t.strip()]
-    bad = [t for t in kinds if t not in KINDS]
+    bad = [t for t in kinds if t not in BOUND_SLOTS]
     if bad:
-        raise ValueError(f"unknown bound kinds {bad}; choose from {list(KINDS)}")
+        raise ValueError(f"unknown bound kinds {bad}; choose from {list(BOUND_SLOTS)}")
     if not kinds:
-        raise ValueError(f"--kinds names no bound; choose from {list(KINDS)}")
+        raise ValueError(f"--kinds names no bound; choose from {list(BOUND_SLOTS)}")
     if len(set(kinds)) < len(kinds):
         raise ValueError(f"--kinds repeats a bound: {kinds}")
     return kinds
@@ -131,7 +131,7 @@ def _compute_bounds(spec: WitnessSpec, config: OptimizerConfig, kinds: list[str]
     """Bounds of `kinds` in order; by default projective, three-outcome
     (four-outcome witnesses only) and quantum, as `certify` needs them."""
     if kinds is None:
-        kinds = [kind for kind in KINDS if kind != "three-outcome" or spec.scenario.povm_outcomes == 4]
+        kinds = [kind for kind in BOUND_SLOTS if kind != "three-outcome" or spec.scenario.povm_outcomes == 4]
     calls = {
         "projective": lambda: projective_bound(spec, config),
         "three-outcome": lambda: three_outcome_max(spec, config),
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("visibility-curve", help="critical visibility across penalty weights")
     _add_common(p, format_default="csv")
     p.add_argument("--witness", required=True, choices=FAMILIES)
-    p.add_argument("--kind", required=True, choices=("projective", "three-outcome"))
+    p.add_argument("--kind", required=True, choices=BOUND_KINDS)
     p.add_argument("--kgrid", default=None, help="comma list or start:stop:step (default 0.01:1:0.01)")
     p.add_argument("--out", default=None, help="CSV name (default visibility-<witness>-<kind>.csv)")
     p.set_defaults(func=cmd_visibility_curve)

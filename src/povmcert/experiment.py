@@ -56,7 +56,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .fidelity import EnvelopeCurve
-from .optimize import BoundResult
+from .optimize import BOUND_SLOTS, BoundResult
 from .qubit import Povm, observable_axes
 from .sampling import RngStream
 from .witness import (
@@ -436,7 +436,7 @@ class WitnessReport:
 
 
 def _bound_slot(kind: str) -> str | None:
-    for slot in ("projective", "three-outcome", "quantum"):
+    for slot in BOUND_SLOTS:
         if kind.startswith(slot):
             return slot
     return None

@@ -16,13 +16,13 @@ vectors {m_x : x in S}.  The optimal weights are the centre's
 barycentric coordinates and each effect points from its m_x towards
 the centre (the SDP dual of state exclusion, Bandyopadhyay et al., PRA
 89, 022336 (2014); the qubit geometry of Bae, NJP 15, 073037 (2013)).
-With at most four points the ball is the smallest valid one among the
-pairs' midpoint balls, the triangles' circumcircles and the
-tetrahedron's circumsphere, each in closed form: the circumcentre's
-barycentric weights come from the squared edge lengths, and the
-circumsphere from cross products, so the step solves no linear system.
-A row whose ball is not lower keeps its current POVM, so the see-saw
-value never decreases.
+The three-outcome search takes this step on trios, where the ball is
+the smallest circle around a triangle (`_triangle_ball`): the
+circumcircle, unless an angle is obtuse, and then the longest edge's
+midpoint ball.
+Both are closed forms in the squared edge lengths, so the step solves
+no linear system.  A row whose ball is not lower keeps its current
+POVM, so the see-saw value never decreases.
 
 Every see-saw holds its rows batch axis last: preparations M (X, 3, B),
 observables N (Y, 3, B), penalty fields K (X, 3, B), POVM weights
@@ -42,7 +42,7 @@ result of a lone call.  The single-k searches are a one-element grid,
 and whole k blocks enter a batch up to `_SEESAW_CHUNK` rows at a time.
 Every row, at k = 0 too, takes the POVM step the batch's outcome
 subsets pick once: the projective step for pairs, the enclosing ball
-for three or four outcomes.  Values come from `witness.bloch_values`.
+for trios.  Values come from `witness.bloch_values`.
 
 With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
 envelope's witness search) the preparation step is closed form, which
@@ -94,8 +94,9 @@ SQ2 = np.sqrt(2.0)
 # the observable a zero field keeps when a start has no other
 _Z = np.array([0.0, 0.0, 1.0])
 
-# Gram systems whose determinant falls below this share of the product of
-# their diagonal are treated as degenerate (coincident or coplanar points)
+# a triangle is degenerate (coincident or collinear points) when its Gram
+# determinant det G = 4 area^2 is at most this share of a_1 a_2, the squared
+# lengths of its two edges at p_0
 _DEGENERATE = 1e-12
 # slack for roundoff in the weight sign and ball enclosure tests
 _BALL_TOL = 1e-10
@@ -103,8 +104,9 @@ _BALL_TOL = 1e-10
 _MAX_ITERS = 500
 _TOL = 1e-10
 # rows of one extremal see-saw batch: whole k blocks enter it up to this
-# many rows, so a long k grid runs in bounded memory (about 2 KB a row at
-# peak); below it per-call overhead shows, and wider batches ran no faster
+# many rows, so a long k grid runs in bounded memory (a traced peak of 1.26 KB
+# a row for sic trios, 0.76 KB for trine pairs); below it per-call overhead
+# shows, and wider batches ran no faster
 _SEESAW_CHUNK = 2048
 
 
@@ -152,6 +154,10 @@ class BoundResult:
         }
 
 
+# the thresholds a report compares against; each bound's kind starts with its slot's name
+BOUND_SLOTS = ("projective", "three-outcome", "quantum")
+
+
 # ---------------------------------------------------------------------------
 # batched geometry helpers
 # ---------------------------------------------------------------------------
@@ -178,8 +184,13 @@ def _normalize_rows(v: Array, fallback: Array, axis: int = -1, norms: Array | No
 
 
 def _batch_last(rows: Array) -> Array:
-    """A view of rows-first draws or inputs (B, ...) in the see-saws' layout, batch axis last: (..., B)."""
-    return np.moveaxis(rows, 0, -1)
+    """A view of rows-first draws or inputs (B, ...) in the see-saws' layout, batch axis last: (..., B).
+
+    np.moveaxis's view, without its tuple(generator) calls: in CPython each
+    of those leaves a block on the 1-tuple free list (up to 2,000), which a
+    memory trace counts as held.
+    """
+    return rows.transpose(*range(1, rows.ndim), 0)
 
 
 def _matmul_first(D: Array, N: Array) -> Array:
@@ -258,116 +269,64 @@ def _projective_povm_step(M: Array, subset: Array, PW: Array, PN: Array) -> tupl
     return PW, PN
 
 
-def _pair_balls(P: Array) -> tuple[Array, Array, Array, Array]:
-    """Smallest balls through (C, 2, 3, B) point pairs: the midpoints.
-
-    The weights are 1/2 each and r^2 = |p_1 - p_0|^2 / 4; a pair is
-    degenerate when its points coincide.
-    """
-    q = P[:, 1] - P[:, 0]
-    a = np.einsum("cib,cib->cb", q, q)
-    return np.full((len(P), 2, P.shape[-1]), 0.5), P[:, 0] + 0.5 * q, 0.25 * a, a > 0.0
-
-
-def _trio_balls(P: Array) -> tuple[Array, Array, Array, Array]:
-    """Circumcircles of (C, 3, 3, B) triangles.
+def _triangle_ball(P: Array) -> tuple[Array, Array, Array]:
+    """Smallest balls enclosing (3, 3, B) point trios: weights (3, B), centres (3, B) and r^2 (B,).
 
     With a_i the squared length of the edge opposite p_i, the
     circumcentre's barycentric weights are proportional to
     alpha_i = a_i (a_j + a_k - a_i), whose sum is 16 area^2 = 4 det G
     (G the Gram matrix of p_1 - p_0 and p_2 - p_0), and
-    r^2 = a_0 a_1 a_2 / sum alpha.  A triangle is degenerate when
-    det G <= `_DEGENERATE` a_1 a_2.
+    r^2 = a_0 a_1 a_2 / sum alpha.  The circumcircle holds unless the
+    triangle is degenerate (det G <= `_DEGENERATE` a_1 a_2) or a weight
+    falls below -`_BALL_TOL`.  The longest edge's midpoint ball, r^2 =
+    a_i / 4, holds when the third point's squared distance from the
+    midpoint, r^2 + (a_j + a_k - a_i) / 2 by the median formula, is at
+    most r^2 + `_BALL_TOL`; of equally long edges the first in (0, 1),
+    (0, 2), (1, 2) order is taken.  Where both hold the smaller ball
+    wins, the edge's on a tie; where neither does (every point the same)
+    r^2 is inf.  Weights below 0 are clipped to 0.
     """
-    e = P[:, [1, 2, 0]] - P[:, [2, 0, 1]]
-    a = np.einsum("ctib,ctib->ctb", e, e)
-    alpha = a * (a.sum(axis=1, keepdims=True) - 2.0 * a)
-    total = alpha.sum(axis=1)
-    ok = total > 4.0 * _DEGENERATE * a[:, 1] * a[:, 2]
-    total = np.where(ok, total, 1.0)
-    lam = alpha / total[:, None]
-    centre = np.einsum("ctb,ctib->cib", lam, P)
-    return lam, centre, a[:, 0] * a[:, 1] * a[:, 2] / total, ok
-
-
-def _quad_balls(P: Array) -> tuple[Array, Array, Array, Array]:
-    """Circumspheres of (C, 4, 3, B) tetrahedra.
-
-    With q_i = p_i - p_0, b_i = |q_i|^2, the cofactor vectors
-    c_i = q_j x q_k ((i, j, k) cyclic) and V = q_1 . c_1 = det Q, the
-    centre p_0 + x with q_i . x = b_i / 2 is x = sum_i b_i c_i / (2V),
-    and x = sum_i mu_i q_i with mu_i = x . c_i / V.  The tetrahedron is
-    degenerate when det G = V^2 <= `_DEGENERATE` b_1 b_2 b_3.
-    """
-    q = P[:, 1:] - P[:, :1]  # (C, 3, 3, B)
-    b = np.einsum("ctib,ctib->ctb", q, q)
-    c = np.cross(q[:, [1, 2, 0]], q[:, [2, 0, 1]], axis=2)
-    V = np.einsum("cib,cib->cb", q[:, 0], c[:, 0])
-    ok = V * V > _DEGENERATE * b[:, 0] * b[:, 1] * b[:, 2]
-    V = np.where(ok, V, 1.0)
-    x = np.einsum("ctb,ctib->cib", b, c) / (2.0 * V[:, None])
-    mu = np.einsum("cib,ctib->ctb", x, c) / V[:, None]
-    lam = np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
-    return lam, P[:, 0] + x, np.einsum("cib,cib->cb", x, x), ok
-
-
-# the 2..T-point subsets of a block of T points, pairs first, for each T
-_SUBSETS = {T: [np.array(list(combinations(range(T), t))) for t in range(2, T + 1)] for T in (2, 3, 4)}
-_CIRCUMBALLS = {2: _pair_balls, 3: _trio_balls, 4: _quad_balls}
-
-
-def _ball_candidates(P: Array) -> tuple[Array, Array, Array]:
-    """Equidistant centres of every 2..T-point subset of (T, 3, B) point blocks.
-
-    Every subset's smallest ball through its points is closed form: the
-    midpoint of a pair, the circumcircle of a triangle and the
-    circumsphere of a tetrahedron (`_pair_balls`, `_trio_balls`,
-    `_quad_balls`).  Candidates are ordered pairs, then trios, then the
-    quadruple, each in `combinations` order.  Returns centres (C, 3, B),
-    squared radii (C, B) and weights (C, T, B) placed on the block's
-    points; a candidate that is degenerate, needs a weight below
-    -`_BALL_TOL` or leaves a point of the block outside
-    r^2 + `_BALL_TOL` gets radius inf.
-    """
-    T, _, B = P.shape
-    subsets = _SUBSETS[T]
-    C = sum(len(idx) for idx in subsets)
-    centres, radii2 = np.empty((C, 3, B)), np.empty((C, B))
-    weights, ok = np.zeros((C, T, B)), np.empty((C, B), dtype=bool)
-    lo = 0
-    for idx in subsets:
-        hi = lo + len(idx)
-        lam, centres[lo:hi], radii2[lo:hi], ok[lo:hi] = _CIRCUMBALLS[idx.shape[1]](P[idx])
-        weights[np.arange(lo, hi)[:, None], idx] = lam
-        lo = hi
-    diff = P - centres[:, None]
-    d2 = np.einsum("ctib,ctib->ctb", diff, diff)  # (C, T, B)
-    ok &= np.all(weights >= -_BALL_TOL, axis=1)
-    ok &= np.all(d2 <= radii2[:, None] + _BALL_TOL, axis=1)
-    return centres, np.where(ok, radii2, np.inf), np.clip(weights, 0.0, None)
+    e = P[[1, 2, 0]] - P[[2, 0, 1]]
+    a = np.einsum("tib,tib->tb", e, e)
+    excess = a.sum(axis=0) - 2.0 * a
+    alpha = a * excess
+    total = alpha.sum(axis=0)
+    trio = total > 4.0 * _DEGENERATE * a[1] * a[2]
+    total = np.where(trio, total, 1.0)
+    lam = alpha / total
+    trio &= np.all(lam >= -_BALL_TOL, axis=0)
+    trio_r2 = np.where(trio, a[0] * a[1] * a[2] / total, np.inf)
+    cols = np.arange(P.shape[-1])
+    opposite = 2 - np.argmax(a[::-1], axis=0)  # the point off the longest edge
+    longest = a[opposite, cols]
+    pair_r2 = np.where((longest > 0.0) & (excess[opposite, cols] <= 2.0 * _BALL_TOL), 0.25 * longest, np.inf)
+    xyz = np.arange(3)[:, None]
+    p0, p1 = P[np.where(opposite == 0, 1, 0), xyz, cols], P[np.where(opposite == 2, 1, 2), xyz, cols]
+    pair = pair_r2 <= trio_r2
+    weights = np.where(pair, np.where(xyz == opposite, 0.0, 0.5), np.clip(lam, 0.0, None))
+    centres = np.where(pair, p0 + 0.5 * (p1 - p0), np.einsum("tb,tib->ib", lam, P))
+    return weights, centres, np.where(pair, pair_r2, trio_r2)
 
 
 def _enclosing_ball_step(M: Array, subset: Array, PW: Array, PN: Array) -> tuple[Array, Array]:
-    """Exact penalty-minimizing POVM step on the `subset` outcomes.
+    """Exact penalty-minimizing POVM step on each row's three `subset` outcomes.
 
-    subset is (T, B): the outcomes allowed a nonzero weight.  The others
+    subset is (3, B): the outcomes allowed a nonzero weight.  The others
     must have zero weight already, as `_multistart` sets them, so only the
     subset is rewritten.  Over POVMs supported on S the minimum of
     sum_x w_x (1 + n_x . m_x) is 1 - R_S, with R_S the radius of the
-    smallest ball enclosing {m_x : x in S}; the weights are the centre's
-    barycentric coordinates and each effect points from m_x to the
-    centre.  Rows where that is not lower than the current penalty (for
-    instance coincident preparations, where every candidate is
-    degenerate) keep their POVM, so the step never increases the penalty.
+    smallest ball enclosing {m_x : x in S} (`_triangle_ball`); the weights
+    are the centre's barycentric coordinates and each effect points from
+    m_x to the centre.  Rows where that is not lower than the current
+    penalty (for instance coincident preparations, which have no ball)
+    keep their POVM, so the step never increases the penalty.
     """
     cols = np.arange(PW.shape[-1])
     slots, vectors = (subset, cols), (subset[:, None], np.arange(3)[:, None], cols)
     M_S, PW_S, PN_S = M[vectors], PW[slots], PN[vectors]
-    centres, radii2, weights = _ball_candidates(M_S)
-    pick = np.argmin(radii2, axis=0)
-    w = weights[pick, np.arange(len(subset))[:, None], cols]
-    dirs = _normalize_rows(centres[pick, np.arange(3)[:, None], cols] - M_S, PN_S, axis=1)
-    better = np.isfinite(radii2[pick, cols]) & (_penalty(w, dirs, M_S) < _penalty(PW_S, PN_S, M_S))
+    w, centres, radii2 = _triangle_ball(M_S)
+    dirs = _normalize_rows(centres - M_S, PN_S, axis=1)
+    better = np.isfinite(radii2) & (_penalty(w, dirs, M_S) < _penalty(PW_S, PN_S, M_S))
     PW_new, PN_new = PW.copy(), PN.copy()
     PW_new[slots] = np.where(better, w, PW_S)
     PN_new[vectors] = np.where(better, dirs, PN_S)
@@ -381,7 +340,7 @@ def _run_seesaw(spec: WitnessSpec, M: Array, N: Array, PW: Array, PN: Array, sub
     per block, and the rows come in K contiguous blocks of equal size B,
     one per weight.  subset (T, K B) holds the outcomes each row's POVM
     may use; T picks the POVM step for the whole batch: T = 2 the
-    projective step, T >= 3 the enclosing ball.  A block leaves the batch
+    projective step, T = 3 the enclosing ball.  A block leaves the batch
     at the first iteration >= 1 where none of its rows gains `_TOL`, or
     after `_MAX_ITERS`, and its rows stop changing there, so each block
     ends exactly where a batch of its rows alone would.  M, N, PW and PN

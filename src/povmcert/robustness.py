@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .optimize import (
+    BOUND_SLOTS,
     CLOSED_FORM_PROJECTIVE,
     OptimizerConfig,
     projective_bound,
@@ -40,7 +41,8 @@ from .witness import build_witness
 
 log = logging.getLogger(__name__)
 
-BOUND_KINDS = ("projective", "three-outcome")
+# the slots a visibility curve can take: the quantum slot is its A_q
+BOUND_KINDS = BOUND_SLOTS[:2]
 
 # matches the shipped sweep granularity; fine enough to localize the
 # minimum to 0.01 in k

@@ -1,7 +1,7 @@
 """Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies,
-the value of an explicit strategy, the all-outcome see-saw and two
-references for the plate-jitter systematic (a Monte Carlo and a
-Gauss-Hermite quadrature).
+the value of an explicit strategy, the all-outcome see-saw with its
+Gram-system ball step, and two references for the plate-jitter
+systematic (a Monte Carlo and a Gauss-Hermite quadrature).
 
 The library works on Bloch vectors only; the Pauli matrices here are the
 independent route the tests check it against: a state r is the density
@@ -10,13 +10,15 @@ outcome b's effect (I + (-1)^b n . sigma)/2, and a POVM element (w, n)
 the effect w (I + n . sigma).
 """
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from povmcert import optimize
 from povmcert.experiment import _FWHM_TO_SIGMA, _blochs_from_angles
-from povmcert.optimize import _multistart
+from povmcert.optimize import _multistart, _normalize_rows, _penalty
 from povmcert.qubit import Povm
 from povmcert.sampling import random_extremal_povms
 from povmcert.witness import (
@@ -128,14 +130,75 @@ def strategy_value(spec: WitnessSpec, strategy: Strategy) -> float:
     return evaluate_witness(spec, table).value
 
 
+def gram_ball_candidates(M_S):
+    """Reference enumerator: each subset's centre from its Gram system, solved by LAPACK.
+
+    For points p_1..p_t with q_i = p_i - p_1 and Gram matrix G of the
+    q_i, the centre c = p_1 + sum_i mu_i q_i solves 2 G mu = diag(G),
+    with barycentric weights (1 - sum mu, mu).  Candidates are every
+    2..T-point subset, pairs first, each size in `combinations` order.
+    One whose det G <= `_DEGENERATE` times its diagonal's product, with a
+    weight below -`_BALL_TOL` or leaving a point of the block outside
+    r^2 + `_BALL_TOL` gets radius inf.  Rows first: blocks (B, T, 3),
+    centres (B, C, 3), radii (B, C), weights (B, C, T) clipped at 0.
+    """
+    B, T, _ = M_S.shape
+    centres, radii2, weights = [], [], []
+    for t in range(2, T + 1):
+        idx = np.array(list(combinations(range(T), t)))
+        C = len(idx)
+        P = M_S[:, idx]
+        Q = P[:, :, 1:] - P[:, :, :1]
+        G = Q @ Q.swapaxes(-1, -2)
+        diag = np.diagonal(G, axis1=-2, axis2=-1)
+        ok = np.linalg.det(G) > optimize._DEGENERATE * np.prod(diag, axis=-1)
+        G = np.where(ok[..., None, None], G, np.eye(t - 1))
+        mu = np.linalg.solve(2.0 * G, diag[..., None])[..., 0]
+        lam = np.concatenate([1.0 - mu.sum(axis=-1, keepdims=True), mu], axis=-1)
+        c = P[:, :, 0] + np.einsum("bcj,bcji->bci", mu, Q)
+        r2 = np.sum((c - P[:, :, 0]) ** 2, axis=-1)
+        d2 = np.sum((M_S[:, None] - c[:, :, None]) ** 2, axis=-1)
+        ok &= np.all(lam >= -optimize._BALL_TOL, axis=-1)
+        ok &= np.all(d2 <= r2[..., None] + optimize._BALL_TOL, axis=-1)
+        w = np.zeros((B, C, T))
+        w[:, np.arange(C)[:, None], idx] = np.clip(lam, 0.0, None)
+        centres.append(c)
+        radii2.append(np.where(ok, r2, np.inf))
+        weights.append(w)
+    return tuple(np.concatenate(a, axis=1) for a in (centres, radii2, weights))
+
+
+def reference_ball_step(M, subset, PW, PN):
+    """`optimize._enclosing_ball_step` on any T outcomes per row, subset (T, B), batch axis last.
+
+    The ball is the smallest valid `gram_ball_candidates` one, the first
+    on a tie; a row keeps its POVM unless that ball lowers its penalty.
+    """
+    cols = np.arange(PW.shape[-1])
+    slots, vectors = (subset, cols), (subset[:, None], np.arange(3)[:, None], cols)
+    M_S, PW_S, PN_S = M[vectors], PW[slots], PN[vectors]
+    centres, radii2, weights = gram_ball_candidates(M_S.transpose(2, 0, 1))
+    pick = np.argmin(radii2, axis=1)
+    w = weights[cols, pick].T
+    dirs = _normalize_rows(centres[cols, pick].T - M_S, PN_S, axis=1)
+    better = np.isfinite(radii2[cols, pick]) & (_penalty(w, dirs, M_S) < _penalty(PW_S, PN_S, M_S))
+    PW_new, PN_new = PW.copy(), PN.copy()
+    PW_new[slots] = np.where(better, w, PW_S)
+    PN_new[vectors] = np.where(better, dirs, PN_S)
+    return PW_new, PN_new
+
+
 def seesaw_reference(spec: WitnessSpec, config) -> tuple[float, Strategy]:
     """Best value and strategy of the see-saw over all outcomes, from `config`'s starts.
 
     The library bounds the quantum slot in closed form; this multistart
-    run, with its enclosing-ball step on every outcome, is the tests'
-    reference for the see-saw machinery reaching that maximum.
+    run is the tests' reference for the see-saw machinery reaching that
+    maximum.  The library's ball step takes trios only, so the run takes
+    `reference_ball_step` on every outcome in its place.
     """
-    (run,) = _multistart([spec], config, 0, np.arange(spec.scenario.povm_outcomes)[None])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_enclosing_ball_step", reference_ball_step)
+        (run,) = _multistart([spec], config, 0, np.arange(spec.scenario.povm_outcomes)[None])
     return float(run["values"].max()), run["argmax"]
 
 

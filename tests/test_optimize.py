@@ -22,6 +22,7 @@ from conftest import (
     density_matrix,
     effect_matrices,
     extremal_povm,
+    gram_ball_candidates,
     observable_matrix,
     seesaw_reference,
     strategy_value,
@@ -33,7 +34,6 @@ from povmcert import optimize
 from povmcert.optimize import (
     OptimizerConfig,
     _ascent_candidates,
-    _ball_candidates,
     _concave_beyond_floor,
     _enclosing_ball_step,
     _fields,
@@ -49,6 +49,7 @@ from povmcert.optimize import (
     _projective_povm_step,
     _reduced_derivatives,
     _scored_fields,
+    _triangle_ball,
     maximize_given_povm_batch,
     projective_bound,
     projective_bound_numeric,
@@ -137,9 +138,10 @@ def test_seesaw_argmax_value_consistent():
 
 def test_seesaw_trace_is_monotone(monkeypatch):
     # the same seed replays the same trajectory, so the run stopped after
-    # i iterations gives each row's value at step i
+    # i iterations gives each row's value at step i; the groups are the
+    # three-outcome search's trios
     spec = build_witness("sic", k=0.4)
-    groups = np.arange(4)[None, :]
+    groups = np.array([sorted(set(range(4)) - {z}) for z in range(4)])
     config = OptimizerConfig(restarts=6, seed=3)
     trace = []
     for max_iters in range(1, 41):
@@ -320,12 +322,10 @@ def rows_first_ball_step(M, subset, PW, PN):
     rows = np.arange(PW.shape[0])
     slots = (rows[:, None], subset)
     M_S, PW_S, PN_S = M[slots], PW[slots], PN[slots]
-    centres, radii2, weights = _ball_candidates(np.ascontiguousarray(M_S.transpose(1, 2, 0)))
-    centres, radii2, weights = centres.transpose(2, 0, 1), radii2.T, weights.transpose(2, 0, 1)
-    pick = np.argmin(radii2, axis=1)
-    w = weights[rows, pick]
-    dirs = _normalize_rows(centres[rows, pick][:, None, :] - M_S, PN_S)
-    better = np.isfinite(radii2[rows, pick]) & (_penalty_of(w, dirs, M_S) < _penalty_of(PW_S, PN_S, M_S))
+    w, centres, radii2 = _triangle_ball(np.ascontiguousarray(M_S.transpose(1, 2, 0)))
+    w = w.T
+    dirs = _normalize_rows(centres.T[:, None, :] - M_S, PN_S)
+    better = np.isfinite(radii2) & (_penalty_of(w, dirs, M_S) < _penalty_of(PW_S, PN_S, M_S))
     PW_new, PN_new = PW.copy(), PN.copy()
     PW_new[slots] = np.where(better[:, None], w, PW_S)
     PN_new[slots] = np.where(better[:, None, None], dirs, PN_S)
@@ -814,6 +814,7 @@ def test_fixed_povm_search_peak_memory_is_its_pools(name, k):
         finally:
             tracemalloc.stop()
 
+    peak(250)  # first-call allocations stay out of the peaks, whatever ran before
     assert peak(2000) - peak(250) <= 2 * 8 * 2000
 
 
@@ -1348,14 +1349,6 @@ def ball_step(preps, current: Povm, outcomes=None):
     return Povm(PW[:, 0], PN[..., 0])
 
 
-def test_ball_step_tetrahedron_is_anti_aligned():
-    p = ball_step(TETRAHEDRON, extremal_povm(4, RngStream(1).generator()))
-    assert validate_povm(p).ok
-    assert penalty_value(TETRAHEDRON, p) == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(p.blochs, -TETRAHEDRON, atol=1e-12)
-    assert np.allclose(p.weights, 0.25, atol=1e-12)
-
-
 def test_ball_step_trine_reaches_zero():
     p = ball_step(TRINE, extremal_povm(3, RngStream(2).generator()))
     assert validate_povm(p).ok
@@ -1377,14 +1370,12 @@ def test_ball_step_three_tetrahedron_vertices():
 @pytest.mark.parametrize(
     "preps",
     [
-        [[0, 0, 1], [0, 0, -1]],
+        [[0, 0, 1], [0, 0, -1], [0, 0, 1]],
         [[0, 0, 1], [0, 0, -1], [0.6, 0.0, 0.8]],
     ],
 )
 def test_ball_step_antipodal_points_reach_zero(preps):
     current = extremal_povm(3, RngStream(3).generator())
-    if len(preps) == 2:
-        current = Povm([0.5, 0.5], [[1, 0, 0], [-1, 0, 0]])
     p = ball_step(preps, current)
     assert validate_povm(p).ok
     assert penalty_value(preps, p) == pytest.approx(0.0, abs=1e-12)
@@ -1402,10 +1393,10 @@ def test_ball_step_coincident_points_keep_current_povm():
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([3, 4]))
-def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
+@given(st.integers(min_value=0, max_value=10_000))
+def test_ball_step_is_optimal_on_random_preparations(seed):
     rng = RngStream(seed, 9).generator()
-    rows = 16
+    rows, outcomes = 16, 3
     m = rng.normal(size=(rows, outcomes, 3))
     m /= np.linalg.norm(m, axis=2, keepdims=True)
     current = random_extremal_povms(outcomes, rows, rng)
@@ -1432,59 +1423,21 @@ def test_ball_step_is_optimal_on_random_preparations(seed, outcomes):
         assert val <= probe_vals.min() + 1e-12
 
 
-def gram_ball_candidates(M_S):
-    """Reference enumerator: each subset's centre from its Gram system, solved by LAPACK.
-
-    For points p_1..p_t with q_i = p_i - p_1 and Gram matrix G of the
-    q_i, the centre c = p_1 + sum_i mu_i q_i solves 2 G mu = diag(G),
-    with barycentric weights (1 - sum mu, mu).  Same candidate order,
-    degeneracy, sign and enclosure rules as `_ball_candidates`, rows first:
-    blocks (B, T, 3), centres (B, C, 3), radii (B, C), weights (B, C, T).
-    """
-    B, T, _ = M_S.shape
-    centres, radii2, weights = [], [], []
-    for t in range(2, T + 1):
-        idx = np.array(list(combinations(range(T), t)))
-        C = len(idx)
-        P = M_S[:, idx]
-        Q = P[:, :, 1:] - P[:, :, :1]
-        G = Q @ Q.swapaxes(-1, -2)
-        diag = np.diagonal(G, axis1=-2, axis2=-1)
-        ok = np.linalg.det(G) > optimize._DEGENERATE * np.prod(diag, axis=-1)
-        G = np.where(ok[..., None, None], G, np.eye(t - 1))
-        mu = np.linalg.solve(2.0 * G, diag[..., None])[..., 0]
-        lam = np.concatenate([1.0 - mu.sum(axis=-1, keepdims=True), mu], axis=-1)
-        c = P[:, :, 0] + np.einsum("bcj,bcji->bci", mu, Q)
-        r2 = np.sum((c - P[:, :, 0]) ** 2, axis=-1)
-        d2 = np.sum((M_S[:, None] - c[:, :, None]) ** 2, axis=-1)
-        ok &= np.all(lam >= -optimize._BALL_TOL, axis=-1)
-        ok &= np.all(d2 <= r2[..., None] + optimize._BALL_TOL, axis=-1)
-        w = np.zeros((B, C, T))
-        w[:, np.arange(C)[:, None], idx] = np.clip(lam, 0.0, None)
-        centres.append(c)
-        radii2.append(np.where(ok, r2, np.inf))
-        weights.append(w)
-    return tuple(np.concatenate(a, axis=1) for a in (centres, radii2, weights))
-
-
 def special_blocks(rng, T, rows=64):
     """(rows, T, 3) preparation blocks of each kind the ball step meets."""
     unit = random_unit_vectors(rng, (rows, T))
     line = random_unit_vectors(rng, rows)[:, None]
     u, v = random_unit_vectors(rng, (2, rows, 1))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=(rows, T, 1))
-    coplanar = unit.copy()  # with four points, the last inside the triangle of the first three
-    coplanar[:, 3:] = unit[:, :1] + 0.4 * (unit[:, 1:2] - unit[:, :1]) + 0.3 * (unit[:, 2:3] - unit[:, :1])
     coincident = unit.copy()
     coincident[:, 1] = coincident[:, 0]
     antipodal = unit.copy()
     antipodal[:, 1] = -antipodal[:, 0]
     inner = antipodal.copy()
     inner[:, 2:] *= rng.uniform(0.0, 0.9, size=(rows, T - 2, 1))
-    return {
+    blocks = {
         "unit": unit,
         "mixed": unit * rng.uniform(0.0, 1.0, size=(rows, T, 1)),
-        "coplanar": coplanar,
         "great circle": np.cos(angle) * u + np.sin(angle) * v,
         "collinear": line * rng.uniform(-1.0, 1.0, size=(rows, T, 1)),
         "coincident": coincident,
@@ -1492,31 +1445,55 @@ def special_blocks(rng, T, rows=64):
         "antipodal": antipodal,
         "antipodal, others inside": inner,
     }
+    # near-right triangles on the antipodal pair: p_2 = s w with w a unit
+    # vector orthogonal to p_0 gives a_0 + a_1 - a_2 = 2 s^2 - 2 = delta,
+    # so p_2 sits at delta = 0 on the pair's midpoint ball, inside it below
+    # 0, and outside it above, beyond the ball tolerance at 3e-10
+    w = random_unit_vectors(rng, rows)
+    w -= np.sum(w * unit[:, 0], axis=1, keepdims=True) * unit[:, 0]
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    for delta in (0.0, -1e-10, 1e-10, 3e-10):
+        right = antipodal.copy()
+        right[:, 2] = np.sqrt(1.0 + delta / 2.0) * w
+        blocks[f"right, delta {delta:g}"] = right
+    return blocks
 
 
-@pytest.mark.parametrize("T", [3, 4])
+# kinds whose pair and trio balls tie within roundoff: every point of the
+# sphere lies on the antipodal pair's ball (Thales), and so does a right
+# triangle's third point, within 1e-10 either side; that point 1e-10 off
+# the ball takes weight +-2.5e-11 in the circumcircle and 0 in the pair,
+# so there the weights differ with the pick
+TIED_BALLS = {"antipodal", "right, delta 0", "right, delta -1e-10", "right, delta 1e-10"}
+UNEQUAL_WEIGHTS = {"right, delta -1e-10", "right, delta 1e-10"}
+
+
+@pytest.mark.parametrize("T", [3])  # the trios of the three-outcome search
 def test_closed_form_balls_match_the_gram_reference(T):
     blocks = special_blocks(RngStream(T, 11).generator(), T)
     for kind, M_S in blocks.items():
-        _, radii2, weights = _ball_candidates(M_S.transpose(1, 2, 0))
-        radii2, weights = radii2.T, weights.transpose(2, 0, 1)  # rows first, as the reference gives them
+        weights, _, r2 = _triangle_ball(M_S.transpose(1, 2, 0))
+        w = weights.T  # rows first, as the reference gives them
         _, ref_radii2, ref_weights = gram_ball_candidates(M_S)
         rows = np.arange(len(M_S))
-        pick, ref_pick = np.argmin(radii2, axis=1), np.argmin(ref_radii2, axis=1)
-        if kind == "antipodal":
-            # every point of the sphere lies on the antipodal pair's ball
-            # (Thales), so the pair and each trio through it tie, and
-            # roundoff picks among equal balls with equal weights
-            assert np.all(np.abs(ref_radii2[rows, pick] - ref_radii2[rows, ref_pick]) <= 1e-12)
-        else:
-            assert np.array_equal(pick, ref_pick), kind
-        r2, ref_r2 = radii2[rows, pick], ref_radii2[rows, ref_pick]
+        ref_pick = np.argmin(ref_radii2, axis=1)
+        ref_r2 = ref_radii2[rows, ref_pick]
         assert np.array_equal(np.isfinite(r2), np.isfinite(ref_r2)), kind
         found = np.isfinite(ref_r2)
+        # the candidate the kernel took: the first whose ball and weights it gave
+        same = np.isclose(ref_radii2, r2[:, None], rtol=0.0, atol=1e-12)
+        same &= np.all(np.isclose(ref_weights, w[:, None], rtol=0.0, atol=1e-12), axis=-1)
+        assert same[found].any(axis=1).all(), kind
+        pick = np.argmax(same, axis=1)
+        if kind in TIED_BALLS:
+            # roundoff picks among equal balls
+            assert np.all(np.abs(ref_radii2[rows, pick] - ref_r2)[found] <= 1e-12), kind
+        else:
+            assert np.array_equal(pick[found], ref_pick[found]), kind
         assert np.allclose(r2[found], ref_r2[found], rtol=0.0, atol=1e-12), kind
-        w, ref_w = weights[rows, pick], ref_weights[rows, ref_pick]
-        assert np.allclose(w[found], ref_w[found], rtol=0.0, atol=1e-12), kind
-    assert np.isinf(_ball_candidates(blocks["all coincident"].transpose(1, 2, 0))[1]).all()
+        if kind not in UNEQUAL_WEIGHTS:
+            assert np.allclose(w[found], ref_weights[rows, ref_pick][found], rtol=0.0, atol=1e-12), kind
+    assert np.isinf(_triangle_ball(blocks["all coincident"].transpose(1, 2, 0))[2]).all()
 
 
 def test_three_outcome_search_solves_no_linear_system(monkeypatch):
