@@ -6,7 +6,8 @@ are importable on their own when finer-grained access is wanted:
 - qubit: array-backed POVMs and state/axis checks, extremality
 - witness: scenarios, witness coefficient tables, the three families
 - sampling: seeded RNG streams and uniform extremal-POVM sampling
-- optimize: the quantum maximum, projective and three-outcome bounds
+- optimize: one bound per slot (`slot_bounds`): the quantum maximum,
+  the projective and three-outcome bounds
 - fidelity: sampled envelopes of the rotation fidelity to a target
 - robustness: critical depolarizing visibility of each bound
 - experiment: waveplate model, counts, exact plate-jitter systematic,
@@ -40,12 +41,10 @@ from .fidelity import (
 from .optimize import (
     BoundResult,
     OptimizerConfig,
-    projective_bound,
-    projective_bound_numeric,
     projective_bound_sic,
     projective_bound_sym_trine,
     quantum_bound,
-    three_outcome_max,
+    slot_bounds,
 )
 from .qubit import Povm, classify_extremal, validate_povm
 from .robustness import critical_visibility, most_robust_point, visibility_curve
@@ -93,8 +92,6 @@ __all__ = [
     "most_robust_point",
     "plate_systematic",
     "probability_table",
-    "projective_bound",
-    "projective_bound_numeric",
     "projective_bound_sic",
     "projective_bound_sym_trine",
     "quantum_bound",
@@ -104,8 +101,8 @@ __all__ = [
     "sic_target",
     "sic_witness",
     "simulate_counts",
+    "slot_bounds",
     "sym_trine_witness",
-    "three_outcome_max",
     "trine_experiment",
     "trine_target",
     "trine_witness",

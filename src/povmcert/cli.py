@@ -42,14 +42,7 @@ from .fidelity import (
     trine_target,
     write_samples_csv,
 )
-from .optimize import (
-    BOUND_SLOTS,
-    BoundResult,
-    OptimizerConfig,
-    projective_bound,
-    quantum_bound,
-    three_outcome_max,
-)
+from .optimize import BOUND_SLOTS, BoundResult, OptimizerConfig, slot_bounds
 from .robustness import BOUND_KINDS, visibility_curve, visibility_curve_to_csv
 from .sampling import RngStream
 from .witness import WITNESS_BUILDERS, WitnessSpec, build_witness
@@ -132,12 +125,7 @@ def _compute_bounds(spec: WitnessSpec, config: OptimizerConfig, kinds: list[str]
     (four-outcome witnesses only) and quantum, as `certify` needs them."""
     if kinds is None:
         kinds = [kind for kind in BOUND_SLOTS if kind != "three-outcome" or spec.scenario.povm_outcomes == 4]
-    calls = {
-        "projective": lambda: projective_bound(spec, config),
-        "three-outcome": lambda: three_outcome_max(spec, config),
-        "quantum": lambda: quantum_bound(spec),
-    }
-    return [calls[kind]() for kind in kinds]
+    return [slot_bounds([spec], kind, config)[0] for kind in kinds]
 
 
 def _bounds_csv(results: list[BoundResult]) -> str:

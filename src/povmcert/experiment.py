@@ -57,7 +57,7 @@ import numpy as np
 
 from .fidelity import EnvelopeCurve
 from .optimize import BOUND_SLOTS, BoundResult
-from .qubit import Povm, observable_axes
+from .qubit import Povm, observable_axes, validate_povm
 from .sampling import RngStream
 from .witness import (
     ProbabilityTable,
@@ -160,6 +160,9 @@ class ExperimentConfig:
         if not (np.isfinite(self.motor_fwhm_deg) and self.motor_fwhm_deg >= 0):
             raise ValueError("motor FWHM must be >= 0")
         object.__setattr__(self, "binaries", observable_axes(self.binaries))
+        report = validate_povm(self.povm)
+        if not report.ok:
+            raise ValueError(f"not a valid POVM: {report.violations}")
 
     @property
     def prep_blochs(self) -> Array:

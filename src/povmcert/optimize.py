@@ -33,16 +33,17 @@ time, and both searches share one kernel per step: `_observable_step`,
 random draws and the public POVM inputs come rows first, and only the
 Newton step's Hessian and solve run rows first.
 
-In the bound searches a "row" is one restart (of one outcome
-assignment) at one penalty weight k: `three_outcome_maxima` and
-`projective_bounds_numeric` take a whole k grid, every k climbs a copy
-of the same starts as one equal block of rows, and each block leaves
-the batch on its own convergence rule, so each k gets exactly the
-result of a lone call.  The single-k searches are a one-element grid,
-and whole k blocks enter a batch up to `_SEESAW_CHUNK` rows at a time.
-Every row, at k = 0 too, takes the POVM step the batch's outcome
-subsets pick once: the projective step for pairs, the enclosing ball
-for trios.  Values come from `witness.bloch_values`.
+`slot_bounds` is the one entry point for a bound: it maps each of
+`BOUND_SLOTS` to its closed form or to the see-saw.  In the see-saw a
+"row" is one restart (of one outcome assignment) at one penalty weight
+k: a whole k grid climbs in one batch, every k a copy of the same
+starts as one equal block of rows, and each block leaves the batch on
+its own convergence rule, so each k gets exactly the result of a lone
+call.  A single k is a one-element grid, and whole k blocks enter a
+batch up to `_SEESAW_CHUNK` rows at a time.  Every row, at k = 0 too,
+takes the POVM step the batch's outcome subsets pick once: the
+projective step for pairs, the enclosing ball for trios.  Values come
+from `witness.bloch_values`.
 
 With the POVM held fixed (`maximize_given_povm_batch`, the fidelity
 envelope's witness search) the preparation step is closed form, which
@@ -615,22 +616,17 @@ def _fixed_povm_climb(spec: WitnessSpec, weights: Array, blochs: Array, starts):
         yield finish(done)
 
 
-def _seesaw_result(kind: str, spec: WitnessSpec, run: dict, diagnostics: dict) -> BoundResult:
-    """One k's best row as a heuristic bound with its strategy."""
-    return BoundResult(kind, float(run["values"].max()), spec.k, True, run["argmax"], diagnostics)
-
-
 def _multistart(
     specs: Sequence[WitnessSpec], config: OptimizerConfig, stream: int, groups: Array
 ) -> list[dict]:
     """See-saw from `config.restarts` random starts per outcome group, at each spec's k.
 
-    The specs are one family at several penalty weights.  groups (G, T)
-    lists the outcomes each group's POVMs may use.  The starts are drawn
-    once, in this order from `config.stream(stream)`: preparations,
-    observables, then one random axis per row (T = 2, a projective
-    pair) or random extremal T-outcome POVMs, placed on the group's
-    outcomes.  Every k climbs its own copy of these B = G * restarts
+    The specs are one family at several penalty weights, as `slot_bounds`
+    checks.  groups (G, T) lists the outcomes each group's POVMs may use.
+    The starts are drawn once, in this order from `config.stream(stream)`:
+    preparations, observables, then one random axis per row (T = 2, a
+    projective pair) or random extremal T-outcome POVMs, placed on the
+    group's outcomes.  Every k climbs its own copy of these B = G * restarts
     rows, so it gets the result of a lone run: the copies are tiled into
     equal blocks of B rows, one per k, and `_run_seesaw` takes as many
     blocks at once as fit in `_SEESAW_CHUNK` rows (at least one).
@@ -638,8 +634,6 @@ def _multistart(
     count and convergence flag, and its best row's strategy.
     """
     spec = specs[0]
-    if any(not np.array_equal(s.coeffs, spec.coeffs) for s in specs):
-        raise ValueError("a k grid must share one coefficient tensor")
     R = config.restarts
     G, T = groups.shape
     B = G * R
@@ -740,86 +734,6 @@ def maximize_given_povm_batch(
     return best
 
 
-def projective_bound_numeric(spec: WitnessSpec, config: OptimizerConfig | None = None) -> BoundResult:
-    """See-saw restricted to projective POVMs.
-
-    A projective O-outcome measurement is two orthogonal rank-one
-    projectors on some outcome pair and zero effects elsewhere.  Every
-    pair assignment is searched and the maximum over assignments is
-    returned; this is the threshold a certification must clear, since a
-    projective device may label its outcomes arbitrarily.  Diagnostics
-    carry the per-pair values (`pair_values`).
-
-    The assignment matters for witnesses whose coefficients are not
-    symmetric under outcome permutations: for the three-outcome trine
-    family, placing the projectors on the two symmetric outcomes
-    (`pair_values["0,1"]`) gives 4.89165 at k=1, while the asymmetric
-    assignments reach 4.91199.
-
-    Heuristic: a lower bound on the projective maximum that in practice
-    saturates it.  The POVM step is closed form (anti-aligned axis for
-    the assigned pair), so each restart is fully deterministic given its
-    start.
-    """
-    return projective_bounds_numeric([spec], config)[0]
-
-
-def projective_bounds_numeric(
-    specs: Sequence[WitnessSpec], config: OptimizerConfig | None = None
-) -> list[BoundResult]:
-    """`projective_bound_numeric` at each spec of one family, in one see-saw batch."""
-    config = config or OptimizerConfig()
-    pairs = list(combinations(range(specs[0].scenario.povm_outcomes), 2))
-    results = []
-    for spec, run in zip(specs, _multistart(specs, config, 2, np.array(pairs))):
-        per_pair = {f"{a},{b}": float(v) for (a, b), v in zip(pairs, run["values"].max(axis=1))}
-        diagnostics = {
-            "witness": spec.name,
-            "restarts_per_pair": config.restarts,
-            "iterations": run["iterations"],
-            "converged": run["converged"],
-            "pair_values": per_pair,
-            "seed": config.seed,
-        }
-        results.append(_seesaw_result("projective-numeric", spec, run, diagnostics))
-    return results
-
-
-def three_outcome_max(
-    spec: WitnessSpec, config: OptimizerConfig | None = None
-) -> BoundResult:
-    """See-saw with at most three nonzero POVM outcomes (four-outcome scenarios).
-
-    Every assignment of the zero effect is searched.  Heuristic, like
-    all see-saw values; used as the threshold for claiming a genuinely
-    four-outcome measurement.
-    """
-    return three_outcome_maxima([spec], config)[0]
-
-
-def three_outcome_maxima(
-    specs: Sequence[WitnessSpec], config: OptimizerConfig | None = None
-) -> list[BoundResult]:
-    """`three_outcome_max` at each spec of one family, in one see-saw batch."""
-    config = config or OptimizerConfig()
-    if specs[0].scenario.povm_outcomes != 4:
-        raise ValueError("three-outcome restriction applies to four-outcome scenarios")
-    trios = np.array([sorted(set(range(4)) - {z}) for z in range(4)])
-    results = []
-    for spec, run in zip(specs, _multistart(specs, config, 3, trios)):
-        per_zero = {str(z): float(v) for z, v in enumerate(run["values"].max(axis=1))}
-        diagnostics = {
-            "witness": spec.name,
-            "restarts_per_assignment": config.restarts,
-            "iterations": run["iterations"],
-            "converged": run["converged"],
-            "zero_assignment_values": per_zero,
-            "seed": config.seed,
-        }
-        results.append(_seesaw_result("three-outcome-numeric", spec, run, diagnostics))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # certified closed-form bounds
 # ---------------------------------------------------------------------------
@@ -893,20 +807,6 @@ def projective_bound_sym_trine(k: float) -> BoundResult:
     return _closed_form_bound("sym-trine", k, quartic, profile)
 
 
-CLOSED_FORM_PROJECTIVE = {
-    "sic": projective_bound_sic,
-    "sym-trine": projective_bound_sym_trine,
-}
-
-
-def projective_bound(spec: WitnessSpec, config: OptimizerConfig | None = None) -> BoundResult:
-    """Certified closed form when the family has one, else the numeric heuristic."""
-    fn = CLOSED_FORM_PROJECTIVE.get(spec.name)
-    if fn is not None:
-        return fn(spec.k)
-    return projective_bound_numeric(spec, config)
-
-
 def quantum_bound(spec: WitnessSpec) -> BoundResult:
     """The family's known quantum maximum, attained at every k by its ideal strategy.
 
@@ -922,3 +822,83 @@ def quantum_bound(spec: WitnessSpec) -> BoundResult:
     argmax = Strategy(M, _observable_step(spec.bloch_coeffs, M, _Z), Povm(np.full(O, 1.0 / O), blochs))
     diagnostics = {"witness": spec.name, "method": "closed-form"}
     return BoundResult("quantum-closed-form", float(spec.quantum_max), float(spec.k), False, argmax, diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# one entry point per bound slot
+# ---------------------------------------------------------------------------
+
+_CLOSED_FORM_PROJECTIVE = {
+    "sic": projective_bound_sic,
+    "sym-trine": projective_bound_sym_trine,
+}
+
+# the see-saw slots: the outcome groups of an O-outcome scenario with their
+# labels, and the diagnostics' names for the restarts per group and the
+# per-group values
+_SEESAW_SLOTS = {
+    "projective": (
+        lambda O: [(pair, f"{pair[0]},{pair[1]}") for pair in combinations(range(O), 2)],
+        "restarts_per_pair",
+        "pair_values",
+    ),
+    "three-outcome": (
+        lambda O: [(sorted(set(range(O)) - {zero}), str(zero)) for zero in range(O)],
+        "restarts_per_assignment",
+        "zero_assignment_values",
+    ),
+}
+
+
+def _seesaw_bounds(specs: Sequence[WitnessSpec], slot: str, config: OptimizerConfig) -> list[BoundResult]:
+    """The see-saw bound of a restricted slot at each spec of one family, in one batch.
+
+    Every outcome group is searched from `config.restarts` starts and the
+    best is returned: a projective device may put its two projectors on
+    any outcome pair, and a three-outcome one its zero effect on any
+    outcome.  The group matters where the coefficients are not symmetric
+    under outcome permutations: for the trine family the symmetric pair
+    (`pair_values["0,1"]`) gives 4.89165 at k=1, while the asymmetric
+    pairs reach 4.91199.  Each group's T outcomes pick the POVM step and
+    the start stream T.  Heuristic: a lower bound on the slot's maximum.
+    """
+    if slot == "three-outcome" and specs[0].scenario.povm_outcomes != 4:
+        raise ValueError("three-outcome restriction applies to four-outcome scenarios")
+    groups_of, restarts_key, values_key = _SEESAW_SLOTS[slot]
+    groups, labels = zip(*groups_of(specs[0].scenario.povm_outcomes))
+    groups = np.array(groups)
+    results = []
+    for spec, run in zip(specs, _multistart(specs, config, groups.shape[1], groups)):
+        diagnostics = {
+            "witness": spec.name,
+            restarts_key: config.restarts,
+            "iterations": run["iterations"],
+            "converged": run["converged"],
+            values_key: {label: float(v) for label, v in zip(labels, run["values"].max(axis=1))},
+            "seed": config.seed,
+        }
+        value = float(run["values"].max())
+        results.append(BoundResult(f"{slot}-numeric", value, spec.k, True, run["argmax"], diagnostics))
+    return results
+
+
+def slot_bounds(
+    specs: Sequence[WitnessSpec], slot: str, config: OptimizerConfig | None = None
+) -> list[BoundResult]:
+    """The bound of one of `BOUND_SLOTS` at each spec of one family's k grid.
+
+    quantum: the family's known maximum (`quantum_bound`).  projective:
+    the certified closed form where the family has one, else the see-saw
+    over every outcome pair.  three-outcome (four-outcome families only):
+    the see-saw over every choice of the zero effect.  A see-saw runs the
+    whole grid as one batch, where each k gets the result of a lone call.
+    """
+    if slot not in BOUND_SLOTS or not specs:
+        raise ValueError(f"slot_bounds needs a nonempty k grid and a slot in {BOUND_SLOTS}, got {slot!r}")
+    if any(not np.array_equal(s.coeffs, specs[0].coeffs) for s in specs):
+        raise ValueError("a k grid must share one coefficient tensor")
+    if slot == "quantum":
+        return [quantum_bound(spec) for spec in specs]
+    if slot == "projective" and specs[0].name in _CLOSED_FORM_PROJECTIVE:
+        return [_CLOSED_FORM_PROJECTIVE[spec.name](spec.k) for spec in specs]
+    return _seesaw_bounds(specs, slot, config or OptimizerConfig())

@@ -29,14 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .optimize import (
-    BOUND_SLOTS,
-    CLOSED_FORM_PROJECTIVE,
-    OptimizerConfig,
-    projective_bound,
-    projective_bounds_numeric,
-    three_outcome_maxima,
-)
+from .optimize import BOUND_SLOTS, OptimizerConfig, slot_bounds
 from .witness import build_witness
 
 log = logging.getLogger(__name__)
@@ -108,31 +101,25 @@ def visibility_curve(
 ) -> list[VisibilityResult]:
     """Critical visibility of one witness family across penalty weights.
 
-    Per k: the requested bound (closed form where one exists, numeric
-    search otherwise; `heuristic` records which), the family's quantum
-    value, and the resulting v_crit.  The closed forms run per k; the
-    numeric bounds of the whole grid run as one see-saw batch, where each
-    k stops on its own rule and gets the result of a lone run.  One
-    warning names every k whose search stopped unconverged.  Numeric-bound
-    points inherit the usual caveat that a search can undershoot the true
-    bound, which makes their v_crit an underestimate.
+    Per k: the requested bound from `slot_bounds` (closed form where one
+    exists, numeric search otherwise; `heuristic` records which), the
+    family's quantum value, and the resulting v_crit.  The numeric bounds
+    of the whole grid run as one see-saw batch, where each k stops on its
+    own rule and gets the result of a lone run.  One warning names every
+    k whose search stopped unconverged.  Numeric-bound points inherit the
+    usual caveat that a search can undershoot the true bound, which makes
+    their v_crit an underestimate.
     """
     if bound_kind not in BOUND_KINDS:
         raise ValueError(f"bound_kind must be one of {BOUND_KINDS}")
     grid = DEFAULT_K_GRID if k_grid is None else tuple(float(k) for k in k_grid)
     if not grid:
         raise ValueError("k grid must be nonempty")
-    config = config or OptimizerConfig()
     specs = [build_witness(family, k) for k in grid]
     if specs[0].quantum_max is None:
         raise ValueError(f"family {family!r} has no known quantum value")
 
-    if bound_kind == "three-outcome":
-        bounds = three_outcome_maxima(specs, config)
-    elif family in CLOSED_FORM_PROJECTIVE:
-        bounds = [projective_bound(spec, config) for spec in specs]
-    else:
-        bounds = projective_bounds_numeric(specs, config)
+    bounds = slot_bounds(specs, bound_kind, config)
     unconverged = [repr(k) for k, res in zip(grid, bounds) if not res.diagnostics.get("converged", True)]
     if unconverged:
         log.warning("%s %s bound stopped unconverged at k = %s", family, bound_kind, ", ".join(unconverged))

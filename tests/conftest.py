@@ -1,6 +1,7 @@
 """Shared fixtures, the 2x2-matrix Born-rule oracle, the ideal strategies,
 the value of an explicit strategy, the all-outcome see-saw with its
-Gram-system ball step, and two references for the plate-jitter
+Gram-system ball step, the trio ball enumerator that the closed-form
+triangle ball replaced, and two references for the plate-jitter
 systematic (a Monte Carlo and a Gauss-Hermite quadrature).
 
 The library works on Bloch vectors only; the Pauli matrices here are the
@@ -166,6 +167,51 @@ def gram_ball_candidates(M_S):
         radii2.append(np.where(ok, r2, np.inf))
         weights.append(w)
     return tuple(np.concatenate(a, axis=1) for a in (centres, radii2, weights))
+
+
+def _pair_balls(P):
+    """Midpoint balls of (C, 2, 3, B) point pairs: weights, centres, r^2 and a not-degenerate flag."""
+    q = P[:, 1] - P[:, 0]
+    a = np.einsum("cib,cib->cb", q, q)
+    return np.full((len(P), 2, P.shape[-1]), 0.5), P[:, 0] + 0.5 * q, 0.25 * a, a > 0.0
+
+
+def _trio_balls(P):
+    """Circumcircles of (C, 3, 3, B) triangles, in the squared edge lengths a_i opposite p_i."""
+    e = P[:, [1, 2, 0]] - P[:, [2, 0, 1]]
+    a = np.einsum("ctib,ctib->ctb", e, e)
+    alpha = a * (a.sum(axis=1, keepdims=True) - 2.0 * a)
+    total = alpha.sum(axis=1)
+    ok = total > 4.0 * optimize._DEGENERATE * a[:, 1] * a[:, 2]
+    total = np.where(ok, total, 1.0)
+    lam = alpha / total[:, None]
+    centre = np.einsum("ctb,ctib->cib", lam, P)
+    return lam, centre, a[:, 0] * a[:, 1] * a[:, 2] / total, ok
+
+
+def enumerated_triangle_ball(P):
+    """`optimize._triangle_ball` by the enumerator it replaced: (3, 3, B) trios -> weights, centres, r^2.
+
+    Every pair's midpoint ball, then the trio's circumcircle, is a
+    candidate; one that is degenerate, has a weight below -`_BALL_TOL` or
+    leaves a point outside r^2 + `_BALL_TOL` by its computed distance
+    gets r^2 inf, and the first smallest wins.
+    """
+    B = P.shape[-1]
+    subsets = [np.array(list(combinations(range(3), t))) for t in (2, 3)]
+    centres, radii2 = np.empty((4, 3, B)), np.empty((4, B))
+    weights, ok = np.zeros((4, 3, B)), np.empty((4, B), dtype=bool)
+    for lo, idx, balls in ((0, subsets[0], _pair_balls), (3, subsets[1], _trio_balls)):
+        hi = lo + len(idx)
+        lam, centres[lo:hi], radii2[lo:hi], ok[lo:hi] = balls(P[idx])
+        weights[np.arange(lo, hi)[:, None], idx] = lam
+    diff = P - centres[:, None]
+    d2 = np.einsum("ctib,ctib->ctb", diff, diff)
+    ok &= np.all(weights >= -optimize._BALL_TOL, axis=1)
+    ok &= np.all(d2 <= radii2[:, None] + optimize._BALL_TOL, axis=1)
+    radii2, weights = np.where(ok, radii2, np.inf), np.clip(weights, 0.0, None)
+    pick, cols = np.argmin(radii2, axis=0), np.arange(B)
+    return weights[pick, :, cols].T, centres[pick, :, cols].T, radii2[pick, cols]
 
 
 def reference_ball_step(M, subset, PW, PN):

@@ -19,21 +19,19 @@ from povmcert import (
     critical_visibility,
     ingest_counts,
     plate_systematic,
-    projective_bound,
-    projective_bound_numeric,
     projective_bound_sic,
-    quantum_bound,
     random_extremal_povms,
     sample_fidelity_curve,
     sic_experiment,
     sic_target,
     simulate_counts,
-    three_outcome_max,
+    slot_bounds,
     trine_experiment,
     trine_target,
 )
 from povmcert.cli import main as cli_main
 from povmcert.fidelity import _kabsch
+from povmcert.optimize import BOUND_SLOTS, _seesaw_bounds
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.robustness import visibility_curve
 
@@ -77,7 +75,7 @@ def test_criterion_2_projective_bounds():
     # more, so both numbers are checked and the deviation is reported
     for k, published in ((1.0, 4.89165), (4.5, 4.71139)):
         spec = build_witness("trine", k)
-        res = projective_bound_numeric(spec, config)
+        (res,) = slot_bounds([spec], "projective", config)
         pair, free = res.diagnostics["pair_values"]["0,1"], res.value
         assert pair == pytest.approx(published, abs=1e-3)
         assert free > pair + 1e-3
@@ -86,11 +84,11 @@ def test_criterion_2_projective_bounds():
             f"all-assignment bound {free:.5f} exceeds it by {free - pair:.5f}"
         )
 
+    # the sic see-saw, which `slot_bounds` skips for the closed form
     sweep_config = OptimizerConfig(restarts=16, seed=0)
-    worst = 0.0
-    for k in [round(0.01 * i, 2) for i in range(1, 101)]:
-        num = projective_bound_numeric(build_witness("sic", k), sweep_config).value
-        worst = max(worst, abs(num - projective_bound_sic(k).value))
+    specs = [build_witness("sic", round(0.01 * i, 2)) for i in range(1, 101)]
+    numeric = _seesaw_bounds(specs, "projective", sweep_config)
+    worst = max(abs(num.value - projective_bound_sic(num.k).value) for num in numeric)
     assert worst < 1e-4
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
@@ -100,7 +98,7 @@ def test_criterion_2_projective_bounds():
 
 def test_criterion_3_three_outcome_threshold():
     t0 = time.monotonic()
-    got = three_outcome_max(build_witness("sic", 0.2), OptimizerConfig(restarts=32, seed=0))
+    (got,) = slot_bounds([build_witness("sic", 0.2)], "three-outcome", OptimizerConfig(restarts=32, seed=0))
     elapsed = time.monotonic() - t0
     assert got.value == pytest.approx(0.7836, abs=1e-3)
     assert got.heuristic
@@ -116,7 +114,7 @@ def test_criterion_4_critical_visibility():
     v_proj = critical_visibility(0.2, projective_bound_sic(0.2).value, SIC_QMAX, 0.5)
     v_three = critical_visibility(
         0.2,
-        three_outcome_max(spec, OptimizerConfig(restarts=16, seed=0)).value,
+        slot_bounds([spec], "three-outcome", OptimizerConfig(restarts=16, seed=0))[0].value,
         SIC_QMAX,
         0.5,
     )
@@ -190,11 +188,7 @@ def test_criterion_7_end_to_end_pipeline():
     cfg = sic_experiment()
     table = ingest_counts(simulate_counts(cfg, spec, RngStream(42)))
     syst = plate_systematic(cfg, spec)
-    bounds = [
-        projective_bound(spec, config),
-        three_outcome_max(spec, config),
-        quantum_bound(spec),
-    ]
+    bounds = [slot_bounds([spec], slot, config)[0] for slot in BOUND_SLOTS]
     report = certify(table, spec, bounds, syst_err=syst)
     assert 0.780 <= report.value <= 0.789
     assert report.qubit_consistent is True
@@ -206,7 +200,7 @@ def test_criterion_7_end_to_end_pipeline():
     cfg = trine_experiment()
     table = ingest_counts(simulate_counts(cfg, spec, RngStream(43)))
     syst = plate_systematic(cfg, spec)
-    bounds = [projective_bound(spec, config), quantum_bound(spec)]
+    bounds = [slot_bounds([spec], slot, config)[0] for slot in ("projective", "quantum")]
     report = certify(table, spec, bounds, syst_err=syst)
     assert report.qubit_consistent is True
     assert report.verdicts["non_projective_certified"] is True
@@ -245,9 +239,7 @@ def test_criterion_8_property_suites(tmp_path):
 
     for k in (0.05, 0.2, 0.5, 1.0):
         spec = build_witness("sic", k)
-        proj = projective_bound(spec, config).value
-        three = three_outcome_max(spec, config).value
-        quantum = quantum_bound(spec).value
+        proj, three, quantum = (res.value for slot in BOUND_SLOTS for res in slot_bounds([spec], slot, config))
         assert proj <= three + 1e-9 <= quantum + 2e-9, k
     note("bound ordering projective <= three-outcome <= quantum at four k values")
 

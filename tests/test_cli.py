@@ -17,7 +17,7 @@ from conftest import config_json
 import povmcert.fidelity
 import povmcert.optimize
 from povmcert.cli import build_parser, main
-from povmcert.experiment import counts_from_csv, plate_systematic, trine_experiment
+from povmcert.experiment import counts_from_csv, plate_systematic, sic_experiment, trine_experiment
 from povmcert.fidelity import EnvelopeBin, EnvelopeCurve
 from povmcert.witness import build_witness
 
@@ -504,6 +504,21 @@ def trine_counts(tmp_path_factory):
                "--out-dir", str(out)])
     assert rc == 0
     return out / "counts-trine-k4.5.csv"
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_config_with_an_invalid_povm_exits_two(command, sic_counts, tmp_path, capsys):
+    data = json.loads(config_json(sic_experiment()))
+    for element in data["povm"]["elements"]:
+        element["lambda"] = 0.5
+    cfg = tmp_path / "sic.json"
+    cfg.write_text(json.dumps(data))
+    # certify reads the config for the plate systematic, after a one-restart search
+    extra = ("--counts", sic_counts, "--syst-runs", "--restarts", 1) if command == "certify" else ()
+    rc = run(command, "--witness", "sic", "--k", 0.2, "--config", cfg, "--out-dir", tmp_path, *extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "not a valid POVM" in err and "weights do not sum to 1" in err
 
 
 def test_certify_sic_end_to_end(sic_counts, tmp_path, capsys):

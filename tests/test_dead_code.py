@@ -1,10 +1,10 @@
-"""Every library name has a caller outside the tests.
+"""Every library name has a caller outside the tests, and every import is used.
 
 The callers are the program's own files: src/, scripts/ and bench/.
 Bench's own `test_*.py` files are excepted, and so is
 `bench/oracles.py`: it imports nothing from `povmcert`, and an
 attribute read on the name `oracles` is a call into it, not into the
-library.  Five checks, all by name:
+library.  Six checks, all by name:
 
 - a public module-level function or class under src/povmcert must be
   exported in `povmcert.__all__`, be referenced by those callers
@@ -16,7 +16,10 @@ library.  Five checks, all by name:
 - an `__all__` entry must be referenced by them outside `__init__.py`
   and its own definition, unless it is an entry point;
 - a module-level constant under src/povmcert (dunders excepted) must be
-  referenced by them outside its own assignment.
+  referenced by them outside its own assignment;
+- a name a file under src/, scripts/ or tests/ imports must be read in
+  that file, except the re-exports of `__init__.py` and `__future__`
+  imports.
 
 A name that only the tests call is dead library code: the test that
 needs it keeps its own copy as a local reference.  Imports do not count
@@ -151,3 +154,21 @@ def test_every_module_constant_has_a_caller():
                 if not (name.startswith("__") and name.endswith("__")) and not _used(name, path, node, refs):
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "module constants nothing reads: " + ", ".join(unused)
+
+
+def test_every_import_is_used():
+    files = [p for p in MODULES if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names if name not in read]
+    assert not unused, "imports nothing reads: " + ", ".join(unused)

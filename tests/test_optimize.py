@@ -21,6 +21,7 @@ from conftest import (
     born_strategy_value,
     density_matrix,
     effect_matrices,
+    enumerated_triangle_ball,
     extremal_povm,
     gram_ball_candidates,
     observable_matrix,
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 
 from povmcert import optimize
 from povmcert.optimize import (
+    BOUND_SLOTS,
     OptimizerConfig,
     _ascent_candidates,
     _concave_beyond_floor,
@@ -49,16 +51,13 @@ from povmcert.optimize import (
     _projective_povm_step,
     _reduced_derivatives,
     _scored_fields,
+    _seesaw_bounds,
     _triangle_ball,
     maximize_given_povm_batch,
-    projective_bound,
-    projective_bound_numeric,
     projective_bound_sic,
     projective_bound_sym_trine,
-    projective_bounds_numeric,
     quantum_bound,
-    three_outcome_max,
-    three_outcome_maxima,
+    slot_bounds,
 )
 from povmcert.qubit import Povm, classify_extremal, validate_povm
 from povmcert.sampling import RngStream, random_extremal_povms, random_unit_vectors
@@ -159,10 +158,7 @@ def test_seesaw_trace_is_monotone(monkeypatch):
 
 # unsorted, with k = 0 (where the penalty does not score) and a repeated k
 GRID = (0.3, 0.0, 0.1, 0.3, 0.05, 1.0)
-GRID_BOUNDS = {
-    "sic": (three_outcome_maxima, three_outcome_max),
-    "trine": (projective_bounds_numeric, projective_bound_numeric),
-}
+GRID_SLOTS = {"sic": "three-outcome", "trine": "projective"}
 
 
 def assert_same_bound(got, lone):
@@ -177,31 +173,31 @@ def assert_same_bound(got, lone):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("name", sorted(GRID_BOUNDS))
+@pytest.mark.parametrize("name", sorted(GRID_SLOTS))
 @pytest.mark.parametrize("chunk", [None, 40])
 def test_grid_batch_matches_lone_calls(monkeypatch, name, chunk):
     # each k stops on its own rule, so it ends bit for bit where a lone
     # call does; a 40-row chunk splits the grid into several batches
     if chunk is not None:
         monkeypatch.setattr(optimize, "_SEESAW_CHUNK", chunk)
-    grid_fn, lone_fn = GRID_BOUNDS[name]
+    slot = GRID_SLOTS[name]
     config = OptimizerConfig(restarts=4, seed=3)
-    batch = grid_fn([build_witness(name, k) for k in GRID], config)
+    batch = slot_bounds([build_witness(name, k) for k in GRID], slot, config)
     assert [res.k for res in batch] == list(GRID)
     for res in batch:
-        assert_same_bound(res, lone_fn(build_witness(name, res.k), config))
+        assert_same_bound(res, slot_bounds([build_witness(name, res.k)], slot, config)[0])
     # the two k = 0.3 entries are the same run
     assert_same_bound(batch[0], batch[3])
 
 
 @pytest.mark.parametrize(
-    "name, search, key",
-    [("sic", three_outcome_max, "zero_assignment_values"), ("trine", projective_bound_numeric, "pair_values")],
+    "name, slot, key",
+    [("sic", "three-outcome", "zero_assignment_values"), ("trine", "projective", "pair_values")],
 )
-def test_zero_k_argmax_is_a_fixed_point_of_its_povm_step(name, search, key):
+def test_zero_k_argmax_is_a_fixed_point_of_its_povm_step(name, slot, key):
     # at k = 0 the penalty does not score, but every row still takes its
     # POVM step, so the best row's POVM is the step's output, not its start
-    res = search(build_witness(name, 0.0), OptimizerConfig(restarts=4, seed=3))
+    (res,) = slot_bounds([build_witness(name, 0.0)], slot, OptimizerConfig(restarts=4, seed=3))
     per_group = res.diagnostics[key]
     label = max(per_group, key=per_group.get)  # the argmax row's group: the first best
     if name == "sic":
@@ -250,9 +246,9 @@ def test_matmul_steps_match_the_einsum_reference_on_the_lab_bounds(monkeypatch, 
 
     def search():
         return [
-            three_outcome_max(build_witness("sic", 0.2), config),
-            projective_bound_numeric(build_witness("trine", 1.0), config),
-            projective_bound_numeric(build_witness("trine", 4.5), config),
+            *slot_bounds([build_witness("sic", 0.2)], "three-outcome", config),
+            *slot_bounds([build_witness("trine", 1.0)], "projective", config),
+            *slot_bounds([build_witness("trine", 4.5)], "projective", config),
         ]
 
     assert_close_bounds(search(), _with_einsum_steps(monkeypatch, search))
@@ -265,8 +261,8 @@ def test_matmul_steps_match_the_einsum_reference_on_the_sweep_grid(monkeypatch, 
 
     def search():
         return [
-            *three_outcome_maxima([build_witness("sic", k) for k in grid], config),
-            *projective_bounds_numeric([build_witness("trine", k) for k in grid], config),
+            *slot_bounds([build_witness("sic", k) for k in grid], "three-outcome", config),
+            *slot_bounds([build_witness("trine", k) for k in grid], "projective", config),
         ]
 
     assert_close_bounds(search(), _with_einsum_steps(monkeypatch, search))
@@ -363,15 +359,16 @@ def rows_first_seesaw(spec, config, stream, groups):
 
 
 SEESAW_GROUPS = {
-    "sic": (three_outcome_maxima, 3, np.array([sorted(set(range(4)) - {z}) for z in range(4)])),
-    "trine": (projective_bounds_numeric, 2, np.array(list(combinations(range(3), 2)))),
+    "sic": ("three-outcome", 3, np.array([sorted(set(range(4)) - {z}) for z in range(4)])),
+    "trine": ("projective", 2, np.array(list(combinations(range(3), 2)))),
 }
 
 
 def assert_matches_the_rows_first_seesaw(name, ks, config):
-    search, stream, groups = SEESAW_GROUPS[name]
+    slot, stream, groups = SEESAW_GROUPS[name]
     specs = [build_witness(name, k) for k in ks]
-    for spec, res, run in zip(specs, search(specs, config), _multistart(specs, config, stream, groups), strict=True):
+    runs = _multistart(specs, config, stream, groups)
+    for spec, res, run in zip(specs, slot_bounds(specs, slot, config), runs, strict=True):
         values, iterations, converged = rows_first_seesaw(spec, config, stream, groups)
         assert np.abs(run["values"] - values).max() <= 1e-15
         assert abs(res.value - values.max()) <= 1e-15
@@ -407,11 +404,6 @@ def test_normalize_rows_keeps_the_bits_of_linalg_norm():
     assert np.array_equal(got[::11, 2], fallback[::11, 2])
 
 
-def test_grid_batch_rejects_mixed_families():
-    with pytest.raises(ValueError, match="one coefficient tensor"):
-        three_outcome_maxima([build_witness("sic", 0.2), build_witness("trine", 0.2)], FAST)
-
-
 def test_grid_batch_reports_each_k_iterations(monkeypatch):
     # alone, k = 0.1 and 0 converge in 20 and 15 iterations and k = 1
     # and 2 need 66 and 130: under a 40-iteration budget only the slow
@@ -419,7 +411,7 @@ def test_grid_batch_reports_each_k_iterations(monkeypatch):
     config = OptimizerConfig(restarts=4, seed=7)
     ks = (0.1, 1.0, 0.0, 2.0)
     monkeypatch.setattr(optimize, "_MAX_ITERS", 40)
-    batch = three_outcome_maxima([build_witness("sic", k) for k in ks], config)
+    batch = slot_bounds([build_witness("sic", k) for k in ks], "three-outcome", config)
     assert [res.diagnostics["iterations"] for res in batch] == [20, 40, 15, 40]
     assert [res.diagnostics["converged"] for res in batch] == [True, False, True, False]
 
@@ -430,12 +422,12 @@ def test_grid_batch_peak_memory_does_not_grow_with_grid_length():
     config = OptimizerConfig(restarts=32, seed=1)
     per_batch = optimize._SEESAW_CHUNK // (3 * config.restarts)  # trine: three pairs per k
     grids = [[build_witness("trine", 0.5 + 0.01 * i) for i in range(n)] for n in (per_batch, 4 * per_batch)]
-    projective_bounds_numeric(grids[0], config)  # first-call allocations stay out of the peaks
+    slot_bounds(grids[0], "projective", config)  # first-call allocations stay out of the peaks
     peaks = []
     for specs in grids:
         tracemalloc.start()
         try:
-            projective_bounds_numeric(specs, config)
+            slot_bounds(specs, "projective", config)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -488,7 +480,7 @@ def test_ideal_strategy_is_seesaw_fixed_point():
 def test_trine_projective_symmetric_pair_matches_closed_form():
     for k in (1.0, 4.5):
         spec = build_witness("trine", k=k)
-        res = projective_bound_numeric(spec, FAST)
+        (res,) = slot_bounds([spec], "projective", FAST)
         pair = res.diagnostics["pair_values"]["0,1"]
         assert pair == pytest.approx(trine_symmetric_pair_closed_form(k), abs=1e-6)
         assert pair == pytest.approx(TRINE_SYMMETRIC_PAIR[k], abs=1e-6)
@@ -500,7 +492,7 @@ def test_trine_projective_all_assignments_exceeds_symmetric_pair():
     # device, so the unrestricted default must exceed the pair-(0,1) value
     for k in (1.0, 4.5):
         spec = build_witness("trine", k=k)
-        res = projective_bound_numeric(spec, FAST)
+        (res,) = slot_bounds([spec], "projective", FAST)
         assert res.value == pytest.approx(TRINE_ALL_PAIRS[k], abs=1e-6)
         assert res.value > TRINE_SYMMETRIC_PAIR[k] + 1e-2
         pairs = res.diagnostics["pair_values"]
@@ -510,7 +502,7 @@ def test_trine_projective_all_assignments_exceeds_symmetric_pair():
 
 def test_trine_projective_argmax_is_projective():
     spec = build_witness("trine", k=1.0)
-    res = projective_bound_numeric(spec, FAST)
+    (res,) = slot_bounds([spec], "projective", FAST)
     assert classify_extremal(res.argmax.povm) == "projective"
     assert strategy_value(spec, res.argmax) == pytest.approx(res.value, abs=1e-9)
 
@@ -538,7 +530,7 @@ def test_sic_numeric_saturates_closed_form(k):
     # reaches the same value and the see-saw saturates the closed form
     spec = build_witness("sic", k=k)
     closed = projective_bound_sic(k).value
-    numeric = projective_bound_numeric(spec, FAST)
+    (numeric,) = _seesaw_bounds([spec], "projective", FAST)
     assert numeric.value == pytest.approx(closed, abs=1e-7)
     for v in numeric.diagnostics["pair_values"].values():
         assert v == pytest.approx(closed, abs=1e-6)
@@ -548,14 +540,39 @@ def test_sic_numeric_saturates_closed_form(k):
 def test_sym_trine_numeric_saturates_closed_form(k):
     spec = build_witness("sym-trine", k=k)
     closed = projective_bound_sym_trine(k).value
-    numeric = projective_bound_numeric(spec, FAST)
+    (numeric,) = _seesaw_bounds([spec], "projective", FAST)
     assert numeric.value == pytest.approx(closed, abs=1e-7)
 
 
-def test_projective_bound_dispatch():
-    assert projective_bound(build_witness("sic", k=0.2)).kind == "projective-closed-form"
-    assert projective_bound(build_witness("sym-trine", k=0.2)).kind == "projective-closed-form"
-    assert projective_bound(build_witness("trine", k=0.2), FAST).kind == "projective-numeric"
+# each family's bound kind per slot, in `BOUND_SLOTS` order; None where the slot does not apply
+SLOT_KINDS = {
+    "sic": ("projective-closed-form", "three-outcome-numeric", "quantum-closed-form"),
+    "trine": ("projective-numeric", None, "quantum-closed-form"),
+    "sym-trine": ("projective-closed-form", None, "quantum-closed-form"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_KINDS))
+@pytest.mark.parametrize("slot", BOUND_SLOTS)
+def test_slot_bounds_dispatch(name, slot):
+    specs = [build_witness(name, k) for k in (0.2, 1.0)]
+    kind = SLOT_KINDS[name][BOUND_SLOTS.index(slot)]
+    if kind is None:
+        with pytest.raises(ValueError, match="^three-outcome restriction applies to four-outcome scenarios$"):
+            slot_bounds(specs, slot, FAST)
+    else:
+        got = slot_bounds(specs, slot, FAST)
+        heuristic = kind.endswith("-numeric")
+        assert [(res.kind, res.k, res.heuristic) for res in got] == [(kind, 0.2, heuristic), (kind, 1.0, heuristic)]
+    # a grid must be one family, whatever the slot
+    other = build_witness("trine" if name == "sic" else "sic", 0.2)
+    with pytest.raises(ValueError, match="one coefficient tensor"):
+        slot_bounds([*specs, other], slot, FAST)
+    slots = re.escape(str(BOUND_SLOTS))
+    with pytest.raises(ValueError, match=slots):
+        slot_bounds([], slot, FAST)
+    with pytest.raises(ValueError, match=slots):
+        slot_bounds(specs, f"{slot}-numeric", FAST)
 
 
 def sic_projective_profile(k, x):
@@ -605,7 +622,7 @@ def test_closed_form_rejects_bad_k():
 
 def test_three_outcome_bound_value():
     spec = build_witness("sic", k=0.2)
-    res = three_outcome_max(spec, FAST)
+    (res,) = slot_bounds([spec], "three-outcome", FAST)
     assert res.kind == "three-outcome-numeric"
     assert res.value == pytest.approx(0.7836, abs=5e-4)
     # all four zero-effect assignments are equivalent by symmetry
@@ -615,7 +632,7 @@ def test_three_outcome_bound_value():
 
 def test_three_outcome_rejects_three_outcome_scenarios():
     with pytest.raises(ValueError):
-        three_outcome_max(build_witness("trine", k=0.2), FAST)
+        slot_bounds([build_witness("trine", k=0.2)], "three-outcome", FAST)
 
 
 def test_bound_ordering_chain():
@@ -623,7 +640,7 @@ def test_bound_ordering_chain():
     for k in (0.05, 0.2, 0.5, 1.0):
         spec = build_witness("sic", k=k)
         proj = projective_bound_sic(k).value
-        three = three_outcome_max(spec, FAST).value
+        three = slot_bounds([spec], "three-outcome", FAST)[0].value
         quantum = quantum_bound(spec).value
         assert proj <= three + 1e-6
         assert three <= quantum + 1e-6
@@ -1423,8 +1440,8 @@ def test_ball_step_is_optimal_on_random_preparations(seed):
         assert val <= probe_vals.min() + 1e-12
 
 
-def special_blocks(rng, T, rows=64):
-    """(rows, T, 3) preparation blocks of each kind the ball step meets."""
+def special_blocks(rng, T, rows=64, deltas=(0.0, -1e-10, 1e-10, 3e-10)):
+    """(rows, T, 3) preparation blocks of each kind the ball step meets, with right triangles at `deltas`."""
     unit = random_unit_vectors(rng, (rows, T))
     line = random_unit_vectors(rng, rows)[:, None]
     u, v = random_unit_vectors(rng, (2, rows, 1))
@@ -1448,11 +1465,11 @@ def special_blocks(rng, T, rows=64):
     # near-right triangles on the antipodal pair: p_2 = s w with w a unit
     # vector orthogonal to p_0 gives a_0 + a_1 - a_2 = 2 s^2 - 2 = delta,
     # so p_2 sits at delta = 0 on the pair's midpoint ball, inside it below
-    # 0, and outside it above, beyond the ball tolerance at 3e-10
+    # 0, and outside it above, beyond the ball tolerance from 2e-10
     w = random_unit_vectors(rng, rows)
     w -= np.sum(w * unit[:, 0], axis=1, keepdims=True) * unit[:, 0]
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    for delta in (0.0, -1e-10, 1e-10, 3e-10):
+    for delta in deltas:
         right = antipodal.copy()
         right[:, 2] = np.sqrt(1.0 + delta / 2.0) * w
         blocks[f"right, delta {delta:g}"] = right
@@ -1496,10 +1513,31 @@ def test_closed_form_balls_match_the_gram_reference(T):
     assert np.isinf(_triangle_ball(blocks["all coincident"].transpose(1, 2, 0))[2]).all()
 
 
+# right triangles at the kernel's margins: the third point inside, on and
+# outside the pair's ball, either side of and on the 2 `_BALL_TOL` edge test
+MARGIN_DELTAS = (0.0, -1e-10, 1e-10, 1.9e-10, 2e-10, 2.1e-10, 3e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_triangle_ball_keeps_the_enumerators_bits(seed):
+    blocks = special_blocks(RngStream(seed, 12).generator(), 3, rows=256, deltas=MARGIN_DELTAS)
+    for kind, M_S in blocks.items():
+        P = M_S.transpose(1, 2, 0)
+        for got, ref in zip(_triangle_ball(P), enumerated_triangle_ball(P), strict=True):
+            if kind == "right, delta 2e-10":
+                # on the edge test itself the enumerator tested the third point
+                # by its computed distance, the kernel by the edge lengths, and
+                # either ball holds within the tolerance: they differ by the
+                # third point's circumcircle weight, delta / 4, up to roundoff
+                assert np.abs(got - ref).max() <= 5e-11 * (1.0 + 1e-5)
+            else:
+                assert np.array_equal(got, ref), kind
+
+
 def test_three_outcome_search_solves_no_linear_system(monkeypatch):
     grid = [build_witness("sic", k) for k in (0.1, 0.2, 0.3)]
     config = OptimizerConfig(restarts=4, seed=3)
-    expected = three_outcome_maxima(grid, config)
+    expected = slot_bounds(grid, "three-outcome", config)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the see-saw called a LAPACK solver")
@@ -1517,7 +1555,7 @@ def test_three_outcome_search_solves_no_linear_system(monkeypatch):
     monkeypatch.setattr(optimize, "random_extremal_povms", draw_starts)
     for name in real:
         monkeypatch.setattr(np.linalg, name, refuse)
-    got = three_outcome_maxima(grid, config)
+    got = slot_bounds(grid, "three-outcome", config)
     assert [r.value for r in got] == [r.value for r in expected]
     assert [r.diagnostics for r in got] == [r.diagnostics for r in expected]
 
@@ -1549,7 +1587,8 @@ def test_bound_result_serializes():
     assert back["value"] == res.value
     assert "preparations" in back["argmax"]
 
-    searched = json.loads(json.dumps(three_outcome_max(spec, OptimizerConfig(restarts=4, seed=2)).to_dict()))
+    (searched,) = slot_bounds([spec], "three-outcome", OptimizerConfig(restarts=4, seed=2))
+    searched = json.loads(json.dumps(searched.to_dict()))
     assert searched["heuristic"] is True
     assert "preparations" in searched["argmax"]
 

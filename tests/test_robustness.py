@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcert import optimize
-from povmcert.optimize import (
-    OptimizerConfig,
-    projective_bound,
-    projective_bound_sic,
-    projective_bounds_numeric,
-    three_outcome_max,
-    three_outcome_maxima,
-)
+from povmcert.optimize import OptimizerConfig, projective_bound_sic, slot_bounds
 from povmcert.robustness import (
     DEFAULT_K_GRID,
     VisibilityResult,
@@ -137,7 +130,7 @@ def test_depolarized_ideal_sic_lands_exactly_on_the_bound(k):
 
 def test_depolarized_ideal_trine_lands_on_numeric_bound():
     spec = trine_witness(1.0)
-    bound = projective_bound(spec, FAST).value
+    bound = slot_bounds([spec], "projective", FAST)[0].value
     v = critical_visibility(1.0, bound, spec.quantum_max, spec.offset).value
     noisy = depolarized(IDEAL_STRATEGIES["trine"](), v)
     assert strategy_value(spec, noisy) == pytest.approx(bound, abs=1e-6)
@@ -173,34 +166,28 @@ def test_trine_curve_uses_numeric_bounds():
         assert p.heuristic
         assert p.a_rand == 0.0 and p.a_q == 5.0
         spec = build_witness("trine", p.k)
-        assert p.bound_value == pytest.approx(projective_bound(spec, FAST).value, abs=1e-6)
+        assert p.bound_value == pytest.approx(slot_bounds([spec], "projective", FAST)[0].value, abs=1e-6)
         assert 0.0 < p.v_crit < 1.0
 
 
-@pytest.mark.parametrize("family, kind, lone", [
-    ("sic", "three-outcome", three_outcome_max),
-    ("trine", "projective", projective_bound),
-])
-def test_curve_batch_matches_lone_bounds_in_grid_order(family, kind, lone):
+@pytest.mark.parametrize("family, kind", [("sic", "three-outcome"), ("trine", "projective")])
+def test_curve_batch_matches_lone_bounds_in_grid_order(family, kind):
     # unsorted, with k = 0 and a repeated k
     grid = [0.3, 0.0, 0.1, 0.3, 0.05]
     config = OptimizerConfig(restarts=4, seed=3)
     curve = visibility_curve(family, kind, grid, config)
     assert [p.k for p in curve] == grid
     for p in curve:
-        assert p.bound_value == lone(build_witness(family, p.k), config).value
+        assert p.bound_value == slot_bounds([build_witness(family, p.k)], kind, config)[0].value
 
 
-@pytest.mark.parametrize("family, search", [
-    ("sic", three_outcome_maxima),
-    ("trine", projective_bounds_numeric),
-])
-def test_grid_bounds_dominate_every_argmax_on_the_grid(family, search):
+@pytest.mark.parametrize("family, slot", [("sic", "three-outcome"), ("trine", "projective")])
+def test_grid_bounds_dominate_every_argmax_on_the_grid(family, slot):
     # each k's argmax is feasible at every k', so no k' may score below
     # it; a maximum of functions affine in k is convex in k.  The Born
     # value of a fixed strategy is base - k' penalty, scored from k = 0 and 1
     specs = [build_witness(family, k) for k in DEFAULT_K_GRID]
-    results = search(specs, OptimizerConfig(restarts=8, seed=0))
+    results = slot_bounds(specs, slot, OptimizerConfig(restarts=8, seed=0))
     values = np.array([res.value for res in results])
     argmaxes = [res.argmax for res in results]
     at0, at1 = build_witness(family, 0.0), build_witness(family, 1.0)

@@ -1,7 +1,8 @@
-"""Smoke tests of the scripts under scripts/, run as a user runs them."""
+"""Smoke tests of the scripts under scripts/ and of README's library example, run as a user runs them."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_readme_library_example_runs(tmp_path):
+    (block,) = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=_src_env(), cwd=tmp_path, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "'genuine_four_outcome_certified': True" in proc.stdout
+
+
 def test_reproduce_lab_run_fast_certifies_every_dataset(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce_lab_run.py"), "--fast", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     for tag in ("sic-k0.2", "trine-k1", "trine-k4.5"):
